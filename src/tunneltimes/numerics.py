@@ -3,7 +3,7 @@
 Adaptive Simpson quadrature with per-subinterval error control, central-
 difference differentiation with Richardson extrapolation, continuous phase
 tracking of complex sample sequences, parabolic sub-grid peak refinement,
-and composite Gauss-Legendre panel grids.
+composite Gauss-Legendre panel grids, and detection of uniform sample grids.
 """
 
 from __future__ import annotations
@@ -224,3 +224,24 @@ def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 8):
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
+
+
+def uniform_step(times) -> float | None:
+    """Step dt of a uniform grid t_m = t_0 + m dt, or None if times is not one.
+
+    A grid is uniform when every sample lies within 8 ulp(max |t|) of
+    t_0 + m dt, with dt = (t_last - t_0) / (n - 1) > 0.  Comparing positions
+    rather than consecutive differences accepts np.linspace grids whose
+    rounded steps differ by far more than 1e-12 relative when the step is
+    small against |t|.  Grids of two points or fewer are never uniform.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) < 3:
+        return None
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if not dt > 0.0:
+        return None
+    deviation = np.max(np.abs(t - (t[0] + np.arange(len(t)) * dt)))
+    if deviation <= 8.0 * np.spacing(np.max(np.abs(t))):
+        return float(dt)
+    return None

@@ -14,6 +14,17 @@ Gauss-Legendre energy grid whose panels resolve the fastest oscillation
 e^{-i eps t} requested, so a weighted sum reproduces the integral at any
 (x, t) pair.
 
+The nodes of that grid are eps_pj = e_j + p W: panel p of width W and
+Gauss-Legendre offset e_j.  On a uniform time grid t_m = t_0 + m dt the sum
+over the panels is therefore, for each offset, a chirp z-transform in
+w = e^{-i W dt} (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249
+(1969)), evaluated for P panels and M times as one FFT convolution of
+length >= P + M - 1 by Bluestein's identity pm = (p^2 + m^2 - (m - p)^2)/2
+(IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions
+replace the M sums of P * order terms.  Any other time grid takes the
+direct sum of exponentials, built in blocks so that no (n_t, n_eps) matrix
+is ever formed; it is the definition the fast path is tested against.
+
 A "free" variant (T = 1, R = 0 basis) provides the no-barrier reference used
 for the arrival of the packet maximum at the barrier entrance.
 """
@@ -27,7 +38,7 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, PacketSpec
-from .numerics import gauss_legendre_panels, refine_max, EdgeMaximumError
+from .numerics import gauss_legendre_panels, refine_max, uniform_step, EdgeMaximumError
 
 
 class SynthesisResolutionError(RuntimeError):
@@ -43,17 +54,22 @@ class TailMassError(RuntimeError):
 
 
 def _one_minus_exp_over(theta):
-    """(1 - exp(-i theta)) / theta, stable for small theta (entire function)."""
+    """(1 - exp(-i theta)) / theta, stable for small theta (entire function).
+
+    The Taylor series is evaluated only where |theta| < 0.05 and the direct
+    form only elsewhere.
+    """
     theta = np.asarray(theta, dtype=float)
-    coeffs = np.array(
-        [1j, 0.5, -1j / 6.0, -1.0 / 24.0, 1j / 120.0, 1.0 / 720.0, -1j / 5040.0]
-    )
-    series = np.zeros(theta.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        series = series * theta + c
-    safe = np.where(np.abs(theta) < 0.05, 1.0, theta)
-    direct = (1.0 - np.exp(-1j * safe)) / safe
-    return np.where(np.abs(theta) < 0.05, series, direct)
+    out = np.empty(theta.shape, dtype=complex)
+    small = np.abs(theta) < 0.05
+    ts = theta[small]
+    series = np.zeros(ts.shape, dtype=complex)
+    for c in (-1j / 5040.0, 1.0 / 720.0, 1j / 120.0, -1.0 / 24.0, -1j / 6.0, 0.5, 1j):
+        series = series * ts + c
+    out[small] = series
+    td = theta[~small]
+    out[~small] = (1.0 - np.exp(-1j * td)) / td
+    return out
 
 
 def envelope_transform(q, b: float):
@@ -63,18 +79,21 @@ def envelope_transform(q, b: float):
     h(theta) = (1 - e^{-i theta})/theta, has removable singularities at
     q = +-c where the numerator is rewritten around the nearby zero; the
     q = 0 point is already regular in this form (I(0) = pi b, I(+-c) = -pi b/2).
+    Each entry is evaluated in its one branch only.
     """
     q = np.asarray(q, dtype=float)
     c = 2.0 / b
     pb = math.pi * b
     dm = q - c
     dp = q + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        generic = 1j * pb * c * c * _one_minus_exp_over(q * pb) / (dm * dp)
-        near_p = 1j * pb * c * c * _one_minus_exp_over(dm * pb) / (q * dp)
-        near_m = 1j * pb * c * c * _one_minus_exp_over(dp * pb) / (q * dm)
-    out = np.where(np.abs(dm) * pb < 0.05, near_p, generic)
-    out = np.where(np.abs(dp) * pb < 0.05, near_m, out)
+    near_p = np.abs(dm) * pb < 0.05
+    near_m = np.abs(dp) * pb < 0.05
+    generic = ~(near_p | near_m)
+    scale = 1j * pb * c * c
+    out = np.empty(q.shape, dtype=complex)
+    out[generic] = scale * _one_minus_exp_over(q[generic] * pb) / (dm[generic] * dp[generic])
+    out[near_p] = scale * _one_minus_exp_over(dm[near_p] * pb) / (q[near_p] * dp[near_p])
+    out[near_m] = scale * _one_minus_exp_over(dp[near_m] * pb) / (q[near_m] * dm[near_m])
     return out if out.ndim else complex(out)
 
 
@@ -102,7 +121,9 @@ class SpectralAmplitude:
 
     barrier is None for the free (no-barrier) basis.  captured_weight is
     int_0^{eps_max} |f|^2 d(eps), the packet norm retained by the sub-barrier
-    truncation.
+    truncation.  layout is the composite Gauss-Legendre layout of grid:
+    node j of panel p sits at grid[p * layout.order + j].  T, R and D are the
+    stationary amplitudes at the grid nodes (None for the free basis).
     """
 
     grid: np.ndarray
@@ -112,9 +133,17 @@ class SpectralAmplitude:
     packet: PacketSpec
     barrier: BarrierSpec | None
     eps_max: float
-    max_panel_width: float
+    layout: EnergyGridSpec
+    T: np.ndarray | None = None
+    R: np.ndarray | None = None
+    D: np.ndarray | None = None
 
     def __post_init__(self):
+        if len(self.grid) != self.layout.n_panels * self.layout.order:
+            raise ValueError(
+                f"energy grid has {len(self.grid)} nodes, not n_panels * order = "
+                f"{self.layout.n_panels} * {self.layout.order}"
+            )
         if self.grid[0] <= 0.0 or self.grid[-1] > self.eps_max * (1.0 + 1e-12):
             raise ValueError("energy grid must lie inside (0, eps_max]")
         if self.barrier is not None and self.eps_max > self.barrier.u0 * (1.0 + 1e-12):
@@ -128,10 +157,9 @@ class SpectralAmplitude:
     def free(self) -> bool:
         return self.barrier is None
 
-
-def _grid_arrays(eps_max: float, spec: EnergyGridSpec):
-    nodes, weights = gauss_legendre_panels(0.0, eps_max, spec.n_panels, spec.order)
-    return nodes, weights, eps_max / spec.n_panels
+    @property
+    def max_panel_width(self) -> float:
+        return self.eps_max / self.layout.n_panels
 
 
 def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
@@ -139,9 +167,9 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     """Expand the packet over sub-barrier left-incident scattering states."""
     if packet.p**2 >= barrier.u0:
         raise ValueError("sub-barrier study requires p^2 < u0")
-    nodes, weights, width = _grid_arrays(barrier.u0, grid)
+    nodes, weights = gauss_legendre_panels(0.0, barrier.u0, grid.n_panels, grid.order)
     k = np.sqrt(nodes)
-    _, R, _, _ = stationary.amplitudes(barrier.u0, barrier.l, nodes)
+    T, R, _, D = stationary.amplitudes(barrier.u0, barrier.l, nodes)
     f = stationary.normalization(nodes) * packet.amplitude * (
         envelope_transform(packet.p - k, packet.b)
         + np.conj(R) * envelope_transform(packet.p + k, packet.b)
@@ -149,15 +177,15 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     captured = float(np.sum(weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=nodes, values=f, weights=weights, captured_weight=captured,
-        packet=packet, barrier=barrier, eps_max=barrier.u0,
-        max_panel_width=width,
+        packet=packet, barrier=barrier, eps_max=barrier.u0, layout=grid,
+        T=T, R=R, D=D,
     )
 
 
 def free_spectral_amplitude(packet: PacketSpec, eps_max: float,
                             grid: EnergyGridSpec) -> SpectralAmplitude:
     """Expansion over free states N e^{ikx} with the same energy truncation."""
-    nodes, weights, width = _grid_arrays(eps_max, grid)
+    nodes, weights = gauss_legendre_panels(0.0, eps_max, grid.n_panels, grid.order)
     k = np.sqrt(nodes)
     f = stationary.normalization(nodes) * packet.amplitude * envelope_transform(
         packet.p - k, packet.b
@@ -165,31 +193,42 @@ def free_spectral_amplitude(packet: PacketSpec, eps_max: float,
     captured = float(np.sum(weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=nodes, values=f, weights=weights, captured_weight=captured,
-        packet=packet, barrier=None, eps_max=eps_max, max_panel_width=width,
+        packet=packet, barrier=None, eps_max=eps_max, layout=grid,
     )
 
 
-def _basis_at(famp: SpectralAmplitude, x: float) -> np.ndarray:
-    """psi_eps(x) over the whole energy grid at one point x."""
+# Largest (rows, n_eps) block of exponentials built at once by the direct
+# sums, in elements: 1 MiB of complex128.
+_BLOCK = 1 << 16
+
+
+def _block_rows(famp: SpectralAmplitude) -> int:
+    return max(1, _BLOCK // len(famp.grid))
+
+
+def _basis(famp: SpectralAmplitude, xs: np.ndarray) -> np.ndarray:
+    """psi_eps(x) as a (len(xs), n_eps) matrix: one row per position."""
+    x = np.asarray(xs, dtype=float)[:, None]
     eps = famp.grid
     k = np.sqrt(eps)
     N = stationary.normalization(eps)
     if famp.free:
         return N * np.exp(1j * k * x)
-    barrier = famp.barrier
-    if x < 0.0:
-        _, R, _, _ = stationary.amplitudes(barrier.u0, barrier.l, eps)
-        return N * (np.exp(1j * k * x) + R * np.exp(-1j * k * x))
-    if x > barrier.l:
-        T, _, _, _ = stationary.amplitudes(barrier.u0, barrier.l, eps)
-        return N * T * np.exp(1j * k * x)
-    chi = np.sqrt(barrier.u0 - eps)
-    _, _, _, D = stationary.amplitudes(barrier.u0, barrier.l, eps)
-    denom = (1.0 - 1j * k / chi) / D
-    c_scaled = (1.0 + 1j * k / chi) / denom
-    return N * (
-        c_scaled * np.exp(chi * (x - 2.0 * barrier.l)) + D * np.exp(-chi * x)
-    )
+    l = famp.barrier.l
+    left = x[:, 0] < 0.0
+    right = x[:, 0] > l
+    inside = ~(left | right)
+    out = np.empty((len(x), len(eps)), dtype=complex)
+    incoming = np.exp(1j * k * x[left])
+    out[left] = incoming + famp.R * np.conj(incoming)
+    out[right] = famp.T * np.exp(1j * k * x[right])
+    if np.any(inside):
+        chi = np.sqrt(famp.barrier.u0 - eps)
+        denom = (1.0 - 1j * k / chi) / famp.D
+        c_scaled = (1.0 + 1j * k / chi) / denom
+        out[inside] = (c_scaled * np.exp(chi * (x[inside] - 2.0 * l))
+                       + famp.D * np.exp(-chi * x[inside]))
+    return N * out
 
 
 @dataclass(frozen=True)
@@ -217,23 +256,79 @@ def _check_resolution(famp: SpectralAmplitude, times) -> None:
         )
 
 
+def _direct_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_eps amp e^{-i eps t} at each t, in blocks of rows of exponentials."""
+    rows = _block_rows(famp)
+    return np.concatenate([
+        np.exp(-1j * np.outer(times[i:i + rows], famp.grid)) @ amp
+        for i in range(0, len(times), rows)
+    ])
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; numpy.fft is fastest on these lengths."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """The direct sum on a uniform grid t_m = t_0 + m dt, by chirp z-transforms.
+
+    Node j of panel p is eps_pj = e_j + p W, with W the panel width and e_j
+    the nodes of panel 0, so with w = e^{-i W dt}
+
+        psi(t_m) = sum_j e^{-i e_j (t_m - t_0)} sum_p [amp_pj e^{-i eps_pj t_0}] w^{pm},
+
+    and each inner sum is one Bluestein convolution, via
+    pm = (p^2 + m^2 - (m - p)^2) / 2, of length >= P + M - 1 for P panels
+    and M times.
+    """
+    n_panels, order = famp.layout.n_panels, famp.layout.order
+    n_times = len(times)
+    theta = famp.max_panel_width * dt
+    n = np.arange(max(n_panels, n_times), dtype=float)
+    # n*n is an exact integer in float64; w**(n**2/2) would round the power
+    chirp = np.exp(0.5j * theta * (n * n))
+    size = _fft_size(n_panels + n_times - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_times] = chirp[:n_times]
+    kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
+    kernel = np.fft.fft(kernel)
+    panels = (amp * np.exp(-1j * famp.grid * times[0])).reshape(n_panels, order)
+    pre = np.conj(chirp[:n_panels])
+    elapsed = times - times[0]
+    out = np.zeros(n_times, dtype=complex)
+    for j in range(order):
+        conv = np.fft.ifft(np.fft.fft(panels[:, j] * pre, size) * kernel)[:n_times]
+        out += np.exp(-1j * famp.grid[j] * elapsed) * conv
+    return out * np.conj(chirp[:n_times])
+
+
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
-    """Complex psi(x, t) on the time grid (quadrature-weighted spectral sum)."""
+    """Complex psi(x, t) on the time grid (quadrature-weighted spectral sum).
+
+    A uniform time grid takes the chirp z-transform path; any other grid
+    takes the blocked direct sum, which is the definition the fast path is
+    tested against.
+    """
     times = np.asarray(times, dtype=float)
     _check_resolution(famp, times)
-    amp = famp.weights * famp.values * _basis_at(famp, x)
-    dt = np.diff(times)
-    if len(times) > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
-        # uniform grid: advance a running phase instead of exponentiating
-        # the full (n_eps, n_t) matrix
-        out = np.empty(len(times), dtype=complex)
-        phase = np.exp(-1j * famp.grid * times[0])
-        step = np.exp(-1j * famp.grid * dt[0])
-        for j in range(len(times)):
-            out[j] = np.dot(amp, phase)
-            phase *= step
-        return out
-    return np.asarray([np.dot(amp, np.exp(-1j * famp.grid * t)) for t in times])
+    amp = famp.weights * famp.values * _basis(famp, [x])[0]
+    dt = uniform_step(times)
+    if dt is None:
+        return _direct_sum(famp, amp, times)
+    return _chirp_z_sum(famp, amp, times, dt)
 
 
 def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
@@ -248,10 +343,10 @@ def spatial_profile(famp: SpectralAmplitude, xs, t: float) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     _check_resolution(famp, [t])
     coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
-    out = np.empty(len(xs), dtype=complex)
-    for j, x in enumerate(xs):
-        out[j] = np.dot(coeff, _basis_at(famp, float(x)))
-    return out
+    rows = _block_rows(famp)
+    return np.concatenate([
+        _basis(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
+    ])
 
 
 @dataclass(frozen=True)
@@ -349,7 +444,10 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
         try:
             return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
         except WindowError as exc:
-            last_error = exc
+            # keep the message only: the traceback would hold this window's
+            # grid alive while the next, twice as large, is built
+            last_error = str(exc)
+        del famp
     raise WindowError(
         f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
     )

@@ -17,6 +17,7 @@ from tunneltimes.numerics import (
     gauss_legendre_panels,
     integrate,
     refine_max,
+    uniform_step,
 )
 
 
@@ -172,3 +173,24 @@ class TestGrids:
         nodes, weights = gauss_legendre_panels(0.0, 2.0, 4, order=5)
         gf = GridFunction.from_function(lambda x: x**2, nodes, weights)
         assert gf.integral() == pytest.approx(8.0 / 3.0, rel=1e-13)
+
+
+class TestUniformStep:
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 480.0, 9601), (7.5, 7.7, 257)])
+    def test_accepts_linspace(self, lo, hi, n):
+        # the refinement window's rounded steps differ by ~1e-12 relative
+        ts = np.linspace(lo, hi, n)
+        assert uniform_step(ts) == pytest.approx((hi - lo) / (n - 1), rel=1e-14)
+
+    def test_rejects_one_moved_point(self):
+        ts = np.linspace(7.5, 7.7, 257)
+        ts[100] += 1e-9
+        assert uniform_step(ts) is None
+
+    @pytest.mark.parametrize("ts", [[], [1.0], [0.0, 1.0]])
+    def test_rejects_two_points_or_fewer(self, ts):
+        assert uniform_step(ts) is None
+
+    def test_rejects_non_increasing(self):
+        assert uniform_step(np.linspace(1.0, 0.0, 11)) is None
+        assert uniform_step(np.zeros(5)) is None

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from tunneltimes import stationary
 from tunneltimes.model import BarrierSpec, PacketSpec
+from tunneltimes.numerics import uniform_step
 from tunneltimes.wavepacket import (
     EnergyGridSpec,
     SpectralAmplitude,
@@ -66,6 +67,48 @@ class TestEnvelopeTransform:
             assert abs(envelope_transform(float(q), b) - exact) < 1e-10
 
 
+def envelope_all_branches(q, b):
+    """The closed form evaluated in every branch on every entry, then selected."""
+    q = np.asarray(q, dtype=float)
+
+    def h(theta):
+        coeffs = np.array(
+            [1j, 0.5, -1j / 6.0, -1.0 / 24.0, 1j / 120.0, 1.0 / 720.0, -1j / 5040.0])
+        series = np.zeros(theta.shape, dtype=complex)
+        for c in coeffs[::-1]:
+            series = series * theta + c
+        safe = np.where(np.abs(theta) < 0.05, 1.0, theta)
+        return np.where(np.abs(theta) < 0.05, series, (1.0 - np.exp(-1j * safe)) / safe)
+
+    c = 2.0 / b
+    pb = math.pi * b
+    dm, dp = q - c, q + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        generic = 1j * pb * c * c * h(q * pb) / (dm * dp)
+        near_p = 1j * pb * c * c * h(dm * pb) / (q * dp)
+        near_m = 1j * pb * c * c * h(dp * pb) / (q * dm)
+    out = np.where(np.abs(dm) * pb < 0.05, near_p, generic)
+    return np.where(np.abs(dp) * pb < 0.05, near_m, out)
+
+
+class TestEnvelopeBranches:
+    def test_matches_all_branch_evaluation(self):
+        # crosses q = 0 and q = +-c with steps fine enough to land in every
+        # branch, including the small-theta series of the generic form
+        b = 2.0
+        q = np.concatenate([np.linspace(-1.3, 1.3, 2601),
+                            np.linspace(-1.02, -0.98, 101),
+                            np.linspace(-0.02, 0.02, 101),
+                            np.linspace(0.98, 1.02, 101)])
+        ref = envelope_all_branches(q, b)
+        got = envelope_transform(q, b)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(envelope_transform(0.3, 2.0), complex)
+        assert envelope_transform(np.array([0.3]), 2.0).shape == (1,)
+
+
 class TestSpectralAmplitude:
     def test_closed_form_against_quadrature(self):
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
@@ -101,6 +144,13 @@ class TestSpectralAmplitude:
         with pytest.raises(ValueError):
             spectral_amplitude(PACKET, BarrierSpec(9.0, 1.0), EnergyGridSpec(64))
 
+    def test_grid_must_match_panel_layout(self):
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        assert famp.layout == EnergyGridSpec(64)
+        assert len(famp.grid) == 64 * famp.layout.order
+        with pytest.raises(ValueError, match="n_panels"):
+            dataclasses.replace(famp, layout=EnergyGridSpec(63))
+
     def test_grid_beyond_truncation_rejected(self):
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
         with pytest.raises(ValueError, match="inside"):
@@ -108,6 +158,13 @@ class TestSpectralAmplitude:
         with pytest.raises(ValueError, match="beyond"):
             dataclasses.replace(famp, eps_max=U0 + 5.0,
                                 grid=famp.grid * (U0 + 5.0) / U0)
+
+
+@pytest.fixture(scope="module")
+def opaque_famp():
+    """The l = 12 amplitude on the horizon-480 grid (76,768 nodes)."""
+    return spectral_amplitude(PACKET, BarrierSpec(U0, 12.0),
+                              EnergyGridSpec.for_horizon(U0, 480.0))
 
 
 class TestSynthesize:
@@ -148,6 +205,31 @@ class TestSynthesize:
         fast = synthesize_amplitude(famp, 4.0, ts)
         slow = synthesize_amplitude(famp, 4.0, list(ts) + [10.5])[:-1]
         assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("ts", [np.linspace(0.0, 480.0, 9601),
+                                    np.linspace(7.5, 7.7, 257)],
+                             ids=["horizon", "refinement-window"])
+    def test_chirp_z_matches_direct_sum_on_opaque_grid(self, opaque_famp, ts):
+        fast = synthesize_amplitude(opaque_famp, 12.0, ts)
+        rng = np.random.default_rng(480)
+        idx = np.sort(rng.choice(len(ts), size=200, replace=False))
+        assert uniform_step(ts[idx]) is None  # so the reference is the direct sum
+        direct = synthesize_amplitude(opaque_famp, 12.0, ts[idx])
+        assert np.max(np.abs(fast[idx] - direct)) <= 1e-12 * np.max(np.abs(fast))
+
+    def test_spatial_profile_matches_stationary_states(self):
+        # one node at a time: the profile is w_i f_i psi_eps_i(x) in all
+        # three regions
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        xs = np.array([-7.3, -0.2, 0.0, 1.1, 3.9, 4.0, 6.5])
+        for i in (3, 200, 500):
+            onehot = np.zeros_like(famp.values)
+            onehot[i] = 1.0
+            single = dataclasses.replace(famp, values=onehot, captured_weight=0.0)
+            sol = stationary.solve(BARRIER4, float(famp.grid[i]))
+            expected = famp.weights[i] * stationary.wavefunction_at(sol, xs)
+            got = spatial_profile(single, xs, 0.0)
+            assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
 
     def test_initial_reconstruction_quality(self):
         # truncated expansion reproduces psi(x, 0) on the support within 5% L2
