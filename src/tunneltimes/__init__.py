@@ -45,7 +45,7 @@ from .wavepacket import (
     spectral_amplitude,
     synthesize,
 )
-from .spectral import DirectionalSpectrum, barrier_k_spectrum, reflected_share_sweep
+from .spectral import DirectionalSpectrum, barrier_k_spectrum
 
 __all__ = [
     "__version__",
@@ -78,7 +78,6 @@ __all__ = [
     "packet_amplitude",
     "phase_shift",
     "phase_time",
-    "reflected_share_sweep",
     "scan_arrival",
     "solve",
     "spectral_amplitude",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, spectral, stationary, times, wavepacket
 from .model import BarrierSpec, PacketSpec
-from .numerics import QuadratureError, PhaseJumpError, EdgeMaximumError, StencilError
+from .numerics import EdgeMaximumError, StencilError
 from .wavepacket import (
     EnergyGridSpec,
     SynthesisResolutionError,
@@ -33,7 +33,7 @@ from .wavepacket import (
 )
 
 _NUMERICAL_ERRORS = (
-    QuadratureError, PhaseJumpError, EdgeMaximumError, StencilError,
+    EdgeMaximumError, StencilError,
     SynthesisResolutionError, TailMassError, WindowError,
     times.CrossCheckError,
 )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 HBAR = 1.054571817e-34  # J s
 
 _SCALE_KINDS = ("length", "time", "energy")
@@ -65,6 +67,24 @@ def from_physical(value: float, kind: str, scale: UnitScale) -> float:
     raise ValueError(f"unknown quantity kind {kind!r}, expected one of {_SCALE_KINDS}")
 
 
+def require_sub_barrier(u0: float, eps) -> None:
+    """Raise ValueError unless 0 < eps < u0, at every entry of an array eps.
+
+    NaN is rejected, as every comparison with it is false.
+    """
+    if isinstance(eps, np.ndarray):
+        outside = ~((eps > 0.0) & (eps < u0))
+        if not outside.any():
+            return
+        eps = eps[outside][0]
+    elif 0.0 < eps < u0:
+        return
+    raise ValueError(
+        f"eps = {eps} is not inside (0, u0 = {u0}); only sub-barrier "
+        "energies are supported"
+    )
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
     """Rectangular barrier of height u0 on 0 <= x <= l (dimensionless)."""
@@ -96,14 +116,8 @@ class Energy:
 
     def chi(self, barrier: BarrierSpec) -> float:
         """Evanescent decay constant chi = sqrt(u0 - eps); requires eps < u0."""
-        if not self.eps < barrier.u0:
-            raise ValueError(
-                f"eps = {self.eps} is not below the barrier top u0 = {barrier.u0}"
-            )
+        require_sub_barrier(barrier.u0, self.eps)
         return math.sqrt(barrier.u0 - self.eps)
-
-    def is_sub_barrier(self, barrier: BarrierSpec) -> bool:
-        return 0.0 < self.eps < barrier.u0
 
 
 def packet_amplitude(b: float) -> float:
@@ -147,8 +161,6 @@ class PacketSpec:
 
     def initial_wavefunction(self, x):
         """psi(x, 0); zero outside the support.  Accepts scalars or arrays."""
-        import numpy as np
-
         x = np.asarray(x, dtype=float)
         inside = (x > -math.pi * self.b) & (x < 0.0)
         envelope = self.amplitude * (1.0 - np.cos(2.0 * x / self.b))

@@ -1,122 +1,21 @@
 """Generic numerical kernels.
 
-Adaptive Simpson quadrature with per-subinterval error control, central-
-difference differentiation with Richardson extrapolation, continuous phase
-tracking of complex sample sequences, parabolic sub-grid peak refinement,
-composite Gauss-Legendre panel grids, and detection of uniform sample grids.
+Central-difference differentiation with Richardson extrapolation, parabolic
+sub-grid peak refinement, composite Gauss-Legendre panel grids, and
+detection of uniform sample grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit its recursion bound without converging."""
 
 
 class StencilError(ValueError):
     """A finite-difference stencil would leave the function's domain."""
 
 
-class PhaseJumpError(ValueError):
-    """Adjacent samples differ in phase by >= pi; finer sampling is needed."""
-
-    def __init__(self, index: int, step: float):
-        self.index = index
-        self.step = step
-        super().__init__(
-            f"phase step {step:.6f} rad at sample {index} is not below pi; "
-            "refine the sweep"
-        )
-
-
 class EdgeMaximumError(ValueError):
     """The discrete maximum sits on the grid edge; extend the grid."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 50
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function samples on an ascending grid, with quadrature weights."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) != len(self.values) or len(nodes) != len(self.weights):
-            raise ValueError("nodes, values and weights must be 1-d and equal length")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-
-    @classmethod
-    def from_function(cls, f, nodes: np.ndarray, weights: np.ndarray) -> "GridFunction":
-        return cls(np.asarray(nodes, float), np.asarray(f(np.asarray(nodes, float))),
-                   np.asarray(weights, float))
-
-    def integral(self):
-        return np.sum(self.weights * self.values)
-
-
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def integrate(f, a: float, b: float, settings: QuadratureSettings | None = None):
-    """Adaptive Simpson integration of f (real or complex) over [a, b].
-
-    Returns (value, error_estimate).  Each subinterval is accepted when the
-    two-panel vs one-panel Simpson discrepancy meets the local tolerance; the
-    accepted value includes the standard 1/15 extrapolation and the reported
-    estimate is a conservative sum of the local discrepancies.  Raises
-    QuadratureError if max_depth is reached with an unconverged subinterval.
-    """
-    if settings is None:
-        settings = QuadratureSettings()
-    if not a < b:
-        raise ValueError("integration requires a < b")
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-
-    # first Simpson value sets the scale for the relative tolerance
-    scale = max(abs(whole), 1e-300)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, flm, left = _simpson(f, a, fa, m, fm)
-        rm, frm, right = _simpson(f, m, fm, b, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or abs(delta) <= 15.0 * settings.rel_tol * scale:
-            return left + right + delta / 15.0, abs(delta) / 15.0 + 1e-16 * abs(left + right)
-        if depth >= settings.max_depth:
-            raise QuadratureError(
-                f"no convergence on [{a}, {b}] at depth {depth}: "
-                f"local discrepancy {abs(delta):.3e} exceeds tolerance {15.0 * tol:.3e}"
-            )
-        v1, e1 = recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
-        v2, e2 = recurse(m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
-        return v1 + v2, e1 + e2
-
-    value, err = recurse(a, fa, m, fm, b, fb, whole, settings.abs_tol, 0)
-    # safety margin keeps the estimate conservative on smooth integrands
-    return value, 4.0 * err + abs(value) * 8e-16
 
 
 def differentiate(f, x: float, h0: float | None = None,
@@ -148,31 +47,6 @@ def differentiate(f, x: float, h0: float | None = None,
     d12 = (4.0 * d[2] - d[1]) / 3.0
     best = (16.0 * d12 - d01) / 15.0
     return best, abs(best - d12) + abs(best) * 1e-14
-
-
-def continuous_phase(samples) -> np.ndarray:
-    """Branch-continuous phase of a sequence of complex samples.
-
-    The output starts at the principal argument of the first sample and each
-    consecutive step is the wrapped phase difference, so adjacent outputs
-    differ by less than pi and the whole track differs from the principal
-    argument only by integer multiples of 2*pi.  Raises PhaseJumpError if a
-    step reaches pi (the branch would be ambiguous).
-    """
-    z = np.asarray(samples, dtype=complex)
-    if z.ndim != 1 or len(z) == 0:
-        raise ValueError("samples must be a non-empty 1-d sequence")
-    if np.any(z == 0):
-        raise ValueError("zero sample has undefined phase")
-    steps = np.angle(z[1:] * np.conj(z[:-1]))
-    too_big = np.abs(steps) >= np.pi * (1.0 - 1e-12)
-    if np.any(too_big):
-        i = int(np.argmax(too_big))
-        raise PhaseJumpError(i + 1, float(steps[i]))
-    out = np.empty(len(z))
-    out[0] = np.angle(z[0])
-    out[1:] = out[0] + np.cumsum(steps)
-    return out
 
 
 def refine_max(nodes, values):

@@ -36,33 +36,18 @@ class DirectionalSpectrum:
         return self.w_minus / self.w_plus
 
 
-def interior_window_transform(C, D, chi: float, l: float, k) -> np.ndarray:
-    """phi(k) = int_0^l (C e^{chi x} + D e^{-chi x}) e^{-ikx} dx, closed form.
+def interior_window_transform(C_l, D, chi: float, l: float, k) -> np.ndarray:
+    """phi(k) = int_0^l (C_l e^{chi (x - l)} + D e^{-chi x}) e^{-ikx} dx.
 
-    Direct evaluation for caller-supplied coefficients (e.g. fabricated test
-    fields); physical solutions go through barrier_k_spectrum, which forms
-    C e^{chi l} without ever exponentiating +chi*l.
+    Closed form in the scaled coefficient C_l = C e^{chi l}, so +chi*l is
+    never exponentiated and opaque barriers evaluate without overflow.
     """
     k = np.asarray(k, dtype=float)
     e = math.exp(-chi * l)
     phase = np.exp(-1j * k * l)
-    grow = (C * math.exp(chi * l) * phase - C) / (chi - 1j * k)
+    grow = (C_l * phase - e * C_l) / (chi - 1j * k)
     decay = (D - D * e * phase) / (chi + 1j * k)
     return grow + decay
-
-
-def _interior_transform_of(sol: ScatteringSolution, k) -> np.ndarray:
-    """phi(k) of the normalized solution, with C e^{chi l} formed stably."""
-    chi, l, kk = sol.chi, sol.barrier.l, sol.k
-    denom = (1.0 - 1j * kk / chi) / sol.D
-    e = math.exp(-chi * l)
-    cl = e * (1.0 + 1j * kk / chi) / denom          # C e^{chi l}
-    c0 = e * cl                                      # C
-    k = np.asarray(k, dtype=float)
-    phase = np.exp(-1j * k * l)
-    grow = (cl * phase - c0) / (chi - 1j * k)
-    decay = (sol.D - sol.D * e * phase) / (chi + 1j * k)
-    return sol.N * (grow + decay)
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -89,8 +74,11 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
     if n_k % 2 == 0:
         n_k += 1
     kp = np.linspace(0.0, k_max, n_k)
-    dens_p = np.abs(_interior_transform_of(sol, kp)) ** 2
-    dens_m = np.abs(_interior_transform_of(sol, -kp)) ** 2
+    chi, l = sol.chi, sol.barrier.l
+    phi_p = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)
+    phi_m = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)
+    dens_p = np.abs(phi_p) ** 2
+    dens_m = np.abs(phi_m) ** 2
     w = _simpson_weights(n_k, kp[1] - kp[0])
     w_plus = float(np.dot(w, dens_p))
     w_minus = float(np.dot(w, dens_m))
@@ -113,21 +101,3 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
         k=k_full, density=dens_full, w_plus=w_plus, w_minus=w_minus,
         parseval_rel_err=float(parseval), k_max_too_small=bool(flagged),
     )
-
-
-def reflected_share_sweep(u0: float, eps: float, l_values, k_max: float,
-                          n_k: int = 4001):
-    """Directional weight split as a function of barrier width.
-
-    Returns a list of (l, w_plus, w_minus, ratio, flagged) tuples in the
-    input order of l_values.
-    """
-    from .model import BarrierSpec
-
-    rows = []
-    for l in l_values:
-        sol = stationary.solve(BarrierSpec(u0, float(l)), eps)
-        spec = barrier_k_spectrum(sol, k_max, n_k)
-        rows.append((float(l), spec.w_plus, spec.w_minus, spec.ratio,
-                     spec.k_max_too_small))
-    return rows

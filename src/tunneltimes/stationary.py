@@ -14,50 +14,44 @@ interfaces gives, with g = (k^2 - chi^2)/(2 k chi) and q = exp(-2 chi l),
     C = q (1 + ik/chi) / denom,   D = (1 - ik/chi) / denom,   R = C + D - 1.
 
 This scaled form never exponentiates +chi*l, so opaque barriers (chi*l large)
-evaluate without overflow.  States are normalized to a delta function in
+evaluate without overflow.  The interior growing wave is carried as the
+scaled coefficient C_l = C e^{chi l} = exp(-chi l) (1 + ik/chi) / denom, so
+that the interior field C_l e^{chi (x - l)} + D e^{-chi x} has exponents
+<= 0 on the barrier.  States are normalized to a delta function in
 energy via N = (4 pi k)^(-1/2), i.e. plane-wave delta(k - k') normalization
 divided by d(eps)/dk = 2k.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BarrierSpec, Energy
-
-
-def _require_sub_barrier(barrier: BarrierSpec, eps: float) -> None:
-    if not eps > 0.0:
-        raise ValueError("energy must be positive")
-    if not eps < barrier.u0:
-        raise ValueError(
-            f"eps = {eps} is not below u0 = {barrier.u0}; "
-            "above-barrier scattering is not supported"
-        )
+from .model import BarrierSpec, Energy, require_sub_barrier
 
 
 def amplitudes(u0: float, l: float, eps):
-    """Transmission/reflection/interior amplitudes (T, R, C, D) for eps < u0.
+    """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
 
-    Vectorized over eps; uses the overflow-safe scaled form above.
+    C_l = C e^{chi l} is the scaled growing-wave coefficient.  Vectorized
+    over eps; uses the overflow-safe scaled form above.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps >= u0):
-        raise ValueError("amplitudes require 0 < eps < u0 everywhere")
+    require_sub_barrier(u0, eps)
     k = np.sqrt(eps)
     chi = np.sqrt(u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     q = np.exp(-2.0 * chi * l)
+    decay = np.exp(-chi * l)
+    ik_chi = 1j * k / chi
     denom = (1.0 - 1j * g) + q * (1.0 + 1j * g)
-    T = 2.0 * np.exp(-1j * k * l) * np.exp(-chi * l) / denom
-    C = q * (1.0 + 1j * k / chi) / denom
-    D = (1.0 - 1j * k / chi) / denom
-    R = C + D - 1.0
-    return T, R, C, D
+    T = 2.0 * np.exp(-1j * k * l) * decay / denom
+    C_l = decay * (1.0 + ik_chi) / denom
+    D = (1.0 - ik_chi) / denom
+    R = decay * C_l + D - 1.0
+    return T, R, C_l, D
 
 
 def normalization(eps) -> np.ndarray:
@@ -73,7 +67,7 @@ class ScatteringSolution:
     energy: Energy
     R: complex
     T: complex
-    C: complex
+    C_l: complex  # C e^{chi l}
     D: complex
     N: float
 
@@ -90,14 +84,13 @@ def solve(barrier: BarrierSpec, energy: Energy | float) -> ScatteringSolution:
     """Solve the matching problem for one sub-barrier energy."""
     if not isinstance(energy, Energy):
         energy = Energy(float(energy))
-    _require_sub_barrier(barrier, energy.eps)
-    T, R, C, D = amplitudes(barrier.u0, barrier.l, energy.eps)
+    T, R, C_l, D = amplitudes(barrier.u0, barrier.l, energy.eps)
     return ScatteringSolution(
         barrier=barrier,
         energy=energy,
         R=complex(R),
         T=complex(T),
-        C=complex(C),
+        C_l=complex(C_l),
         D=complex(D),
         N=float(normalization(energy.eps)),
     )
@@ -110,47 +103,49 @@ def phase_shift(barrier: BarrierSpec, eps: float) -> float:
     equals arg T modulo 2 pi, is continuous in both l and eps, and vanishes
     at l = 0.
     """
-    _require_sub_barrier(barrier, eps)
+    require_sub_barrier(barrier.u0, eps)
     k = math.sqrt(eps)
     chi = math.sqrt(barrier.u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     return -k * barrier.l + math.atan(g * math.tanh(chi * barrier.l))
 
 
-def _interior(sol: ScatteringSolution, x):
-    """C e^{chi x} + D e^{-chi x} evaluated without forming e^{+chi l}."""
-    chi, k, l = sol.chi, sol.k, sol.barrier.l
-    denom = (1.0 - 1j * k / chi) / sol.D  # recover the matching denominator
-    c_scaled = (1.0 + 1j * k / chi) / denom  # = C e^{2 chi l}
-    # exponents chi(x - 2l) and -chi x are both <= 0 on the barrier region
-    return c_scaled * np.exp(chi * (np.asarray(x) - 2.0 * l)) + sol.D * np.exp(
-        -chi * np.asarray(x)
-    )
+def _three_region(x, l: float, k, chi, T, R, C_l, D, slope: bool = False):
+    """Unnormalized psi_eps(x), or d(psi_eps)/dx when slope is set.
+
+    The result has the shape of x followed by the shape of k: k, chi and the
+    amplitudes are scalars, or 1-d arrays over energy that give each
+    position one entry per energy.  Each region's form is evaluated only at
+    the positions inside it, so no exponential of a far-away position is
+    formed, and on the barrier both exponents chi (x - l) and -chi x are <= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    col = flat.reshape((-1,) + (1,) * np.ndim(k))
+    left = flat < 0.0
+    right = flat > l
+    inside = ~(left | right)
+    out = np.empty(col.shape[:1] + np.shape(k), dtype=complex)
+    incoming = np.exp(1j * k * col[left])
+    transmitted = T * np.exp(1j * k * col[right])
+    grow = C_l * np.exp(chi * (col[inside] - l))
+    decay = D * np.exp(-chi * col[inside])
+    if slope:
+        out[left] = 1j * k * (incoming - R * np.conj(incoming))
+        out[right] = 1j * k * transmitted
+        out[inside] = chi * (grow - decay)
+    else:
+        out[left] = incoming + R * np.conj(incoming)
+        out[right] = transmitted
+        out[inside] = grow + decay
+    return out.reshape(x.shape + np.shape(k))
 
 
 def wavefunction_at(sol: ScatteringSolution, x):
     """Normalized stationary wave function N * psi_eps(x); vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    k = sol.k
-    left = np.exp(1j * k * x) + sol.R * np.exp(-1j * k * x)
-    right = sol.T * np.exp(1j * k * x)
-    mid = _interior(sol, x)
-    psi = np.where(x < 0.0, left, np.where(x <= sol.barrier.l, mid, right))
-    psi = sol.N * psi
+    psi = sol.N * _three_region(x, sol.barrier.l, sol.k, sol.chi, sol.T, sol.R,
+                                sol.C_l, sol.D)
     return psi if psi.ndim else complex(psi)
-
-
-def _derivative_at(sol: ScatteringSolution, x):
-    x = np.asarray(x, dtype=float)
-    k, chi, l = sol.k, sol.chi, sol.barrier.l
-    left = 1j * k * (np.exp(1j * k * x) - sol.R * np.exp(-1j * k * x))
-    right = 1j * k * sol.T * np.exp(1j * k * x)
-    denom = (1.0 - 1j * k / chi) / sol.D
-    c_scaled = (1.0 + 1j * k / chi) / denom
-    mid = chi * (
-        c_scaled * np.exp(chi * (x - 2.0 * l)) - sol.D * np.exp(-chi * x)
-    )
-    return sol.N * np.where(x < 0.0, left, np.where(x <= l, mid, right))
 
 
 def current(sol: ScatteringSolution, x) -> float:
@@ -161,7 +156,8 @@ def current(sol: ScatteringSolution, x) -> float:
     x-independent and equals 2 k N^2 |T|^2.
     """
     psi = wavefunction_at(sol, x)
-    dpsi = _derivative_at(sol, x)
+    dpsi = sol.N * _three_region(x, sol.barrier.l, sol.k, sol.chi, sol.T, sol.R,
+                                 sol.C_l, sol.D, slope=True)
     j = 2.0 * np.imag(np.conj(psi) * dpsi)
     return float(j) if np.ndim(j) == 0 else j
 
@@ -187,10 +183,8 @@ def barrier_probability(sol: ScatteringSolution) -> float:
     chi, l = sol.chi, sol.barrier.l
     if l == 0.0:
         return 0.0
-    k = sol.k
-    denom = (1.0 - 1j * k / chi) / sol.D
     e = math.exp(-chi * l)
-    cl = e * (1.0 + 1j * k / chi) / denom      # C e^{chi l}
+    cl = sol.C_l                                # C e^{chi l}
     c0 = e * cl                                 # C
     d0 = sol.D
     dl = e * d0                                 # D e^{-chi l}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics, stationary
-from .model import BarrierSpec
+from .model import BarrierSpec, require_sub_barrier
 
 
 class CrossCheckError(RuntimeError):
@@ -71,8 +71,7 @@ def phase_shift_derivative(barrier: BarrierSpec, eps):
     """
     eps = np.asarray(eps, dtype=float)
     u0, l = barrier.u0, barrier.l
-    if np.any(eps <= 0.0) or np.any(eps >= u0):
-        raise ValueError("requires 0 < eps < u0")
+    require_sub_barrier(u0, eps)
     k = np.sqrt(eps)
     chi = np.sqrt(u0 - eps)
     theta = chi * l
@@ -166,10 +165,9 @@ def dwell_time_transmitted(barrier: BarrierSpec, eps: float) -> float:
 
 def hartman_limit(u0: float, eps: float) -> float:
     """Opaque-barrier group delay asymptote 1/sqrt(eps (u0 - eps))."""
-    if not 0.0 < eps < u0:
-        if eps == u0:
-            raise ValueError("asymptote diverges as eps -> u0")
-        raise ValueError("requires 0 < eps < u0")
+    if eps == u0:
+        raise ValueError("asymptote diverges as eps -> u0")
+    require_sub_barrier(u0, eps)
     return 1.0 / math.sqrt(eps * (u0 - eps))
 
 

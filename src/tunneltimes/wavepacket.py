@@ -122,8 +122,9 @@ class SpectralAmplitude:
     barrier is None for the free (no-barrier) basis.  captured_weight is
     int_0^{eps_max} |f|^2 d(eps), the packet norm retained by the sub-barrier
     truncation.  layout is the composite Gauss-Legendre layout of grid:
-    node j of panel p sits at grid[p * layout.order + j].  T, R and D are the
-    stationary amplitudes at the grid nodes (None for the free basis).
+    node j of panel p sits at grid[p * layout.order + j].  T, R, C_l and D
+    are the stationary amplitudes at the grid nodes, C_l = C e^{chi l} the
+    scaled interior one (all None for the free basis).
     """
 
     grid: np.ndarray
@@ -136,6 +137,7 @@ class SpectralAmplitude:
     layout: EnergyGridSpec
     T: np.ndarray | None = None
     R: np.ndarray | None = None
+    C_l: np.ndarray | None = None
     D: np.ndarray | None = None
 
     def __post_init__(self):
@@ -169,7 +171,7 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
         raise ValueError("sub-barrier study requires p^2 < u0")
     nodes, weights = gauss_legendre_panels(0.0, barrier.u0, grid.n_panels, grid.order)
     k = np.sqrt(nodes)
-    T, R, _, D = stationary.amplitudes(barrier.u0, barrier.l, nodes)
+    T, R, C_l, D = stationary.amplitudes(barrier.u0, barrier.l, nodes)
     f = stationary.normalization(nodes) * packet.amplitude * (
         envelope_transform(packet.p - k, packet.b)
         + np.conj(R) * envelope_transform(packet.p + k, packet.b)
@@ -178,7 +180,7 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     return SpectralAmplitude(
         grid=nodes, values=f, weights=weights, captured_weight=captured,
         packet=packet, barrier=barrier, eps_max=barrier.u0, layout=grid,
-        T=T, R=R, D=D,
+        T=T, R=R, C_l=C_l, D=D,
     )
 
 
@@ -208,27 +210,15 @@ def _block_rows(famp: SpectralAmplitude) -> int:
 
 def _basis(famp: SpectralAmplitude, xs: np.ndarray) -> np.ndarray:
     """psi_eps(x) as a (len(xs), n_eps) matrix: one row per position."""
-    x = np.asarray(xs, dtype=float)[:, None]
+    x = np.asarray(xs, dtype=float)
     eps = famp.grid
     k = np.sqrt(eps)
     N = stationary.normalization(eps)
     if famp.free:
-        return N * np.exp(1j * k * x)
-    l = famp.barrier.l
-    left = x[:, 0] < 0.0
-    right = x[:, 0] > l
-    inside = ~(left | right)
-    out = np.empty((len(x), len(eps)), dtype=complex)
-    incoming = np.exp(1j * k * x[left])
-    out[left] = incoming + famp.R * np.conj(incoming)
-    out[right] = famp.T * np.exp(1j * k * x[right])
-    if np.any(inside):
-        chi = np.sqrt(famp.barrier.u0 - eps)
-        denom = (1.0 - 1j * k / chi) / famp.D
-        c_scaled = (1.0 + 1j * k / chi) / denom
-        out[inside] = (c_scaled * np.exp(chi * (x[inside] - 2.0 * l))
-                       + famp.D * np.exp(-chi * x[inside]))
-    return N * out
+        return N * np.exp(1j * k * x[:, None])
+    chi = np.sqrt(famp.barrier.u0 - eps)
+    return N * stationary._three_region(x, famp.barrier.l, k, chi, famp.T, famp.R,
+                                        famp.C_l, famp.D)
 
 
 @dataclass(frozen=True)

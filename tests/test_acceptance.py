@@ -167,15 +167,16 @@ def test_criterion_9_directional_spectrum(arrival_sweep):
             sol = stationary.solve(BarrierSpec(U0, l), float(eps))
             spec = spectral.barrier_k_spectrum(sol, k_max=90.0, n_k=4001)
             dominate = dominate and spec.w_plus > spec.w_minus
-    rows = spectral.reflected_share_sweep(U0, EPS, (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0),
-                                          k_max=80.0, n_k=4001)
-    ratios = [r[3] for r in rows]
+    ratios = [spectral.barrier_k_spectrum(stationary.solve(BarrierSpec(U0, l), EPS),
+                                          k_max=80.0, n_k=4001).ratio
+              for l in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0)]
     nondecreasing = all(b >= a for a, b in zip(ratios, ratios[1:]))
     saturated = abs(ratios[-2] - ratios[-1]) < 1e-3
     chi = math.sqrt(U0 - EPS)
     k = np.linspace(0.0, 60.0, 3001)
-    phi_p = spectral.interior_window_transform(0.5, 0.5, chi, 2.0, k)
-    phi_m = spectral.interior_window_transform(0.5, 0.5, chi, 2.0, -k)
+    c_l = 0.5 * math.exp(chi * 2.0)  # C = D = 1/2: the real field cosh(chi x)
+    phi_p = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, k)
+    phi_m = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, -k)
     wp_ = np.trapezoid(np.abs(phi_p) ** 2, k)
     wm_ = np.trapezoid(np.abs(phi_m) ** 2, k)
     symmetric = abs(wp_ - wm_) <= 1e-12 * wp_
@@ -223,7 +224,7 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
                                 * np.exp(-1j * k * x)).imag, 0.0, 3.0,
                      epsabs=1e-13, limit=300)
         direct = sol.N * spectral.interior_window_transform(
-            sol.C, sol.D, sol.chi, 3.0, float(k))
+            sol.C_l, sol.D, sol.chi, 3.0, float(k))
         spec_worst = max(spec_worst, abs(direct - (re + 1j * im)))
 
     # packet observables stable under grid halving

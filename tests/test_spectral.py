@@ -6,11 +6,7 @@ from scipy.integrate import quad
 
 from tunneltimes import stationary
 from tunneltimes.model import BarrierSpec
-from tunneltimes.spectral import (
-    barrier_k_spectrum,
-    interior_window_transform,
-    reflected_share_sweep,
-)
+from tunneltimes.spectral import barrier_k_spectrum, interior_window_transform
 
 U0 = 12.0
 EPS = 11.8
@@ -32,7 +28,7 @@ class TestWindowTransform:
             exact = quad_complex(
                 lambda x: stationary.wavefunction_at(sol, x) * np.exp(-1j * k * x),
                 0.0, 3.0)
-            direct = sol.N * interior_window_transform(sol.C, sol.D, CHI, 3.0, float(k))
+            direct = sol.N * interior_window_transform(sol.C_l, sol.D, CHI, 3.0, float(k))
             assert abs(direct - exact) < 1e-10
         assert spectrum.w_plus > 0.0
 
@@ -40,8 +36,9 @@ class TestWindowTransform:
         # cosh(chi x) = 0.5 e^{chi x} + 0.5 e^{-chi x}: real interior field,
         # so |phi(-k)| = |phi(k)| and the directional weights coincide
         k = np.linspace(0.0, 30.0, 2001)
-        phi_p = interior_window_transform(0.5, 0.5, CHI, 2.0, k)
-        phi_m = interior_window_transform(0.5, 0.5, CHI, 2.0, -k)
+        c_l = 0.5 * math.exp(CHI * 2.0)
+        phi_p = interior_window_transform(c_l, 0.5, CHI, 2.0, k)
+        phi_m = interior_window_transform(c_l, 0.5, CHI, 2.0, -k)
         assert np.max(np.abs(np.abs(phi_p) - np.abs(phi_m))) < 1e-14
         w_plus = np.trapezoid(np.abs(phi_p) ** 2, k)
         w_minus = np.trapezoid(np.abs(phi_m) ** 2, k)
@@ -85,16 +82,15 @@ class TestDirectionalSpectrum:
         assert 0.0 < spec.ratio <= 1.0 + 1e-12
 
 
+def share_ratios(widths, k_max, n_k):
+    """W_minus / W_plus of the barrier-region spectrum at each width."""
+    return [barrier_k_spectrum(stationary.solve(BarrierSpec(U0, l), EPS),
+                               k_max, n_k).ratio for l in widths]
+
+
 class TestShareSweep:
     def test_reflected_share_grows_and_saturates(self):
-        rows = reflected_share_sweep(U0, EPS, (0.5, 1.0, 2.0, 4.0, 8.0),
-                                     k_max=80.0, n_k=4001)
-        ratios = [r[3] for r in rows]
+        ratios = share_ratios((0.5, 1.0, 2.0, 4.0, 8.0), k_max=80.0, n_k=4001)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
-        r16 = reflected_share_sweep(U0, EPS, (16.0,), k_max=80.0, n_k=4001)[0][3]
-        r24 = reflected_share_sweep(U0, EPS, (24.0,), k_max=80.0, n_k=4001)[0][3]
+        r16, r24 = share_ratios((16.0, 24.0), k_max=80.0, n_k=4001)
         assert abs(r16 - r24) < 1e-3
-
-    def test_rows_keep_input_order(self):
-        rows = reflected_share_sweep(U0, EPS, (4.0, 0.5), k_max=80.0, n_k=2001)
-        assert [r[0] for r in rows] == [4.0, 0.5]

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import transfer_matrix_solution
-from tunneltimes import stationary
+from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec, Energy
 from tunneltimes.stationary import (
     amplitudes,
@@ -45,13 +45,26 @@ class TestSolve:
         sol = solve(BarrierSpec(U0, 1.0), EPS)
         assert abs(sol.T - T) < 1e-12
         assert abs(sol.R - R) < 1e-12
-        assert abs(sol.C - C) < 1e-12
+        assert abs(sol.C_l - C * math.exp(sol.chi * 1.0)) < 1e-12
         assert abs(sol.D - D) < 1e-12
         assert abs(sol.T) == pytest.approx(0.484516415017, rel=1e-10)
 
     def test_normalization_constant(self):
         sol = solve(BarrierSpec(U0, 1.0), 9.0)
         assert sol.N == pytest.approx((4.0 * math.pi * 3.0) ** -0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("call", [
+        lambda: amplitudes(U0, 1.0, math.nan),
+        lambda: amplitudes(U0, 1.0, np.array([6.0, math.nan, 11.0])),
+        lambda: solve(BarrierSpec(U0, 1.0), math.nan),
+        lambda: phase_shift(BarrierSpec(U0, 1.0), math.nan),
+        lambda: times.phase_shift_derivative(BarrierSpec(U0, 1.0), math.nan),
+        lambda: times.hartman_limit(U0, math.nan),
+    ], ids=["amplitudes", "amplitudes-array", "solve", "phase_shift",
+            "phase_shift_derivative", "hartman_limit"])
+    def test_rejects_nan_energy(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_rejects_out_of_range_energy(self):
         barrier = BarrierSpec(U0, 1.0)
@@ -82,7 +95,8 @@ class TestMatching:
             k, chi = sol.k, sol.chi
             # value and slope, left form vs interior form at x = 0
             left, dleft = 1.0 + sol.R, 1j * k * (1.0 - sol.R)
-            mid0, dmid0 = sol.C + sol.D, chi * (sol.C - sol.D)
+            C = sol.C_l * math.exp(-chi * l)
+            mid0, dmid0 = C + sol.D, chi * (C - sol.D)
             assert abs(left - mid0) < 1e-10 * abs(left)
             assert abs(dleft - dmid0) < 1e-10 * abs(dleft)
             # interior form vs transmitted form at x = l (scaled evaluation)
@@ -98,6 +112,21 @@ class TestMatching:
         chi = math.sqrt(U0 - EPS)
         expected = sol.N * (C * math.exp(chi * x) + D * math.exp(-chi * x))
         assert abs(wavefunction_at(sol, x) - expected) < 1e-10 * abs(expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_from_barrier_without_overflow(self):
+        # each region's form is evaluated only at its own positions, so
+        # e^{chi x} is never formed at x = +-400
+        sol = solve(BarrierSpec(U0, 1.0), 6.0)
+        k = sol.k
+        x = np.array([-400.0, 400.0])
+        expected = sol.N * np.array([
+            cmath.exp(1j * k * x[0]) + sol.R * cmath.exp(-1j * k * x[0]),
+            sol.T * cmath.exp(1j * k * x[1]),
+        ])
+        assert np.max(np.abs(wavefunction_at(sol, x) - expected)) < 1e-12
+        for xi in x:
+            assert current(sol, xi) == pytest.approx(transmitted_current(sol), rel=1e-12)
 
     def test_wavefunction_left_of_zero(self):
         sol = solve(BarrierSpec(U0, 1.0), EPS)
@@ -178,6 +207,17 @@ class TestBarrierProbability:
         num, _ = quad(lambda x: abs(wavefunction_at(sol, x)) ** 2, 0.0, 3.0,
                       epsabs=1e-14, limit=200)
         assert barrier_probability(sol) == pytest.approx(num, abs=1e-10)
+
+    def test_winful_identity(self):
+        # tau_g = tau_d_in - Im(R)/(2 eps) (Winful, PRL 91, 260401 (2003)):
+        # links the phase derivative to the barrier probability
+        for eps, l in standard_grid():
+            barrier = BarrierSpec(U0, l)
+            tau_d = times.dwell_time_incident(barrier, eps)
+            self_interference = solve(barrier, eps).R.imag / (2.0 * eps)
+            tau_g = times.group_delay(barrier, eps, verify=False)
+            scale = abs(tau_d) + abs(self_interference)
+            assert abs(tau_g - (tau_d - self_interference)) <= 1e-11 * scale
 
     def test_saturates_with_width(self):
         p20 = barrier_probability(solve(BarrierSpec(U0, 20.0), EPS))
