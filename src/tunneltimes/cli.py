@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -84,8 +85,9 @@ def _times_row(report: times.TimesReport, key: float) -> list[float]:
 def cmd_times_width(args) -> int:
     if not 0.0 < args.eps < args.u0:
         raise ValueError(f"need 0 < eps < u0, got eps={args.eps}, u0={args.u0}")
-    if args.l_min < 0.0 or args.l_max < args.l_min:
-        raise ValueError("need 0 <= l-min <= l-max")
+    if not 0.0 <= args.l_min <= args.l_max < math.inf:
+        raise ValueError(
+            f"need 0 <= l-min <= l-max < inf, got [{args.l_min}, {args.l_max}]")
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
     ls = np.linspace(args.l_min, args.l_max, args.steps)
@@ -132,6 +134,11 @@ def cmd_packet(args) -> int:
         raise ValueError("need 0 < l-min <= l-max")
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
+    for name in ("t_max", "dt"):
+        value = getattr(args, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"--{name.replace('_', '-')} must be positive and finite, got {value}")
     packet = PacketSpec(p=args.p, b=args.b)
     ls = np.linspace(args.l_min, args.l_max, args.steps)
     t_in = wavepacket.free_arrival_time(packet, args.u0, t_max=args.t_max)

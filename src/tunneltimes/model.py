@@ -93,10 +93,11 @@ class BarrierSpec:
     l: float
 
     def __post_init__(self):
-        if self.u0 < 0.0:
-            raise ValueError("barrier height u0 must be >= 0")
-        if self.l < 0.0:
-            raise ValueError("barrier width l must be >= 0")
+        # chained comparisons are false for NaN, so NaN fails them too
+        if not 0.0 <= self.u0 < math.inf:
+            raise ValueError(f"barrier height u0 must be finite and >= 0, got {self.u0}")
+        if not 0.0 <= self.l < math.inf:
+            raise ValueError(f"barrier width l must be finite and >= 0, got {self.l}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ def packet_amplitude(b: float) -> float:
     the envelope-squared integral equals A^2 * (b/2) * int_0^{2pi} (1-cos u)^2 du
     = A^2 * 3*pi*b/2.
     """
-    if not b > 0.0:
-        raise ValueError("half-width b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"half-width b must be positive and finite, got {b}")
     return math.sqrt(2.0 / (3.0 * math.pi * b))
 
 
@@ -147,8 +148,8 @@ class PacketSpec:
     amplitude: float = field(init=False)
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise ValueError("mean momentum p must be positive")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"mean momentum p must be positive and finite, got {self.p}")
         object.__setattr__(self, "amplitude", packet_amplitude(self.b))
 
     @property

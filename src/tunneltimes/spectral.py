@@ -50,9 +50,13 @@ def interior_window_transform(C_l, D, chi: float, l: float, k) -> np.ndarray:
     return grow + decay
 
 
+# Points per block of the spectrum grid: a block's complex temporaries take
+# 64 KiB, below glibc's default 128 KiB mmap threshold, so they come from the
+# heap instead of being mapped and unmapped on every call.
+_BLOCK = 4096
+
+
 def _simpson_weights(n: int, h: float) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson integration needs an odd number >= 3 of nodes")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -65,23 +69,38 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
 
     Samples |phi(k)|^2 on an exactly mirror-symmetric grid over
     [-k_max, k_max] (n_k points per half, odd) and integrates each half with
-    Simpson weights.  The 1/k^2 transform tail beyond k_max is estimated from
-    the window boundary values; if it holds more than 1% of the windowed mass
-    the result is flagged so the caller can enlarge k_max.
+    Simpson weights.  Both halves are filled block by block straight into
+    the density array the result holds.  The 1/k^2 transform tail beyond
+    k_max is estimated from the window boundary values; if it holds more
+    than 1% of the windowed mass the result is flagged so the caller can
+    enlarge k_max.
     """
     if sol.barrier.l <= 0.0:
         raise ValueError("the spectrum needs a barrier of positive width")
     if n_k % 2 == 0:
         n_k += 1
-    kp = np.linspace(0.0, k_max, n_k)
+    if n_k < 3:
+        raise ValueError("Simpson integration needs an odd number >= 3 of nodes")
     chi, l = sol.chi, sol.barrier.l
-    phi_p = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)
-    phi_m = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)
-    dens_p = np.abs(phi_p) ** 2
-    dens_m = np.abs(phi_m) ** 2
-    w = _simpson_weights(n_k, kp[1] - kp[0])
-    w_plus = float(np.dot(w, dens_p))
-    w_minus = float(np.dot(w, dens_m))
+    step = k_max / (n_k - 1)  # np.linspace(0, k_max, n_k) spacing
+    mid = n_k - 1             # index of k = 0 in the full grid
+    k_full = np.empty(2 * n_k - 1)
+    dens_full = np.empty(2 * n_k - 1)
+    for start in range(0, n_k, _BLOCK):
+        stop = min(start + _BLOCK, n_k)
+        kp = np.arange(start, stop, dtype=float) * step
+        if stop == n_k:
+            kp[-1] = k_max
+        phi_p = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)
+        phi_m = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)
+        # the positive half is written last, so k = 0 keeps +0.0 and its sample
+        k_full[mid - stop + 1:mid - start + 1] = -kp[::-1]
+        dens_full[mid - stop + 1:mid - start + 1] = (np.abs(phi_m) ** 2)[::-1]
+        k_full[mid + start:mid + stop] = kp
+        dens_full[mid + start:mid + stop] = np.abs(phi_p) ** 2
+    w = _simpson_weights(n_k, step)
+    w_plus = float(np.dot(w, dens_full[mid:]))
+    w_minus = float(np.dot(w, dens_full[mid::-1]))
 
     window_mass = w_plus + w_minus
     # asymptotics: |phi|^2 ~ (|psi(0)|^2 + |psi(l)|^2)/k^2 averaged over
@@ -95,8 +114,6 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
     prob = stationary.barrier_probability(sol)
     parseval = abs(window_mass / (2.0 * math.pi) - prob) / prob if prob > 0 else 0.0
 
-    k_full = np.concatenate([-kp[::-1][:-1], kp])
-    dens_full = np.concatenate([dens_m[::-1][:-1], dens_p])
     return DirectionalSpectrum(
         k=k_full, density=dens_full, w_plus=w_plus, w_minus=w_minus,
         parseval_rel_err=float(parseval), k_max_too_small=bool(flagged),

@@ -36,9 +36,8 @@ def amplitudes(u0: float, l: float, eps):
     """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
 
     C_l = C e^{chi l} is the scaled growing-wave coefficient.  Vectorized
-    over eps; uses the overflow-safe scaled form above.
+    over eps (a float gives scalars); uses the overflow-safe scaled form above.
     """
-    eps = np.asarray(eps, dtype=float)
     require_sub_barrier(u0, eps)
     k = np.sqrt(eps)
     chi = np.sqrt(u0 - eps)
@@ -54,9 +53,9 @@ def amplitudes(u0: float, l: float, eps):
     return T, R, C_l, D
 
 
-def normalization(eps) -> np.ndarray:
+def normalization(eps):
     """Energy-delta normalization constant N = (4 pi sqrt(eps))^(-1/2)."""
-    return 1.0 / np.sqrt(4.0 * np.pi * np.sqrt(np.asarray(eps, dtype=float)))
+    return 1.0 / np.sqrt(4.0 * np.pi * np.sqrt(eps))
 
 
 @dataclass(frozen=True)

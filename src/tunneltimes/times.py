@@ -48,7 +48,6 @@ class TimesReport:
 
 def _tanh_minus_theta(theta):
     """tanh(theta) - theta without cancellation for small theta."""
-    theta = np.asarray(theta, dtype=float)
     t3 = theta**3
     series = t3 * (-1.0 / 3.0 + theta**2 * (2.0 / 15.0 + theta**2 * (
         -17.0 / 315.0 + theta**2 * (62.0 / 2835.0))))
@@ -69,7 +68,6 @@ def phase_shift_derivative(barrier: BarrierSpec, eps):
     so nothing is lost to cancellation as eps -> u0.  Then
     d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2).
     """
-    eps = np.asarray(eps, dtype=float)
     u0, l = barrier.u0, barrier.l
     require_sub_barrier(u0, eps)
     k = np.sqrt(eps)
@@ -172,13 +170,19 @@ def hartman_limit(u0: float, eps: float) -> float:
 
 
 def compute_times(barrier: BarrierSpec, eps: float, verify: bool | None = None) -> TimesReport:
-    """Evaluate every time definition at one sub-barrier energy."""
+    """Evaluate every time definition at one sub-barrier energy.
+
+    One stationary state serves the row: both dwell times divide its one
+    barrier probability by its incident and its transmitted current.
+    """
     if barrier.l == 0.0:
         return TimesReport(
             eps=eps, l=0.0, tau_g=0.0, tau_0=0.0, t_ph=0.0, t_free=0.0,
             tau_d_in=0.0, tau_d_out=0.0,
             hartman_limit=hartman_limit(barrier.u0, eps),
         )
+    sol = stationary.solve(barrier, eps)
+    prob = stationary.barrier_probability(sol)
     return TimesReport(
         eps=eps,
         l=barrier.l,
@@ -186,8 +190,8 @@ def compute_times(barrier: BarrierSpec, eps: float, verify: bool | None = None) 
         tau_0=free_group_time(eps, barrier.l),
         t_ph=phase_time(barrier, eps),
         t_free=free_phase_time(eps, barrier.l),
-        tau_d_in=dwell_time_incident(barrier, eps),
-        tau_d_out=dwell_time_transmitted(barrier, eps),
+        tau_d_in=prob / stationary.incident_current(sol),
+        tau_d_out=prob / stationary.transmitted_current(sol),
         hartman_limit=hartman_limit(barrier.u0, eps),
     )
 

@@ -62,6 +62,14 @@ class TestTimesWidth:
         assert code == 1
         assert not out.exists()
 
+    def test_infinite_width_rejected(self, tmp_path, capsys):
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "12", "--eps", "11.8",
+                         "--l-max", "inf", "--steps", "3", "--out", str(out)])
+        assert code == 1
+        assert "l-max" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert cli.main(["times-width", "--nope", "1"]) == 1
 
@@ -134,6 +142,17 @@ class TestPacket:
                          "--out", str(tmp_path / "pkt")])
         assert code == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--t-max", "-5"), ("--t-max", "inf"),
+    ])
+    def test_bad_time_grid_rejected(self, tmp_path, capsys, option, value):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6",
+                         "--l-min", "1", "--l-max", "1", "--steps", "1",
+                         option, value, "--out", str(tmp_path / "pkt")])
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSpectrum:
     def test_sweep(self, tmp_path):
@@ -160,6 +179,12 @@ class TestSpectrum:
         assert code == 0
         _, _, rows = read_csv(out)
         assert rows[0][5] == "k_max_too_small"
+
+    def test_nan_width_rejected(self, tmp_path):
+        code = cli.main(["spectrum", "--u0", "12", "--eps", "11.8",
+                         "--l", "1,nan", "--out", str(tmp_path / "spec.csv")])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfig:

@@ -78,6 +78,14 @@ class TestBarrierSpec:
         with pytest.raises(ValueError):
             BarrierSpec(1.0, -0.5)
 
+    @pytest.mark.parametrize("u0,l", [
+        (math.nan, 1.0), (math.inf, 1.0), (12.0, math.nan), (12.0, math.inf),
+        (12.0, -math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, u0, l):
+        with pytest.raises(ValueError, match="finite"):
+            BarrierSpec(u0, l)
+
 
 class TestPacket:
     def test_amplitude_value(self):
@@ -112,3 +120,10 @@ class TestPacket:
             PacketSpec(p=0.0, b=2.0)
         with pytest.raises(ValueError):
             PacketSpec(p=-3.6, b=2.0)
+
+    @pytest.mark.parametrize("p,b", [
+        (math.nan, 2.0), (math.inf, 2.0), (3.6, math.nan), (3.6, math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, p, b):
+        with pytest.raises(ValueError, match="finite"):
+            PacketSpec(p=p, b=b)

@@ -94,3 +94,39 @@ class TestShareSweep:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         r16, r24 = share_ratios((16.0, 24.0), k_max=80.0, n_k=4001)
         assert abs(r16 - r24) < 1e-3
+
+
+def whole_array_spectrum(sol, k_max, n_k):
+    """Reference: the spectrum from whole-grid arrays, as one expression each."""
+    kp = np.linspace(0.0, k_max, n_k)
+    chi, l = sol.chi, sol.barrier.l
+    dens_p = np.abs(sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)) ** 2
+    dens_m = np.abs(sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)) ** 2
+    w = np.ones(n_k)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (kp[1] - kp[0]) / 3.0
+    k = np.concatenate([-kp[::-1][:-1], kp])
+    density = np.concatenate([dens_m[::-1][:-1], dens_p])
+    return k, density, float(np.dot(w, dens_p)), float(np.dot(w, dens_m))
+
+
+class TestBlockedSpectrum:
+    # 4095 and 4097 sit either side of one block, 8193 and 12001 split unevenly
+    @pytest.mark.parametrize("n_k", [3, 4095, 4097, 8193, 12001])
+    @pytest.mark.parametrize("l", [0.5, 8.0])
+    def test_matches_whole_array_formula(self, n_k, l):
+        sol = stationary.solve(BarrierSpec(U0, l), EPS)
+        spec = barrier_k_spectrum(sol, k_max=400.0, n_k=n_k)
+        k, density, w_plus, w_minus = whole_array_spectrum(sol, 400.0, n_k)
+        assert np.array_equal(spec.k, k)
+        assert np.array_equal(spec.k, -spec.k[::-1])
+        assert np.max(np.abs(spec.density - density)) <= 1e-15 * np.max(density)
+        assert spec.w_plus == pytest.approx(w_plus, rel=1e-14, abs=0.0)
+        assert spec.w_minus == pytest.approx(w_minus, rel=1e-14, abs=0.0)
+
+    def test_even_count_rounds_up_and_too_few_rejected(self):
+        sol = stationary.solve(BarrierSpec(U0, 2.0), EPS)
+        assert len(barrier_k_spectrum(sol, 40.0, n_k=4096).k) == 2 * 4097 - 1
+        with pytest.raises(ValueError, match="Simpson"):
+            barrier_k_spectrum(sol, 40.0, n_k=1)

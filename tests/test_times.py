@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -203,6 +204,76 @@ class TestReport:
         assert report.t_free == pytest.approx(3.0 / math.sqrt(EPS), rel=1e-14)
         for field in ("tau_g", "t_ph", "tau_d_in", "tau_d_out", "hartman_limit"):
             assert math.isfinite(getattr(report, field))
+
+
+class TestOneStatePerRow:
+    """compute_times builds one scattering state and reads every time off it."""
+
+    GRID = [(e, l) for e in (0.05 * U0, 0.5 * U0, EPS, U0 * (1.0 - 1e-9))
+            for l in (0.0, 0.1, 1.0, 10.0, 40.0)]
+
+    @pytest.mark.parametrize("eps,l", GRID)
+    def test_fields_equal_standalone_definitions(self, eps, l):
+        # eps = u0 (1 - 1e-9) leaves no stencil, so group_delay skips its
+        # cross-check there; the other energies run it
+        barrier = BarrierSpec(U0, l)
+        report = compute_times(barrier, eps)
+        assert report.tau_g == group_delay(barrier, eps)
+        assert report.tau_0 == free_group_time(eps, l)
+        assert report.t_ph == phase_time(barrier, eps)
+        assert report.t_free == free_phase_time(eps, l)
+        assert report.tau_d_in == dwell_time_incident(barrier, eps)
+        assert report.tau_d_out == dwell_time_transmitted(barrier, eps)
+        assert report.hartman_limit == hartman_limit(U0, eps)
+
+    def test_winful_identity_on_report(self):
+        # tau_g = tau_d_in - Im(R)/(2 eps) (Winful, PRL 91, 260401 (2003))
+        for eps in map(float, np.linspace(0.05 * U0, 0.999 * U0, 25)):
+            for l in (0.1, 1.0, 10.0, 40.0):
+                report = compute_times(BarrierSpec(U0, l), eps)
+                self_interference = stationary.solve(
+                    BarrierSpec(U0, l), eps).R.imag / (2.0 * eps)
+                scale = abs(report.tau_d_in) + abs(self_interference)
+                assert abs(report.tau_g - (report.tau_d_in - self_interference)) \
+                    <= 1e-11 * scale
+
+    def test_one_solve_per_row(self, monkeypatch):
+        calls = {"solve": 0, "barrier_probability": 0}
+
+        def counted(name):
+            inner = getattr(stationary, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stationary, name, counted(name))
+        compute_times(BarrierSpec(U0, 0.0), EPS)
+        assert calls == {"solve": 0, "barrier_probability": 0}
+        for l in (0.1, 3.0, 40.0):
+            calls.update(solve=0, barrier_probability=0)
+            compute_times(BarrierSpec(U0, l), EPS)
+            assert calls == {"solve": 1, "barrier_probability": 1}
+
+    def test_float_in_float_out(self):
+        barrier = BarrierSpec(U0, 3.0)
+        assert type(phase_shift_derivative(barrier, EPS)) is float
+        assert type(times._tanh_minus_theta(0.01)) is float
+        report = compute_times(barrier, EPS)
+        for field in dataclasses.fields(report):
+            assert type(getattr(report, field.name)) is float, field.name
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+    def test_array_in_array_out(self, shape):
+        barrier = BarrierSpec(U0, 3.0)
+        eps = np.linspace(0.1 * U0, 0.99 * U0, math.prod(shape)).reshape(shape)
+        out = phase_shift_derivative(barrier, eps)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        # vectorised tanh and sqrt may round the last bit differently
+        expected = [phase_shift_derivative(barrier, float(e)) for e in eps.ravel()]
+        np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=0.0)
 
 
 class TestDelayCrossing:
