@@ -23,8 +23,6 @@ from .times import (
     TimesReport,
     compute_times,
     delay_crossing,
-    dwell_time_incident,
-    dwell_time_transmitted,
     free_group_time,
     free_phase_time,
     group_delay,
@@ -65,8 +63,6 @@ __all__ = [
     "barrier_k_spectrum",
     "compute_times",
     "delay_crossing",
-    "dwell_time_incident",
-    "dwell_time_transmitted",
     "free_arrival_time",
     "free_group_time",
     "free_phase_time",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, spectral, stationary, times, wavepacket
 from .model import BarrierSpec, PacketSpec
-from .numerics import EdgeMaximumError, StencilError
+from .numerics import EdgeMaximumError
 from .wavepacket import (
     EnergyGridSpec,
     SynthesisResolutionError,
@@ -34,8 +34,7 @@ from .wavepacket import (
 )
 
 _NUMERICAL_ERRORS = (
-    EdgeMaximumError, StencilError,
-    SynthesisResolutionError, TailMassError, WindowError,
+    EdgeMaximumError, SynthesisResolutionError, TailMassError, WindowError,
     times.CrossCheckError,
 )
 
@@ -83,13 +82,8 @@ def _times_row(report: times.TimesReport, key: float) -> list[float]:
 
 
 def cmd_times_width(args) -> int:
-    if not 0.0 < args.eps < args.u0:
-        raise ValueError(f"need 0 < eps < u0, got eps={args.eps}, u0={args.u0}")
-    if not 0.0 <= args.l_min <= args.l_max < math.inf:
-        raise ValueError(
-            f"need 0 <= l-min <= l-max < inf, got [{args.l_min}, {args.l_max}]")
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 0.0 <= args.l_min <= args.l_max:
+        raise ValueError(f"need 0 <= l-min <= l-max, got [{args.l_min}, {args.l_max}]")
     ls = np.linspace(args.l_min, args.l_max, args.steps)
     rows = []
     for l in ls:
@@ -106,10 +100,8 @@ def cmd_times_energy(args) -> int:
         raise ValueError(
             f"need 0 < eps-min < eps-max < u0, got [{args.eps_min}, {args.eps_max}]"
         )
-    if args.l < 0.0:
-        raise ValueError("width l must be >= 0")
     if args.steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise ValueError(f"--steps must be >= 2, got {args.steps}")
     eps_grid = np.linspace(args.eps_min, args.eps_max, args.steps)
     rows = []
     for eps in eps_grid:
@@ -132,13 +124,6 @@ def cmd_packet(args) -> int:
         raise ValueError(f"need p^2 < u0, got p^2 = {args.p**2}, u0 = {args.u0}")
     if args.l_min <= 0.0 or args.l_max < args.l_min:
         raise ValueError("need 0 < l-min <= l-max")
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
-    for name in ("t_max", "dt"):
-        value = getattr(args, name)
-        if not 0.0 < value < math.inf:
-            raise ValueError(
-                f"--{name.replace('_', '-')} must be positive and finite, got {value}")
     packet = PacketSpec(p=args.p, b=args.b)
     ls = np.linspace(args.l_min, args.l_max, args.steps)
     t_in = wavepacket.free_arrival_time(packet, args.u0, t_max=args.t_max)
@@ -184,13 +169,11 @@ def cmd_packet(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not 0.0 < args.eps < args.u0:
-        raise ValueError(f"need 0 < eps < u0, got eps={args.eps}, u0={args.u0}")
     l_values = [float(s) for s in args.l.split(",")]
-    if not l_values or any(l <= 0.0 for l in l_values):
+    if any(l <= 0.0 for l in l_values):
         raise ValueError("spectrum needs a comma-separated list of widths > 0")
-    if args.k_max <= 0.0 or args.n_k < 3:
-        raise ValueError("need k-max > 0 and n-k >= 3")
+    if args.n_k < 3:
+        raise ValueError(f"--n-k must be >= 3, got {args.n_k}")
     rows = []
     for l in l_values:
         sol = stationary.solve(BarrierSpec(args.u0, l), args.eps)
@@ -206,27 +189,32 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+_OPTIONS = {
+    "u0": dict(type=float, help="barrier height (recoil units)"),
+    "eps": dict(type=float, help="stationary energy (recoil units)"),
+    "l": dict(type=str, help="barrier width (comma list for spectrum)"),
+    "l_min": dict(type=float, help="smallest width in the sweep"),
+    "l_max": dict(type=float, help="largest width in the sweep"),
+    "eps_min": dict(type=float, help="smallest energy in the sweep"),
+    "eps_max": dict(type=float, help="largest energy in the sweep"),
+    "steps": dict(type=int, help="number of sweep points"),
+    "p": dict(type=float, help="packet mean momentum"),
+    "b": dict(type=float, help="packet half-width parameter"),
+    "t_max": dict(type=float, help="initial time window length"),
+    "dt": dict(type=float, help="coarse time step"),
+    "k_max": dict(type=float, help="wavenumber window half-width"),
+    "n_k": dict(type=int, help="wavenumber samples per half-axis"),
+    "out": dict(type=str, help="output CSV path (base path for packet)"),
+}
+
+# Options that size a sweep, a step or a window: they must be positive.
+_SIZES = ("steps", "n_k", "t_max", "dt", "k_max")
+
+
 def _add_common(sub, *names):
-    specs = {
-        "u0": dict(type=float, help="barrier height (recoil units)"),
-        "eps": dict(type=float, help="stationary energy (recoil units)"),
-        "l": dict(type=str, help="barrier width (comma list for spectrum)"),
-        "l_min": dict(type=float, help="smallest width in the sweep"),
-        "l_max": dict(type=float, help="largest width in the sweep"),
-        "eps_min": dict(type=float, help="smallest energy in the sweep"),
-        "eps_max": dict(type=float, help="largest energy in the sweep"),
-        "steps": dict(type=int, help="number of sweep points"),
-        "p": dict(type=float, help="packet mean momentum"),
-        "b": dict(type=float, help="packet half-width parameter"),
-        "t_max": dict(type=float, help="initial time window length"),
-        "dt": dict(type=float, help="coarse time step"),
-        "k_max": dict(type=float, help="wavenumber window half-width"),
-        "n_k": dict(type=int, help="wavenumber samples per half-axis"),
-        "out": dict(type=str, help="output CSV path (base path for packet)"),
-    }
     for name in names:
         flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, dest=name, default=None, **specs[name])
+        sub.add_argument(flag, dest=name, default=None, **_OPTIONS[name])
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with defaults; explicit flags win")
 
@@ -271,6 +259,34 @@ def _merge_config(args) -> None:
         )
 
 
+def _validate(args) -> None:
+    """Reject a numeric option that is not a finite number, naming it.
+
+    Sizes (_SIZES) must also be positive, and counts whole numbers.
+    Relations between options, such as l-min <= l-max, are checked by the
+    command that needs them, and eps < u0 by the model.
+    """
+    for name, spec in _OPTIONS.items():
+        value = getattr(args, name, None)
+        if value is None or (spec["type"] is str and name != "l"):
+            continue
+        flag = "--" + name.replace("_", "-")
+        items = str(value).split(",") if name == "l" else [value]
+        for item in items:
+            try:
+                number = float(item)
+            except (TypeError, ValueError):
+                raise ValueError(f"{flag} must be a number, got {item!r}") from None
+            if not math.isfinite(number):
+                raise ValueError(f"{flag} must be finite, got {item}")
+            if name in _SIZES and not number > 0.0:
+                raise ValueError(f"{flag} must be positive, got {item}")
+            if spec["type"] is int:
+                if number != int(number):
+                    raise ValueError(f"{flag} must be a whole number, got {item}")
+                setattr(args, name, int(number))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tunneltimes",
                      description="Tunneling-time datasets for a rectangular barrier")
@@ -305,6 +321,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         _merge_config(args)
+        _validate(args)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"tunneltimes: numerical failure: {exc}", file=sys.stderr)

@@ -1,8 +1,7 @@
 """Generic numerical kernels.
 
-Central-difference differentiation with Richardson extrapolation, parabolic
-sub-grid peak refinement, composite Gauss-Legendre panel grids, and
-detection of uniform sample grids.
+Parabolic sub-grid peak refinement, composite Gauss-Legendre panel grids,
+and detection of uniform sample grids.
 """
 
 from __future__ import annotations
@@ -10,43 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 
-class StencilError(ValueError):
-    """A finite-difference stencil would leave the function's domain."""
-
-
 class EdgeMaximumError(ValueError):
     """The discrete maximum sits on the grid edge; extend the grid."""
-
-
-def differentiate(f, x: float, h0: float | None = None,
-                  bounds: tuple[float, float] | None = None):
-    """First derivative of f at x by central differences + Richardson.
-
-    Three step sizes h0, h0/2, h0/4 are combined to sixth order; returns
-    (derivative, error_estimate).  h0 defaults to 1e-3 * max(1, |x|), which
-    balances truncation against roundoff in double precision.  If bounds are
-    given and x +/- h0 would leave the open interval, raises StencilError.
-    """
-    if h0 is None:
-        h0 = 1e-3 * max(1.0, abs(x))
-    if not h0 > 0.0:
-        raise ValueError("h0 must be positive")
-    if bounds is not None:
-        lo, hi = bounds
-        if not (lo < x - h0 and x + h0 < hi):
-            raise StencilError(
-                f"stencil [{x - h0}, {x + h0}] leaves the domain ({lo}, {hi})"
-            )
-    d = []
-    h = h0
-    for _ in range(3):
-        d.append((f(x + h) - f(x - h)) / (2.0 * h))
-        h /= 2.0
-    # Richardson: error orders h^2, h^4
-    d01 = (4.0 * d[1] - d[0]) / 3.0
-    d12 = (4.0 * d[2] - d[1]) / 3.0
-    best = (16.0 * d12 - d01) / 15.0
-    return best, abs(best - d12) + abs(best) * 1e-14
 
 
 def refine_max(nodes, values):

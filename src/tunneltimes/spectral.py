@@ -36,18 +36,19 @@ class DirectionalSpectrum:
         return self.w_minus / self.w_plus
 
 
-def interior_window_transform(C_l, D, chi: float, l: float, k) -> np.ndarray:
-    """phi(k) = int_0^l (C_l e^{chi (x - l)} + D e^{-chi x}) e^{-ikx} dx.
+def interior_window_transform(C_l, D, chi: float, l: float, k):
+    """(phi(k), phi(-k)), phi(k) = int_0^l (C_l e^{chi (x - l)} + D e^{-chi x}) e^{-ikx} dx.
 
     Closed form in the scaled coefficient C_l = C e^{chi l}, so +chi*l is
-    never exponentiated and opaque barriers evaluate without overflow.
+    never exponentiated and opaque barriers evaluate without overflow.  Both
+    signs of k share one e^{-ikl}: e^{+ikl} is its conjugate.
     """
     k = np.asarray(k, dtype=float)
     e = math.exp(-chi * l)
     phase = np.exp(-1j * k * l)
-    grow = (C_l * phase - e * C_l) / (chi - 1j * k)
-    decay = (D - D * e * phase) / (chi + 1j * k)
-    return grow + decay
+    ik = 1j * k
+    return tuple((C_l * p - e * C_l) / (chi - s) + (D - D * e * p) / (chi + s)
+                 for p, s in ((phase, ik), (np.conj(phase), -ik)))
 
 
 # Points per block of the spectrum grid: a block's complex temporaries take
@@ -91,16 +92,19 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
         kp = np.arange(start, stop, dtype=float) * step
         if stop == n_k:
             kp[-1] = k_max
-        phi_p = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)
-        phi_m = sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)
+        phi_p, phi_m = interior_window_transform(sol.C_l, sol.D, chi, l, kp)
+        phi_p *= sol.N
+        phi_m *= sol.N
         # the positive half is written last, so k = 0 keeps +0.0 and its sample
         k_full[mid - stop + 1:mid - start + 1] = -kp[::-1]
         dens_full[mid - stop + 1:mid - start + 1] = (np.abs(phi_m) ** 2)[::-1]
         k_full[mid + start:mid + stop] = kp
         dens_full[mid + start:mid + stop] = np.abs(phi_p) ** 2
     w = _simpson_weights(n_k, step)
-    w_plus = float(np.dot(w, dens_full[mid:]))
-    w_minus = float(np.dot(w, dens_full[mid::-1]))
+    # np.dot would hand these sums to a threaded BLAS, which can stall for
+    # milliseconds when its threads are descheduled
+    w_plus = float(np.add.reduce(w * dens_full[mid:]))
+    w_minus = float(np.add.reduce(w * dens_full[mid::-1]))
 
     window_mass = w_plus + w_minus
     # asymptotics: |phi|^2 ~ (|psi(0)|^2 + |psi(l)|^2)/k^2 averaged over

@@ -31,26 +31,55 @@ import numpy as np
 
 from .model import BarrierSpec, Energy, require_sub_barrier
 
+# Below this theta = chi l the scaled form loses digits to cancellation, and
+# amplitudes and barrier_probability switch to forms that have none.
+THIN_THETA = 0.5
+
+# Taylor coefficients of (sinh 2theta - 2theta)/theta^3 in powers of theta^2,
+# 2^(2n+1)/(2n+1)! for n >= 1; nine terms reach 1e-16 at theta = THIN_THETA.
+_SINH_EXCESS = tuple(2.0 ** (2 * n + 1) / math.factorial(2 * n + 1)
+                     for n in range(1, 10))
+
 
 def amplitudes(u0: float, l: float, eps):
     """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
 
     C_l = C e^{chi l} is the scaled growing-wave coefficient.  Vectorized
     over eps (a float gives scalars); uses the overflow-safe scaled form above.
+    Below theta = chi l = THIN_THETA the terms of Im(denom) = -g (1 - q) and
+    of R = C + D - 1 cancel, so there 1 - q is taken from expm1 and
+    R = -i (1 - q) u0 / (2 k chi denom), both free of cancellation.
     """
     require_sub_barrier(u0, eps)
     k = np.sqrt(eps)
     chi = np.sqrt(u0 - eps)
+    theta = chi * l
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    q = np.exp(-2.0 * chi * l)
-    decay = np.exp(-chi * l)
+    q = np.exp(-2.0 * theta)
+    decay = np.exp(-theta)
     ik_chi = 1j * k / chi
     denom = (1.0 - 1j * g) + q * (1.0 + 1j * g)
+    thin = theta < THIN_THETA
+    # a float eps gives numpy scalars, which the index () selects whole
+    at, any_thin = (thin, thin.any()) if thin.ndim else ((), bool(thin))
+    if any_thin:
+        one_minus_q = -np.expm1(-2.0 * theta[at])
+        denom = _replace(denom, at, (1.0 + q[at]) - 1j * g[at] * one_minus_q)
     T = 2.0 * np.exp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
     D = (1.0 - ik_chi) / denom
     R = decay * C_l + D - 1.0
+    if any_thin:
+        R = _replace(R, at, -1j * one_minus_q * u0 / (2.0 * k[at] * chi[at] * denom[at]))
     return T, R, C_l, D
+
+
+def _replace(values, at, fixed):
+    """values with the entries at `at` set to fixed; a scalar is replaced whole."""
+    if not isinstance(values, np.ndarray):
+        return fixed
+    values[at] = fixed
+    return values
 
 
 def normalization(eps):
@@ -174,15 +203,29 @@ def transmitted_current(sol: ScatteringSolution) -> float:
 def barrier_probability(sol: ScatteringSolution) -> float:
     """Integral of |N psi_eps|^2 over the barrier region [0, l], in closed form.
 
-    The interior density integrates to
+    Above THIN_THETA the interior density integrates to
         (|C e^{chi l}|^2 - |C|^2)/(2 chi) + (|D|^2 - |D e^{-chi l}|^2)/(2 chi)
         + 2 Re(C D*) l,
-    with every exponential kept in its decaying form.
+    with every exponential kept in its decaying form.  Below it those terms
+    grow like 1/chi^2 and cancel, so the field is written from the barrier
+    exit instead: psi = psi(l) [cosh(chi y) - (ik/chi) sinh(chi y)] with
+    y = l - x and psi(l) = T e^{ikl}.  Its cross term vanishes, and
+        int |psi|^2 = |T|^2 l [1 + u0 l^2 S(theta)/4],
+        S(theta) = (sinh 2theta - 2theta)/theta^3,
+    a sum of positive terms with S from its Taylor series.
     """
     chi, l = sol.chi, sol.barrier.l
     if l == 0.0:
         return 0.0
-    e = math.exp(-chi * l)
+    theta = chi * l
+    if theta < THIN_THETA:
+        t2 = theta * theta
+        excess = 0.0
+        for c in reversed(_SINH_EXCESS):
+            excess = excess * t2 + c
+        return sol.N**2 * abs(sol.T) ** 2 * l * (
+            1.0 + sol.barrier.u0 * l * l * excess / 4.0)
+    e = math.exp(-theta)
     cl = sol.C_l                                # C e^{chi l}
     c0 = e * cl                                 # C
     d0 = sol.D

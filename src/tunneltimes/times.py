@@ -18,17 +18,20 @@ independent of width.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics, stationary
+from . import stationary
 from .model import BarrierSpec, require_sub_barrier
 
 
 class CrossCheckError(RuntimeError):
-    """Analytic and finite-difference phase derivatives disagree."""
+    """The group delay and the dwell time break Winful's identity."""
+
+
+# Relative tolerance of the Winful check in compute_times.
+WINFUL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,9 @@ class TimesReport:
 def _tanh_minus_theta(theta):
     """tanh(theta) - theta without cancellation for small theta."""
     t3 = theta**3
-    series = t3 * (-1.0 / 3.0 + theta**2 * (2.0 / 15.0 + theta**2 * (
-        -17.0 / 315.0 + theta**2 * (62.0 / 2835.0))))
+    t2 = theta**2
+    series = t3 * (-1.0 / 3.0 + t2 * (2.0 / 15.0 + t2 * (-17.0 / 315.0 + t2 * (
+        62.0 / 2835.0 + t2 * (-1382.0 / 155925.0 + t2 * (21844.0 / 6081075.0))))))
     direct = np.tanh(theta) - theta
     out = np.where(np.abs(theta) < 0.05, series, direct)
     return out if out.ndim else float(out)
@@ -99,66 +103,14 @@ def free_phase_time(eps: float, l: float) -> float:
     return l / math.sqrt(eps)
 
 
-def group_delay(barrier: BarrierSpec, eps: float, verify: bool | None = None,
-                check_tol: float = 1e-8) -> float:
-    """Group delay tau_g = l/(2 sqrt(eps)) + d(alpha)/d(eps).
-
-    The derivative is evaluated analytically.  When verify is True (or None
-    and the finite-difference stencil fits inside (0, u0)), a Richardson
-    central difference of the phase cross-checks the analytic value; a
-    mismatch beyond check_tol raises CrossCheckError.  Near the barrier top
-    the stencil cannot fit and the analytic path is used alone.
-    """
-    analytic = free_group_time(eps, barrier.l) + phase_shift_derivative(barrier, eps)
-    # the phase varies on the scale of chi^2 = u0 - eps near the top, so the
-    # stencil must shrink with the distance to the edge
-    h0 = min(1e-3 * max(1.0, abs(eps)), 0.1 * (barrier.u0 - eps), 0.25 * eps)
-    sensible = h0 >= 1e-7 * max(1.0, eps)
-    if verify is None:
-        verify = sensible
-    if verify:
-        if not sensible:
-            warnings.warn(
-                f"cross-check skipped at eps = {eps}: no usable stencil below "
-                f"u0 = {barrier.u0}; analytic value returned unverified",
-                RuntimeWarning, stacklevel=2)
-            return analytic
-        num, _ = numerics.differentiate(
-            lambda e: stationary.phase_shift(barrier, e), eps, h0=h0,
-            bounds=(0.0, barrier.u0),
-        )
-        numeric = free_group_time(eps, barrier.l) + num
-        if abs(numeric - analytic) > check_tol:
-            raise CrossCheckError(
-                f"analytic tau_g {analytic!r} vs finite-difference {numeric!r} "
-                f"differ by {abs(numeric - analytic):.3e} at eps={eps}, l={barrier.l}"
-            )
-    return analytic
+def group_delay(barrier: BarrierSpec, eps: float) -> float:
+    """Group delay tau_g = l/(2 sqrt(eps)) + d(alpha)/d(eps), analytic."""
+    return free_group_time(eps, barrier.l) + phase_shift_derivative(barrier, eps)
 
 
 def phase_time(barrier: BarrierSpec, eps: float) -> float:
     """Phase time t_ph = alpha/eps + l/sqrt(eps) of a fixed wavefront."""
     return stationary.phase_shift(barrier, eps) / eps + free_phase_time(eps, barrier.l)
-
-
-def dwell_time_incident(barrier: BarrierSpec, eps: float) -> float:
-    """Dwell time with the incident current as reference; saturates in l.
-
-    The normalization constant cancels between the barrier probability and
-    j_in = 2 k N^2.
-    """
-    sol = stationary.solve(barrier, eps)
-    return stationary.barrier_probability(sol) / stationary.incident_current(sol)
-
-
-def dwell_time_transmitted(barrier: BarrierSpec, eps: float) -> float:
-    """Dwell time with the transmitted (full) current as reference.
-
-    Equals the incident-current dwell time divided by |T|^2 and grows like
-    e^{2 chi l} for opaque barriers instead of saturating.
-    """
-    sol = stationary.solve(barrier, eps)
-    return stationary.barrier_probability(sol) / stationary.transmitted_current(sol)
 
 
 def hartman_limit(u0: float, eps: float) -> float:
@@ -169,11 +121,15 @@ def hartman_limit(u0: float, eps: float) -> float:
     return 1.0 / math.sqrt(eps * (u0 - eps))
 
 
-def compute_times(barrier: BarrierSpec, eps: float, verify: bool | None = None) -> TimesReport:
+def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     """Evaluate every time definition at one sub-barrier energy.
 
     One stationary state serves the row: both dwell times divide its one
-    barrier probability by its incident and its transmitted current.
+    barrier probability by its incident and its transmitted current.  The
+    row is checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
+    (H. G. Winful, PRL 91, 260401 (2003)), which ties the phase derivative to
+    the barrier probability; a mismatch beyond WINFUL_TOL of
+    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.
     """
     if barrier.l == 0.0:
         return TimesReport(
@@ -183,14 +139,23 @@ def compute_times(barrier: BarrierSpec, eps: float, verify: bool | None = None) 
         )
     sol = stationary.solve(barrier, eps)
     prob = stationary.barrier_probability(sol)
+    tau_g = group_delay(barrier, eps)
+    tau_d_in = prob / stationary.incident_current(sol)
+    self_interference = sol.R.imag / (2.0 * eps)
+    residual = abs(tau_g - (tau_d_in - self_interference))
+    if not residual <= WINFUL_TOL * (abs(tau_d_in) + abs(self_interference)):
+        raise CrossCheckError(
+            f"tau_g {tau_g!r} vs tau_d_in - Im(R)/(2 eps) "
+            f"{tau_d_in - self_interference!r} differ by {residual:.3e} "
+            f"at eps={eps}, l={barrier.l}")
     return TimesReport(
         eps=eps,
         l=barrier.l,
-        tau_g=group_delay(barrier, eps, verify=verify),
+        tau_g=tau_g,
         tau_0=free_group_time(eps, barrier.l),
         t_ph=phase_time(barrier, eps),
         t_free=free_phase_time(eps, barrier.l),
-        tau_d_in=prob / stationary.incident_current(sol),
+        tau_d_in=tau_d_in,
         tau_d_out=prob / stationary.transmitted_current(sol),
         hartman_limit=hartman_limit(barrier.u0, eps),
     )
@@ -200,7 +165,8 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float,
                    n_scan: int = 400) -> float | None:
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
-    Scans [eps_lo, eps_hi] for a sign change and bisects it to high accuracy.
+    Scans [eps_lo, eps_hi] for a sign change and bisects it to high accuracy;
+    a grid point whose scanned value is exactly 0 is returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """
@@ -215,5 +181,9 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float,
     if len(sign_change) == 0:
         return None
     i = int(sign_change[0])
-    f = lambda e: phase_shift_derivative(barrier, e)
-    return float(brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=1e-14))
+    # the float call may round the last bit differently from the array call,
+    # so brentq is handed the scanned values at the bracket ends (and returns
+    # an end whose scanned value is exactly 0)
+    ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
+    f = lambda e: ends[e] if e in ends else phase_shift_derivative(barrier, e)
+    return float(brentq(f, *ends, xtol=1e-13, rtol=1e-14))

@@ -1,6 +1,10 @@
 """Shared test utilities."""
 
+import math
+
 import numpy as np
+
+from tunneltimes import stationary
 
 
 def find_plateau(values, rel_tol=0.05, min_len=3):
@@ -43,3 +47,28 @@ def transfer_matrix_solution(u0, l, eps):
     rhs = np.array([1.0, -1j * k, 0.0, 0.0], dtype=complex)
     R, C, D, T = np.linalg.solve(A, rhs)
     return R, C, D, T
+
+
+def richardson_derivative(f, x, h0):
+    """f'(x) from central differences at h0, h0/2 and h0/4, extrapolated.
+
+    Two Richardson steps cancel the h^2 and h^4 error terms, so the result
+    is sixth-order accurate in h0.
+    """
+    d = [(f(x + h) - f(x - h)) / (2.0 * h) for h in (h0, h0 / 2.0, h0 / 4.0)]
+    d01 = (4.0 * d[1] - d[0]) / 3.0
+    d12 = (4.0 * d[2] - d[1]) / 3.0
+    return (16.0 * d12 - d01) / 15.0
+
+
+def finite_difference_group_delay(barrier, eps):
+    """Oracle: tau_g = l/(2k) + d(alpha)/d(eps), the phase differenced.
+
+    The phase varies on the scale of u0 - eps near the top, so the stencil
+    shrinks with the distance to the edge; it must stay inside (0, u0).
+    """
+    h0 = min(1e-3 * max(1.0, eps), 0.1 * (barrier.u0 - eps), 0.25 * eps)
+    assert h0 >= 1e-7 * max(1.0, eps), f"no usable stencil at eps = {eps}"
+    slope = richardson_derivative(
+        lambda e: stationary.phase_shift(barrier, e), eps, h0)
+    return barrier.l / (2.0 * math.sqrt(eps)) + slope

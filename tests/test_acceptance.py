@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import find_plateau, transfer_matrix_solution
+from helpers import (
+    finite_difference_group_delay,
+    find_plateau,
+    transfer_matrix_solution,
+)
 from tunneltimes import numerics, spectral, stationary, times, wavepacket
 from tunneltimes.model import BarrierSpec, PacketSpec
 from tunneltimes.wavepacket import EnergyGridSpec
@@ -104,13 +108,13 @@ def test_criterion_5_energy_sweep_crossing():
 
 
 def test_criterion_6_dwell_time_dichotomy():
-    t20 = times.dwell_time_incident(BarrierSpec(U0, 20.0), EPS)
-    t30 = times.dwell_time_incident(BarrierSpec(U0, 30.0), EPS)
+    t20 = times.compute_times(BarrierSpec(U0, 20.0), EPS).tau_d_in
+    t30 = times.compute_times(BarrierSpec(U0, 30.0), EPS).tau_d_in
     saturates = abs(t20 - t30) / t30 < 1e-4
     chi = math.sqrt(U0 - EPS)
     growth = all(
-        abs(times.dwell_time_transmitted(BarrierSpec(U0, l + 1.0), EPS)
-            / times.dwell_time_transmitted(BarrierSpec(U0, l), EPS)
+        abs(times.compute_times(BarrierSpec(U0, l + 1.0), EPS).tau_d_out
+            / times.compute_times(BarrierSpec(U0, l), EPS).tau_d_out
             / math.exp(2.0 * chi) - 1.0) < 0.01
         for l in (15.0, 18.0, 22.0))
     report(6, "incident dwell saturates, transmitted dwell grows",
@@ -175,8 +179,7 @@ def test_criterion_9_directional_spectrum(arrival_sweep):
     chi = math.sqrt(U0 - EPS)
     k = np.linspace(0.0, 60.0, 3001)
     c_l = 0.5 * math.exp(chi * 2.0)  # C = D = 1/2: the real field cosh(chi x)
-    phi_p = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, k)
-    phi_m = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, -k)
+    phi_p, phi_m = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, k)
     wp_ = np.trapezoid(np.abs(phi_p) ** 2, k)
     wm_ = np.trapezoid(np.abs(phi_m) ** 2, k)
     symmetric = abs(wp_ - wm_) <= 1e-12 * wp_
@@ -187,15 +190,19 @@ def test_criterion_9_directional_spectrum(arrival_sweep):
 
 
 def test_criterion_10_numerics_cross_validation(arrival_sweep):
-    # analytic vs finite-difference phase derivative
-    fd_ok = True
-    try:
-        for l in (0.1, 1.0, 10.0):
-            barrier = BarrierSpec(U0, l)
-            for eps in np.linspace(0.05 * U0, 0.999 * U0, 25):
-                times.group_delay(barrier, float(eps), verify=True, check_tol=1e-8)
-    except times.CrossCheckError:
-        fd_ok = False
+    # analytic vs finite-difference phase derivative, and Winful's identity
+    # tau_g = tau_d_in - Im(R)/(2 eps) on the same points
+    fd_worst = winful_worst = 0.0
+    for l in (0.1, 1.0, 10.0):
+        barrier = BarrierSpec(U0, l)
+        for eps in map(float, np.linspace(0.05 * U0, 0.999 * U0, 25)):
+            tau_g = times.group_delay(barrier, eps)
+            fd_worst = max(fd_worst, abs(tau_g - finite_difference_group_delay(barrier, eps)))
+            row = times.compute_times(barrier, eps)
+            self_interference = stationary.solve(barrier, eps).R.imag / (2.0 * eps)
+            winful_worst = max(winful_worst, abs(
+                row.tau_g - (row.tau_d_in - self_interference))
+                / (abs(row.tau_d_in) + abs(self_interference)))
 
     # closed-form overlap f(eps) vs adaptive quadrature
     barrier = BarrierSpec(PKT_U0, 4.0)
@@ -223,9 +230,9 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
         im, _ = quad(lambda x: (stationary.wavefunction_at(sol, x)
                                 * np.exp(-1j * k * x)).imag, 0.0, 3.0,
                      epsabs=1e-13, limit=300)
-        direct = sol.N * spectral.interior_window_transform(
+        direct, _ = spectral.interior_window_transform(
             sol.C_l, sol.D, sol.chi, 3.0, float(k))
-        spec_worst = max(spec_worst, abs(direct - (re + 1j * im)))
+        spec_worst = max(spec_worst, abs(sol.N * direct - (re + 1j * im)))
 
     # packet observables stable under grid halving
     g1 = EnergyGridSpec.for_horizon(PKT_U0, 30.0)
@@ -244,7 +251,9 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
         2.0, 60.0, dt=0.01)
     stable = (abs(a1.t_arr - a2.t_arr) < 1e-3 and abs(m1.t_mean - m2.t_mean) < 1e-3)
 
-    ok = fd_ok and overlap_worst < 1e-9 and spec_worst < 1e-9 and stable
+    ok = (fd_worst < 1e-8 and winful_worst < 1e-11 and overlap_worst < 1e-9
+          and spec_worst < 1e-9 and stable)
     report(10, "analytic, finite-difference and quadrature routes agree", ok,
-           f"overlap diff {overlap_worst:.1e}, transform diff {spec_worst:.1e}, "
+           f"finite-difference diff {fd_worst:.1e}, Winful residual "
+           f"{winful_worst:.1e}, overlap diff {overlap_worst:.1e}, transform diff {spec_worst:.1e}, "
            f"halving shifts {abs(a1.t_arr - a2.t_arr):.1e}/{abs(m1.t_mean - m2.t_mean):.1e}")

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tunneltimes import cli, times
+from tunneltimes import cli, stationary, times
 from tunneltimes.model import BarrierSpec
 
 
@@ -185,6 +186,71 @@ class TestSpectrum:
                          "--l", "1,nan", "--out", str(tmp_path / "spec.csv")])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOptionValidation:
+    """One validator: non-finite values and non-positive sizes exit 1."""
+
+    BASE = {
+        "times-width": ["--u0", "12", "--eps", "11.8", "--l-max", "2",
+                        "--steps", "3"],
+        "times-energy": ["--u0", "8", "--l", "6.32", "--eps-min", "4",
+                         "--eps-max", "7.99", "--steps", "3"],
+        "packet": ["--u0", "31.4", "--p", "3.6", "--l-min", "1",
+                   "--l-max", "1", "--steps", "1", "--t-max", "60"],
+        "spectrum": ["--u0", "12", "--eps", "11.8", "--l", "1",
+                     "--k-max", "40", "--n-k", "101"],
+    }
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("packet", "--l-max", "inf"),
+        ("packet", "--u0", "nan"),
+        ("packet", "--p", "-inf"),
+        ("packet", "--steps", "0"),
+        ("times-width", "--eps", "nan"),
+        ("times-width", "--steps", "-2"),
+        ("times-energy", "--l", "inf"),
+        ("times-energy", "--eps-max", "nan"),
+        ("spectrum", "--k-max", "0"),
+        ("spectrum", "--k-max", "inf"),
+        ("spectrum", "--l", "1,inf"),
+        ("spectrum", "--n-k", "-5"),
+        ("spectrum", "--n-k", "1"),
+        ("times-energy", "--steps", "1"),
+    ])
+    def test_rejected_with_option_named(self, tmp_path, capsys, command,
+                                        option, value):
+        argv = [command] + self.BASE[command] + [option, value,
+                                                 "--out", str(tmp_path / "x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert option in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_count_must_be_whole(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 2.5}))
+        code = cli.main(["times-width", "--config", str(config)]
+                        + self.BASE["times-width"][:6]
+                        + ["--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestCrossCheck:
+    def test_winful_mismatch_exits_two(self, tmp_path, monkeypatch):
+        inner = stationary.barrier_probability
+        monkeypatch.setattr(stationary, "barrier_probability",
+                            lambda sol: inner(sol) * (1.0 + 1e-8))
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "12", "--eps", "11.8",
+                         "--l-max", "2", "--steps", "3", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestConfig:

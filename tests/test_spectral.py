@@ -28,8 +28,8 @@ class TestWindowTransform:
             exact = quad_complex(
                 lambda x: stationary.wavefunction_at(sol, x) * np.exp(-1j * k * x),
                 0.0, 3.0)
-            direct = sol.N * interior_window_transform(sol.C_l, sol.D, CHI, 3.0, float(k))
-            assert abs(direct - exact) < 1e-10
+            direct, _ = interior_window_transform(sol.C_l, sol.D, CHI, 3.0, float(k))
+            assert abs(sol.N * direct - exact) < 1e-10
         assert spectrum.w_plus > 0.0
 
     def test_real_field_is_direction_symmetric(self):
@@ -37,8 +37,7 @@ class TestWindowTransform:
         # so |phi(-k)| = |phi(k)| and the directional weights coincide
         k = np.linspace(0.0, 30.0, 2001)
         c_l = 0.5 * math.exp(CHI * 2.0)
-        phi_p = interior_window_transform(c_l, 0.5, CHI, 2.0, k)
-        phi_m = interior_window_transform(c_l, 0.5, CHI, 2.0, -k)
+        phi_p, phi_m = interior_window_transform(c_l, 0.5, CHI, 2.0, k)
         assert np.max(np.abs(np.abs(phi_p) - np.abs(phi_m))) < 1e-14
         w_plus = np.trapezoid(np.abs(phi_p) ** 2, k)
         w_minus = np.trapezoid(np.abs(phi_m) ** 2, k)
@@ -96,12 +95,21 @@ class TestShareSweep:
         assert abs(r16 - r24) < 1e-3
 
 
+def one_sided_transform(C_l, D, chi, l, k):
+    """Reference: phi(k) for either sign of k, with its own e^{-ikl}."""
+    e = math.exp(-chi * l)
+    phase = np.exp(-1j * k * l)
+    grow = (C_l * phase - e * C_l) / (chi - 1j * k)
+    decay = (D - D * e * phase) / (chi + 1j * k)
+    return grow + decay
+
+
 def whole_array_spectrum(sol, k_max, n_k):
     """Reference: the spectrum from whole-grid arrays, as one expression each."""
     kp = np.linspace(0.0, k_max, n_k)
     chi, l = sol.chi, sol.barrier.l
-    dens_p = np.abs(sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, kp)) ** 2
-    dens_m = np.abs(sol.N * interior_window_transform(sol.C_l, sol.D, chi, l, -kp)) ** 2
+    dens_p = np.abs(sol.N * one_sided_transform(sol.C_l, sol.D, chi, l, kp)) ** 2
+    dens_m = np.abs(sol.N * one_sided_transform(sol.C_l, sol.D, chi, l, -kp)) ** 2
     w = np.ones(n_k)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -109,6 +117,17 @@ def whole_array_spectrum(sol, k_max, n_k):
     k = np.concatenate([-kp[::-1][:-1], kp])
     density = np.concatenate([dens_m[::-1][:-1], dens_p])
     return k, density, float(np.dot(w, dens_p)), float(np.dot(w, dens_m))
+
+
+class TestPairedTransform:
+    @pytest.mark.parametrize("l", [0.5, 8.0, 40.0])
+    def test_both_halves_equal_one_sided_evaluation(self, l):
+        # e^{+ikl} taken as the conjugate of e^{-ikl} changes no bit
+        sol = stationary.solve(BarrierSpec(U0, l), EPS)
+        k = np.linspace(0.0, 400.0, 12001)
+        phi_p, phi_m = interior_window_transform(sol.C_l, sol.D, CHI, l, k)
+        assert np.array_equal(phi_p, one_sided_transform(sol.C_l, sol.D, CHI, l, k))
+        assert np.array_equal(phi_m, one_sided_transform(sol.C_l, sol.D, CHI, l, -k))
 
 
 class TestBlockedSpectrum:

@@ -213,9 +213,10 @@ class TestBarrierProbability:
         # links the phase derivative to the barrier probability
         for eps, l in standard_grid():
             barrier = BarrierSpec(U0, l)
-            tau_d = times.dwell_time_incident(barrier, eps)
-            self_interference = solve(barrier, eps).R.imag / (2.0 * eps)
-            tau_g = times.group_delay(barrier, eps, verify=False)
+            sol = solve(barrier, eps)
+            tau_d = barrier_probability(sol) / incident_current(sol)
+            self_interference = sol.R.imag / (2.0 * eps)
+            tau_g = times.group_delay(barrier, eps)
             scale = abs(tau_d) + abs(self_interference)
             assert abs(tau_g - (tau_d - self_interference)) <= 1e-11 * scale
 

@@ -1,17 +1,20 @@
+import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helpers import finite_difference_group_delay
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
     compute_times,
     delay_crossing,
-    dwell_time_incident,
-    dwell_time_transmitted,
     free_group_time,
     free_phase_time,
     group_delay,
@@ -23,6 +26,18 @@ from tunneltimes.times import (
 U0 = 12.0
 EPS = 11.8
 CHI = math.sqrt(U0 - EPS)
+
+
+def dwell_time_incident(barrier, eps):
+    """Barrier probability over the incident current, from its own state."""
+    sol = stationary.solve(barrier, eps)
+    return stationary.barrier_probability(sol) / stationary.incident_current(sol)
+
+
+def dwell_time_transmitted(barrier, eps):
+    """Barrier probability over the transmitted current, from its own state."""
+    sol = stationary.solve(barrier, eps)
+    return stationary.barrier_probability(sol) / stationary.transmitted_current(sol)
 
 
 class TestGroupDelay:
@@ -63,23 +78,18 @@ class TestGroupDelay:
             assert group_delay(barrier, EPS) > free_group_time(EPS, float(l))
 
     def test_cross_check_agreement_over_standard_grid(self):
-        # verify=True raises CrossCheckError if analytic and finite-difference
-        # derivatives disagree beyond 1e-8
+        # the analytic derivative against a Richardson difference of the phase
         for l in (0.1, 1.0, 10.0):
             barrier = BarrierSpec(U0, l)
-            for eps in np.linspace(0.05 * U0, 0.999 * U0, 40):
-                group_delay(barrier, float(eps), verify=True)
+            for eps in map(float, np.linspace(0.05 * U0, 0.999 * U0, 40)):
+                assert abs(group_delay(barrier, eps)
+                           - finite_difference_group_delay(barrier, eps)) <= 1e-8
 
     def test_stable_at_extreme_energies(self):
         barrier = BarrierSpec(U0, 2.0)
         for eps in (U0 * (1.0 - 1e-9), U0 * 1e-6):
-            value = group_delay(barrier, eps, verify=False)
+            value = group_delay(barrier, eps)
             assert math.isfinite(value)
-
-    def test_unverifiable_edge_warns(self):
-        barrier = BarrierSpec(U0, 2.0)
-        with pytest.warns(RuntimeWarning, match="cross-check skipped"):
-            group_delay(barrier, U0 * (1.0 - 1e-10), verify=True)
 
     @pytest.mark.parametrize("theta,expected", [
         (0.01, -3.3332000053966067e-7),    # series branch
@@ -91,6 +101,15 @@ class TestGroupDelay:
         # frozen 40-digit values; both branches of the stabilized helper must
         # agree with them across the chi*l = 0.05 switchover
         assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.02, 0.049])
+    def test_tanh_series_to_the_last_digits(self, theta):
+        # the series carries terms through theta^13, so its truncation stays
+        # below 1e-17 up to the switchover at 0.05
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expected = float(mp.tanh(theta) - theta)
+        assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestFreeTimes:
@@ -214,8 +233,6 @@ class TestOneStatePerRow:
 
     @pytest.mark.parametrize("eps,l", GRID)
     def test_fields_equal_standalone_definitions(self, eps, l):
-        # eps = u0 (1 - 1e-9) leaves no stencil, so group_delay skips its
-        # cross-check there; the other energies run it
         barrier = BarrierSpec(U0, l)
         report = compute_times(barrier, eps)
         assert report.tau_g == group_delay(barrier, eps)
@@ -236,6 +253,19 @@ class TestOneStatePerRow:
                 scale = abs(report.tau_d_in) + abs(self_interference)
                 assert abs(report.tau_g - (report.tau_d_in - self_interference)) \
                     <= 1e-11 * scale
+
+    def test_check_runs_at_the_barrier_top(self, monkeypatch):
+        # no energy is exempt from the Winful check: it runs, silently, where
+        # no finite-difference stencil fits below u0
+        barrier, eps = BarrierSpec(U0, 2.0), U0 * (1.0 - 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compute_times(barrier, eps)
+        inner = stationary.barrier_probability
+        monkeypatch.setattr(stationary, "barrier_probability",
+                            lambda sol: inner(sol) * (1.0 + 1e-8))
+        with pytest.raises(times.CrossCheckError, match="Im\\(R\\)"):
+            compute_times(barrier, eps)
 
     def test_one_solve_per_row(self, monkeypatch):
         calls = {"solve": 0, "barrier_probability": 0}
@@ -291,3 +321,105 @@ class TestDelayCrossing:
 
     def test_no_crossing_returns_none(self):
         assert delay_crossing(8.0, 6.32, 4.0, 6.0) is None
+
+    def test_zero_on_a_grid_point(self, monkeypatch):
+        # the scan finds an exact zero at a grid point, and the float call
+        # rounds the same point to the other side of zero: the grid point is
+        # the answer, and no bracket without a sign change reaches brentq
+        root = float(np.linspace(4.0, 7.9, 400)[137])
+
+        def derivative(barrier, eps):
+            if isinstance(eps, np.ndarray):
+                return eps - root
+            return (eps - root) - 1e-18
+        monkeypatch.setattr(times, "phase_shift_derivative", derivative)
+        assert delay_crossing(8.0, 6.32, 4.0, 7.9) == root
+
+    def test_float_call_flips_a_bracket_end(self, monkeypatch):
+        # the scan changes sign between two grid points, and the float call
+        # puts the right end on the left end's side: brentq still gets the
+        # scanned bracket and returns a point inside it
+        grid = np.linspace(4.0, 7.9, 400)
+        a, b = float(grid[136]), float(grid[137])
+        root = 0.5 * (a + b)
+
+        def derivative(barrier, eps):
+            if isinstance(eps, np.ndarray):
+                return eps - root
+            return (eps - root) - 2.0 * (b - root)
+        monkeypatch.setattr(times, "phase_shift_derivative", derivative)
+        assert a <= delay_crossing(8.0, 6.32, 4.0, 7.9) <= b
+
+
+def high_precision_reference(u0, l, eps):
+    """(T, R, tau_d_in, tau_g) from textbook forms at 60 + theta digits.
+
+    T and R come from the cosh/sinh transfer form; the barrier probability
+    integrates psi(0) cosh(chi x) + psi'(0) sinh(chi x)/chi in closed form,
+    whose terms grow like e^{2 theta} and cancel, hence the extra digits;
+    tau_g differentiates the closed-form phase numerically.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60 + int(math.sqrt(u0 - eps) * l)):
+        u0, l, eps = mp.mpf(u0), mp.mpf(l), mp.mpf(eps)
+        k, chi = mp.sqrt(eps), mp.sqrt(u0 - eps)
+        theta = chi * l
+        denom = mp.cosh(theta) + 1j * (chi**2 - k**2) / (2 * k * chi) * mp.sinh(theta)
+        T = mp.exp(-1j * k * l) / denom
+        R = -1j * (k**2 + chi**2) / (2 * k * chi) * mp.sinh(theta) / denom
+        a, b = 1 + R, 1j * k * (1 - R)
+        sinh2 = mp.sinh(2 * theta) / (4 * chi)
+        prob = (abs(a) ** 2 * (l / 2 + sinh2) + abs(b) ** 2 / chi**2 * (sinh2 - l / 2)
+                + mp.re(a * mp.conj(b)) * mp.sinh(theta) ** 2 / chi**2)
+        tau_d_in = prob / (2 * k)  # N^2 cancels against j_in = 2 k N^2
+
+        def alpha(e):
+            kk, cc = mp.sqrt(e), mp.sqrt(u0 - e)
+            return -kk * l + mp.atan((kk**2 - cc**2) / (2 * kk * cc) * mp.tanh(cc * l))
+        tau_g = l / (2 * k) + mp.diff(alpha, eps)
+        return (complex(T * mp.exp(1j * k * l)), complex(R), float(tau_d_in),
+                float(tau_g))
+
+
+def assert_matches_reference(u0, l, eps):
+    barrier = BarrierSpec(u0, l)
+    sol = stationary.solve(barrier, eps)
+    report = compute_times(barrier, eps)
+    T_exit, R, tau_d_in, tau_g = high_precision_reference(u0, l, eps)
+    # T e^{ikl}: the phase kl of T itself carries the rounding of the product
+    assert abs(sol.T * cmath.exp(1j * sol.k * l) - T_exit) <= 1e-12 * abs(T_exit)
+    assert abs(sol.R - R) <= 1e-12 * abs(R)
+    assert abs(abs(sol.T) ** 2 + abs(sol.R) ** 2 - 1.0) <= 1e-12
+    assert report.tau_d_in == pytest.approx(tau_d_in, rel=1e-12, abs=0.0)
+    assert report.tau_g == pytest.approx(tau_g, rel=1e-12, abs=0.0)
+    self_interference = sol.R.imag / (2.0 * eps)
+    assert abs(report.tau_g - (report.tau_d_in - self_interference)) <= 1e-11 * (
+        abs(report.tau_d_in) + abs(self_interference))
+
+
+class TestHighPrecision:
+    """Amplitudes and times against 60-digit mpmath over the whole domain."""
+
+    @pytest.mark.parametrize("u0,l,eps", [
+        (12.0, 3.0, 12.0 * (1.0 - 1e-10)),
+        (12.0, 0.01, 12.0 * (1.0 - 1e-9)),
+        (12.0, 1e-6, 11.0),
+    ])
+    def test_near_top_table_points(self, u0, l, eps):
+        # tau_d_in was off by 1.0e-4, 3.4e-2 and 4.8e-10 here when the
+        # interior terms C and D, each ~1/chi, were summed directly
+        assert_matches_reference(u0, l, eps)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(u0=st.floats(0.1, 100.0),
+           frac=st.one_of(st.floats(1e-6, 0.999), st.just(1.0 - 1e-12),
+                          st.floats(-12.0, -3.0).map(lambda x: 1.0 - 10.0**x)),
+           log_theta=st.floats(-10.0, math.log10(50.0)))
+    # theta -> 0: eps = u0 (1 - 1e-12) and l ~ 1e-6; then either side of the
+    # switch between the barrier-exit and the scaled form of the probability
+    @example(u0=12.0, frac=1.0 - 1e-12, log_theta=math.log10(1e-6 * math.sqrt(12e-12)))
+    @example(u0=12.0, frac=1.0 - 1e-9, log_theta=math.log10(stationary.THIN_THETA) - 1e-9)
+    @example(u0=12.0, frac=1.0 - 1e-9, log_theta=math.log10(stationary.THIN_THETA) + 1e-9)
+    def test_domain(self, u0, frac, log_theta):
+        eps = u0 * frac
+        assert_matches_reference(u0, 10.0**log_theta / math.sqrt(u0 - eps), eps)
