@@ -49,12 +49,23 @@ def transfer_matrix_solution(u0, l, eps):
     return R, C, D, T
 
 
-def richardson_derivative(f, x, h0):
+class StencilError(ValueError):
+    """The finite-difference stencil leaves the domain it was given."""
+
+
+def richardson_derivative(f, x, h0=None, bounds=None):
     """f'(x) from central differences at h0, h0/2 and h0/4, extrapolated.
 
     Two Richardson steps cancel the h^2 and h^4 error terms, so the result
-    is sixth-order accurate in h0.
+    is sixth-order accurate in h0.  h0 defaults to 1e-3 * max(1, |x|), which
+    balances truncation against roundoff in double precision.  If bounds are
+    given and x +/- h0 would leave the open interval, raises StencilError.
     """
+    if h0 is None:
+        h0 = 1e-3 * max(1.0, abs(x))
+    if bounds is not None and not (bounds[0] < x - h0 and x + h0 < bounds[1]):
+        raise StencilError(
+            f"stencil [{x - h0}, {x + h0}] leaves the domain {tuple(bounds)}")
     d = [(f(x + h) - f(x - h)) / (2.0 * h) for h in (h0, h0 / 2.0, h0 / 4.0)]
     d01 = (4.0 * d[1] - d[0]) / 3.0
     d12 = (4.0 * d[2] - d[1]) / 3.0
@@ -70,5 +81,6 @@ def finite_difference_group_delay(barrier, eps):
     h0 = min(1e-3 * max(1.0, eps), 0.1 * (barrier.u0 - eps), 0.25 * eps)
     assert h0 >= 1e-7 * max(1.0, eps), f"no usable stencil at eps = {eps}"
     slope = richardson_derivative(
-        lambda e: stationary.phase_shift(barrier, e), eps, h0)
+        lambda e: stationary.phase_shift(barrier, e), eps, h0,
+        bounds=(0.0, barrier.u0))
     return barrier.l / (2.0 * math.sqrt(eps)) + slope

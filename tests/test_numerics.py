@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from tunneltimes import stationary
+from helpers import StencilError, richardson_derivative
+from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.numerics import (
     EdgeMaximumError,
@@ -9,6 +12,38 @@ from tunneltimes.numerics import (
     refine_max,
     uniform_step,
 )
+
+
+class TestDifferentiate:
+    # the Richardson stencil is the test suite's finite-difference oracle
+    # (criterion 10 and the group-delay cross-check), so it is tested here
+    def test_square(self):
+        d = richardson_derivative(lambda e: e * e, 3.0)
+        assert d == pytest.approx(6.0, abs=1e-10)
+
+    def test_sqrt(self):
+        d = richardson_derivative(math.sqrt, 4.0)
+        assert d == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("f,df", [
+        (np.sqrt, lambda e: 0.5 / np.sqrt(e)),
+        (lambda e: e * e, lambda e: 2.0 * e),
+        (lambda e: 1.0 / e, lambda e: -1.0 / e**2),
+    ])
+    def test_relative_accuracy_over_range(self, f, df):
+        for eps in np.linspace(0.5, 50.0, 25):
+            d = richardson_derivative(f, eps)
+            assert d == pytest.approx(df(eps), rel=1e-9)
+
+    def test_phase_derivative_matches_analytic(self):
+        barrier = BarrierSpec(12.0, 1.0)
+        d = richardson_derivative(lambda e: stationary.phase_shift(barrier, e), 11.8,
+                                  h0=0.04, bounds=(0.0, 12.0))
+        assert d == pytest.approx(times.phase_shift_derivative(barrier, 11.8), abs=1e-8)
+
+    def test_stencil_domain_violation(self):
+        with pytest.raises(StencilError):
+            richardson_derivative(math.sqrt, 11.99, h0=0.05, bounds=(0.0, 12.0))
 
 
 class TestContinuousPhase:
