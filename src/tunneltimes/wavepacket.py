@@ -46,7 +46,15 @@ class SynthesisResolutionError(RuntimeError):
 
 
 class WindowError(RuntimeError):
-    """The time window does not safely contain the density maximum."""
+    """The time window does not safely contain the density maximum.
+
+    end_limit is the end density the window had to fall below when its
+    maximum was interior but the pulse was cut, and None otherwise.
+    """
+
+    def __init__(self, message: str, end_limit: float | None = None):
+        super().__init__(message)
+        self.end_limit = end_limit
 
 
 class TailMassError(RuntimeError):
@@ -164,24 +172,54 @@ class SpectralAmplitude:
         return self.eps_max / self.layout.n_panels
 
 
+def _overlap(packet: PacketSpec, k, R):
+    """f / (N A) = I(p - k) + conj(R) I(p + k) for reflection amplitude R at k."""
+    return (envelope_transform(packet.p - k, packet.b)
+            + np.conj(R) * envelope_transform(packet.p + k, packet.b))
+
+
+# Energy nodes per block of spectral_amplitude: its temporaries stay at
+# 64 KiB of complex128, and only the arrays of the record span the grid.
+_NODE_BLOCK = 4096
+
+
 def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
                        grid: EnergyGridSpec) -> SpectralAmplitude:
     """Expand the packet over sub-barrier left-incident scattering states."""
     if packet.p**2 >= barrier.u0:
         raise ValueError("sub-barrier study requires p^2 < u0")
     nodes, weights = gauss_legendre_panels(0.0, barrier.u0, grid.n_panels, grid.order)
-    k = np.sqrt(nodes)
-    T, R, C_l, D = stationary.amplitudes(barrier.u0, barrier.l, nodes)
-    f = stationary.normalization(nodes) * packet.amplitude * (
-        envelope_transform(packet.p - k, packet.b)
-        + np.conj(R) * envelope_transform(packet.p + k, packet.b)
-    )
+    T, R, C_l, D, f = (np.empty(nodes.shape, dtype=complex) for _ in range(5))
+    for lo in range(0, len(nodes), _NODE_BLOCK):
+        part = slice(lo, lo + _NODE_BLOCK)
+        eps = nodes[part]
+        T[part], R[part], C_l[part], D[part] = stationary.amplitudes(
+            barrier.u0, barrier.l, eps)
+        f[part] = (stationary.normalization(eps) * packet.amplitude
+                   * _overlap(packet, np.sqrt(eps), R[part]))
     captured = float(np.sum(weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=nodes, values=f, weights=weights, captured_weight=captured,
         packet=packet, barrier=barrier, eps_max=barrier.u0, layout=grid,
         T=T, R=R, C_l=C_l, D=D,
     )
+
+
+def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
+    """h(u0), the integrand of psi(l, t) over energy at the barrier top.
+
+    With h(eps) = f(eps) N T e^{ikl}, cutting the energy integral at u0
+    leaves the endpoint term (i/t) h(u0) e^{-i u0 t} (integration by parts;
+    A. Erdelyi, Asymptotic Expansions, 1956, ch. 2), so once the pulse has
+    passed the density at the barrier exit decays like |h(u0)|^2 / t^2.
+    As chi -> 0 the amplitudes tend to T e^{ikl} = 2/(2 - ikl) and
+    R = -ikl/(2 - ikl), with k = sqrt(u0).
+    """
+    k = math.sqrt(barrier.u0)
+    ikl = 1j * k * barrier.l
+    overlap = _overlap(packet, k, -ikl / (2.0 - ikl))
+    return complex(stationary.normalization(barrier.u0) ** 2 * packet.amplitude
+                   * overlap * 2.0 / (2.0 - ikl))
 
 
 def free_spectral_amplitude(packet: PacketSpec, eps_max: float,
@@ -328,17 +366,6 @@ def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
                       density=np.abs(psi) ** 2)
 
 
-def spatial_profile(famp: SpectralAmplitude, xs, t: float) -> np.ndarray:
-    """Complex psi(x, t) over an array of positions at one instant."""
-    xs = np.asarray(xs, dtype=float)
-    _check_resolution(famp, [t])
-    coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
-    rows = _block_rows(famp)
-    return np.concatenate([
-        _basis(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
-    ])
-
-
 @dataclass(frozen=True)
 class ArrivalTime:
     """Arrival of the density maximum at an observation point."""
@@ -373,7 +400,8 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     if d[-1] > edge_fraction * peak:
         raise WindowError(
             f"window [0, {t_max:g}] cuts the pulse: end density {d[-1]:.3e} "
-            f"is above {edge_fraction:.0%} of the maximum {peak:.3e}"
+            f"is above {edge_fraction:.0%} of the maximum {peak:.3e}",
+            end_limit=edge_fraction * peak,
         )
     # refine on a dense local grid around the coarse argmax
     lo = max(ts[i] - 2.0 * coarse_dt, 0.0)
@@ -416,18 +444,28 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
     return t_star
 
 
+# The predicted window may start this fraction below H_min: where the
+# accepted window doubles, H_min falls 0.4-2.7 % short of the window that
+# just passes.
+WINDOW_MARGIN = 0.05
+
+
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
                  coarse_dt: float = 0.05, max_doublings: int = 4,
                  t_in: float | None = None):
-    """Arrival time with automatic window extension.
+    """Arrival time in the first window t_max 2^a, a <= max_doublings, that passes.
 
-    Rebuilds the energy grid for each candidate window (wider windows need
-    finer panels) and doubles t_max until the window criterion is met.
-    Returns (ArrivalTime, SpectralAmplitude).  Raises WindowError if the
-    largest window still fails.
+    Each window gets its own energy grid (wider windows need finer panels).
+    If the first window cuts the pulse, the late density |h(u0)|^2 / t^2
+    (see endpoint_amplitude) predicts the shortest window H_min whose end
+    density passes, and the scan jumps to the first doubling that reaches
+    (1 - WINDOW_MARGIN) H_min; every window it skips would have failed.
+    From there, or when the first maximum sits on a window edge, it doubles
+    t_max.  Returns (ArrivalTime, SpectralAmplitude).  Raises WindowError if
+    the largest window still fails.
     """
-    last_error = None
-    for attempt in range(max_doublings + 1):
+    attempt, last_error = 0, None
+    while attempt <= max_doublings:
         horizon = t_max * 2**attempt
         grid = EnergyGridSpec.for_horizon(barrier.u0, horizon)
         famp = spectral_amplitude(packet, barrier, grid)
@@ -435,22 +473,19 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
             return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
         except WindowError as exc:
             # keep the message only: the traceback would hold this window's
-            # grid alive while the next, twice as large, is built
-            last_error = str(exc)
+            # grid alive while the next, larger one is built
+            last_error, end_limit = str(exc), exc.end_limit
         del famp
+        attempt += 1
+        if attempt == 1 and end_limit is not None:
+            # the late density |h(u0)|^2 / t^2 falls to end_limit at h_min
+            h_min = abs(endpoint_amplitude(packet, barrier)) / math.sqrt(end_limit)
+            reach = (1.0 - WINDOW_MARGIN) * h_min
+            while attempt < max_doublings and t_max * 2**attempt < reach:
+                attempt += 1
     raise WindowError(
         f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
     )
-
-
-def weighted_mean_time(times, density) -> float:
-    """First moment of a density series: int t d dt / int d dt (trapezoid)."""
-    times = np.asarray(times, dtype=float)
-    density = np.asarray(density, dtype=float)
-    den = np.trapezoid(density, times)
-    if den <= 0.0:
-        raise ValueError("density has no mass on the window")
-    return float(np.trapezoid(times * density, times) / den)
 
 
 @dataclass(frozen=True)

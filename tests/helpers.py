@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from tunneltimes import stationary
+from tunneltimes import wavepacket as wp
 
 
 def find_plateau(values, rel_tol=0.05, min_len=3):
@@ -84,3 +85,45 @@ def finite_difference_group_delay(barrier, eps):
         lambda e: stationary.phase_shift(barrier, e), eps, h0,
         bounds=(0.0, barrier.u0))
     return barrier.l / (2.0 * math.sqrt(eps)) + slope
+
+
+def weighted_mean_time(times, density) -> float:
+    """First moment of a density series: int t d dt / int d dt (trapezoid)."""
+    times = np.asarray(times, dtype=float)
+    density = np.asarray(density, dtype=float)
+    den = np.trapezoid(density, times)
+    if den <= 0.0:
+        raise ValueError("density has no mass on the window")
+    return float(np.trapezoid(times * density, times) / den)
+
+
+def spatial_profile(famp, xs, t):
+    """Complex psi(x, t) over an array of positions at one instant."""
+    xs = np.asarray(xs, dtype=float)
+    wp._check_resolution(famp, [t])
+    coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
+    rows = wp._block_rows(famp)
+    return np.concatenate([
+        wp._basis(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
+    ])
+
+
+def doubling_scan_arrival(packet, barrier, t_max=30.0, coarse_dt=0.05,
+                          max_doublings=4, t_in=None):
+    """Oracle for scan_arrival: try every window t_max 2^a in turn.
+
+    Returns (ArrivalTime, SpectralAmplitude) of the first window that passes
+    arrival_time_of_max, or raises WindowError naming the last failure.
+    """
+    last_error = None
+    for attempt in range(max_doublings + 1):
+        horizon = t_max * 2**attempt
+        grid = wp.EnergyGridSpec.for_horizon(barrier.u0, horizon)
+        famp = wp.spectral_amplitude(packet, barrier, grid)
+        try:
+            return wp.arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
+        except wp.WindowError as exc:
+            last_error = str(exc)
+    raise wp.WindowError(
+        f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
+    )

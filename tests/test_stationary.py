@@ -37,7 +37,7 @@ class TestSolve:
     def test_symmetric_point_k_equals_chi(self):
         # u0 = 2, eps = 1 makes k = chi = 1 and T = e^{-ikl}/cosh(chi l)
         sol = solve(BarrierSpec(2.0, 1.0), 1.0)
-        assert abs(sol.T) == pytest.approx(1.0 / math.cosh(1.0), rel=1e-12)
+        assert abs(sol.T) == pytest.approx(1.0 / math.cosh(1.0), rel=1e-12, abs=0.0)
         assert cmath.phase(sol.T) == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_matching_oracle(self):
@@ -51,7 +51,7 @@ class TestSolve:
 
     def test_normalization_constant(self):
         sol = solve(BarrierSpec(U0, 1.0), 9.0)
-        assert sol.N == pytest.approx((4.0 * math.pi * 3.0) ** -0.5, rel=1e-14)
+        assert sol.N == pytest.approx((4.0 * math.pi * 3.0) ** -0.5, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda: amplitudes(U0, 1.0, math.nan),
@@ -126,7 +126,8 @@ class TestMatching:
         ])
         assert np.max(np.abs(wavefunction_at(sol, x) - expected)) < 1e-12
         for xi in x:
-            assert current(sol, xi) == pytest.approx(transmitted_current(sol), rel=1e-12)
+            assert current(sol, xi) == pytest.approx(
+                transmitted_current(sol), rel=1e-12, abs=0.0)
 
     def test_wavefunction_left_of_zero(self):
         sol = solve(BarrierSpec(U0, 1.0), EPS)
@@ -144,7 +145,7 @@ class TestPhaseShift:
         # k = chi at eps = u0/2, so the arctan term vanishes identically
         for l in (0.5, 5.0, 50.0):
             assert phase_shift(BarrierSpec(U0, l), 6.0) == pytest.approx(
-                -math.sqrt(6.0) * l, rel=1e-14)
+                -math.sqrt(6.0) * l, rel=1e-14, abs=0.0)
 
     def test_opaque_limit(self):
         # alpha + k l -> atan((k^2 - chi^2)/(2 k chi)) as l grows
@@ -193,9 +194,9 @@ class TestCurrent:
     def test_transmitted_fraction(self):
         sol = solve(BarrierSpec(U0, 1.0), EPS)
         ratio = current(sol, -5.0) / incident_current(sol)
-        assert ratio == pytest.approx(abs(sol.T) ** 2, rel=1e-12)
+        assert ratio == pytest.approx(abs(sol.T) ** 2, rel=1e-12, abs=0.0)
         assert ratio == pytest.approx(0.2347561, abs=1e-6)
-        assert transmitted_current(sol) == pytest.approx(current(sol, 2.0), rel=1e-12)
+        assert transmitted_current(sol) == pytest.approx(current(sol, 2.0), rel=1e-12, abs=0.0)
 
 
 class TestBarrierProbability:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import doubling_scan_arrival, spatial_profile, weighted_mean_time
 from tunneltimes import stationary
+from tunneltimes import wavepacket as wp
 from tunneltimes.model import BarrierSpec, PacketSpec
 from tunneltimes.numerics import uniform_step
 from tunneltimes.wavepacket import (
@@ -16,16 +18,15 @@ from tunneltimes.wavepacket import (
     TimeSeries,
     WindowError,
     arrival_time_of_max,
+    endpoint_amplitude,
     envelope_transform,
     free_arrival_time,
     free_spectral_amplitude,
     mean_crossing_time,
     scan_arrival,
-    spatial_profile,
     spectral_amplitude,
     synthesize,
     synthesize_amplitude,
-    weighted_mean_time,
 )
 
 PACKET = PacketSpec(p=3.6, b=2.0)
@@ -311,6 +312,121 @@ class TestArrival:
         a1 = arrival_time_of_max(f1, 30.0, coarse_dt=0.05)
         a2 = arrival_time_of_max(f2, 30.0, coarse_dt=0.025)
         assert abs(a1.t_arr - a2.t_arr) < 1e-3
+
+
+class TestBlockedAmplitude:
+    @pytest.mark.parametrize("n_panels", [64, 1000, 9596])
+    def test_equals_one_block(self, monkeypatch, n_panels):
+        # 512, 8000 (a partial last block) and 76,768 nodes
+        grid = EnergyGridSpec(n_panels)
+        blocked = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
+        monkeypatch.setattr(wp, "_NODE_BLOCK", 10**9)
+        whole = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
+        assert blocked.captured_weight == whole.captured_weight
+        for name in ("grid", "weights", "values", "T", "R", "C_l", "D"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+
+def exit_integrand(packet, barrier, eps):
+    """h(eps) = f(eps) N T e^{ikl} from the stationary amplitudes at eps < u0."""
+    k = math.sqrt(eps)
+    T, R, _, _ = stationary.amplitudes(barrier.u0, barrier.l, eps)
+    N = stationary.normalization(eps)
+    f = N * packet.amplitude * (envelope_transform(packet.p - k, packet.b)
+                                + np.conj(R) * envelope_transform(packet.p + k, packet.b))
+    return complex(f * N * T * np.exp(1j * k * barrier.l))
+
+
+class TestEndpoint:
+    @pytest.mark.parametrize("l", [0.0, 0.3, 2.0, 3.0, 12.2])
+    def test_limit_of_stationary_amplitudes(self, l):
+        # h is smooth at the top, so the gap closes linearly in u0 - eps
+        barrier = BarrierSpec(U0, l)
+        h = endpoint_amplitude(PACKET, barrier)
+        for gap in (1e-8, 1e-10, 1e-12):
+            near = exit_integrand(PACKET, barrier, U0 * (1.0 - gap))
+            assert abs(near - h) <= 2e4 * gap * abs(h)
+
+    @pytest.mark.parametrize("l", [2.0, 3.0, 12.2])
+    def test_late_density_at_the_exit(self, l):
+        # the endpoint term (i/t) h(u0) e^{-i u0 t} dominates psi(l, t) late
+        barrier = BarrierSpec(U0, l)
+        famp = spectral_amplitude(PACKET, barrier, EnergyGridSpec.for_horizon(U0, 480.0))
+        ts = np.linspace(440.0, 480.0, 401)
+        h = endpoint_amplitude(PACKET, barrier)
+        ratio = ts**2 * synthesize(famp, l, ts).density / abs(h) ** 2
+        assert np.all(np.abs(ratio - 1.0) < 0.02)
+
+
+# Widths where the accepted window doubles: below each one window
+# 30 * 2^a passes, above it the next is needed.
+DOUBLING_THRESHOLDS = (7.966, 9.151, 10.360, 11.765)
+# one width inside each width stratum of the packet-opaque benchmark
+STRATUM_WIDTHS = (8.25, 8.85, 10.0, 11.0, 12.2)
+
+
+def windows_tried(monkeypatch):
+    """Record the window of every arrival_time_of_max call made by scan_arrival."""
+    tried = []
+    original = wp.arrival_time_of_max
+
+    def spy(famp, t_max, *args, **kwargs):
+        tried.append(t_max)
+        return original(famp, t_max, *args, **kwargs)
+
+    monkeypatch.setattr(wp, "arrival_time_of_max", spy)
+    return tried
+
+
+def outcome(arr, famp):
+    return arr.t_arr, arr.peak_density, famp.captured_weight, len(famp.grid)
+
+
+class TestPredictedWindow:
+    @pytest.mark.parametrize("l", sorted(
+        {round(x + s, 3) for x in DOUBLING_THRESHOLDS for s in (-0.002, 0.002)}
+        | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)}))
+    def test_equals_plain_doubling(self, l):
+        # the integer widths are those of the arrival_sweep fixture
+        barrier = BarrierSpec(U0, l)
+        assert outcome(*scan_arrival(PACKET, barrier)) == outcome(
+            *doubling_scan_arrival(PACKET, barrier))
+
+    @pytest.mark.parametrize("l", STRATUM_WIDTHS)
+    def test_builds_first_and_accepted_window_only(self, monkeypatch, l):
+        tried = windows_tried(monkeypatch)
+        _, famp = scan_arrival(PACKET, BarrierSpec(U0, l))
+        assert len(tried) == 2 and tried[0] == 30.0
+        assert famp.max_panel_width <= math.pi / (2.0 * tried[-1])
+
+    def test_edge_maximum_doubles(self, monkeypatch):
+        # the density still rises at t = 0.1, 0.2 and 0.4, so the first window
+        # has no peak to predict from; 0.8 cuts the pulse and 1.6 passes
+        barrier = BarrierSpec(U0, 1.0)
+        tried = windows_tried(monkeypatch)
+        monkeypatch.setattr(wp, "endpoint_amplitude", None)
+        got = scan_arrival(PACKET, barrier, t_max=0.1)
+        assert tried == [0.1, 0.2, 0.4, 0.8, 1.6]
+        monkeypatch.undo()
+        assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier, t_max=0.1))
+
+    def test_failed_prediction_keeps_doubling(self, monkeypatch):
+        # just above a threshold H_min undershoots the window that passes
+        barrier = BarrierSpec(U0, 9.151 + 0.002)
+        tried = windows_tried(monkeypatch)
+        got = scan_arrival(PACKET, barrier)
+        assert tried == [30.0, 60.0, 120.0]
+        monkeypatch.undo()
+        assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier))
+
+    @pytest.mark.parametrize("max_doublings", [0, 1, 2])
+    def test_same_error_as_plain_doubling(self, max_doublings):
+        barrier = BarrierSpec(U0, 12.2)
+        with pytest.raises(WindowError) as expected:
+            doubling_scan_arrival(PACKET, barrier, max_doublings=max_doublings)
+        with pytest.raises(WindowError, match="cuts the pulse") as got:
+            scan_arrival(PACKET, barrier, max_doublings=max_doublings)
+        assert str(got.value) == str(expected.value)
 
 
 class TestMeanCrossing:
