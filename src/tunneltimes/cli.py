@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__, spectral, stationary, times, wavepacket
 from .model import BarrierSpec, PacketSpec
-from .numerics import EdgeMaximumError
 from .wavepacket import (
     EnergyGridSpec,
     SynthesisResolutionError,
@@ -34,8 +33,7 @@ from .wavepacket import (
 )
 
 _NUMERICAL_ERRORS = (
-    EdgeMaximumError, SynthesisResolutionError, TailMassError, WindowError,
-    times.CrossCheckError,
+    SynthesisResolutionError, TailMassError, WindowError, times.CrossCheckError,
 )
 
 

@@ -140,7 +140,7 @@ class PacketSpec:
     p is the mean momentum (must be positive: the packet moves toward the
     barrier), b the half-width parameter.  The amplitude A is derived so the
     packet has unit norm; the density maximum (and mean, by symmetry) sits at
-    x0 = -pi*b/2.
+    -pi*b/2.
     """
 
     p: float
@@ -151,19 +151,3 @@ class PacketSpec:
         if not 0.0 < self.p < math.inf:
             raise ValueError(f"mean momentum p must be positive and finite, got {self.p}")
         object.__setattr__(self, "amplitude", packet_amplitude(self.b))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.pi * self.b, 0.0)
-
-    @property
-    def x0(self) -> float:
-        return -math.pi * self.b / 2.0
-
-    def initial_wavefunction(self, x):
-        """psi(x, 0); zero outside the support.  Accepts scalars or arrays."""
-        x = np.asarray(x, dtype=float)
-        inside = (x > -math.pi * self.b) & (x < 0.0)
-        envelope = self.amplitude * (1.0 - np.cos(2.0 * x / self.b))
-        psi = np.where(inside, envelope, 0.0) * np.exp(1j * self.p * x)
-        return psi if psi.ndim else complex(psi)

@@ -23,7 +23,10 @@ length >= P + M - 1 by Bluestein's identity pm = (p^2 + m^2 - (m - p)^2)/2
 (IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions
 replace the M sums of P * order terms.  Any other time grid takes the
 direct sum of exponentials, built in blocks so that no (n_t, n_eps) matrix
-is ever formed; it is the definition the fast path is tested against.
+is ever formed; it is the definition the fast path is tested against.  At
+a single time the same factorisation gives psi and its first two time
+derivatives from P + order exponentials; the arrival maximum is refined on
+those.
 
 A "free" variant (T = 1, R = 0 basis) provides the no-barrier reference used
 for the arrival of the packet maximum at the barrier entrance.
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, PacketSpec
-from .numerics import gauss_legendre_panels, refine_max, uniform_step, EdgeMaximumError
+from .numerics import gauss_legendre_panels, refine_max, uniform_step
 
 
 class SynthesisResolutionError(RuntimeError):
@@ -343,6 +346,11 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
     return out * np.conj(chirp[:n_times])
 
 
+def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
+    """amp = w f psi_eps(x) at each node, so psi(x, t) = sum amp e^{-i eps t}."""
+    return famp.weights * famp.values * _basis(famp, [x])[0]
+
+
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
     """Complex psi(x, t) on the time grid (quadrature-weighted spectral sum).
 
@@ -352,7 +360,7 @@ def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray
     """
     times = np.asarray(times, dtype=float)
     _check_resolution(famp, times)
-    amp = famp.weights * famp.values * _basis(famp, [x])[0]
+    amp = _weighted_state(famp, x)
     dt = uniform_step(times)
     if dt is None:
         return _direct_sum(famp, amp, times)
@@ -383,12 +391,69 @@ class ArrivalTime:
         return self.t_arr - self.t_in
 
 
+def _panel_derivatives(famp: SpectralAmplitude, amp: np.ndarray, t: float):
+    """(psi, psi', psi'') at one time t, from sums over the energy panels.
+
+    With eps_pj = e_j + p W, e^{-i eps_pj t} = e^{-i e_j t} (e^{-i W t})^p, and
+    each time derivative brings down -i eps_pj, so the three sums take
+    P + order exponentials and one contraction of the (P, order) weights with
+    the panel factors p^k (e^{-i W t})^p, k = 0, 1, 2.
+    """
+    width = famp.max_panel_width
+    e = famp.grid[:famp.layout.order]
+    p = np.arange(famp.layout.n_panels, dtype=float)
+    z = np.exp(-1j * width * t * p)
+    s0, s1, s2 = np.stack([z, p * z, p * p * z]) @ amp.reshape(len(p), len(e))
+    y = np.exp(-1j * e * t)
+    psi = s0 @ y
+    d1 = -1j * ((e * s0 + width * s1) @ y)
+    d2 = -((e * e * s0 + 2.0 * width * e * s1 + width * width * s2) @ y)
+    return psi, d1, d2
+
+
+# Newton steps allowed from the coarse parabolic vertex to the root of
+# dD/dt, and the step, as a fraction of the bracket, below which that root
+# counts as found: convergence is quadratic, so the error left after such a
+# step is of the order of its square over the pulse duration.
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-8
+
+
+def _newton_peak(famp: SpectralAmplitude, amp: np.ndarray, t: float,
+                 lo: float, hi: float):
+    """Maximum of D = |psi|^2 by Newton on D' = 2 Re(conj(psi) psi'), from t.
+
+    D'' = 2 (|psi'|^2 + Re(conj(psi) psi'')) must stay negative and every
+    iterate inside [lo, hi]; otherwise, or without convergence, WindowError.
+    The density returned is at the last iterate, where D' ~ 0, so it differs
+    from D at the returned time by O(D'' step^2) only.
+    """
+    for _ in range(_NEWTON_STEPS):
+        psi, d1, d2 = _panel_derivatives(famp, amp, t)
+        slope = 2.0 * (psi.conjugate() * d1).real
+        curvature = 2.0 * (abs(d1) ** 2 + (psi.conjugate() * d2).real)
+        if not curvature < 0.0:
+            raise WindowError(
+                f"density is not concave at t = {t:.6g} (D'' = {curvature:.3e})")
+        step = slope / curvature
+        t -= step
+        if not lo <= t <= hi:
+            raise WindowError(
+                f"Newton step to t = {t:.6g} leaves the bracket [{lo:.6g}, {hi:.6g}]")
+        if abs(step) <= _NEWTON_TOL * (hi - lo):
+            return float(t), float(abs(psi) ** 2)
+    raise WindowError(
+        f"Newton refinement of the maximum did not converge in {_NEWTON_STEPS} "
+        f"steps (last step {step:.3e})")
+
+
 def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
                  coarse_dt: float, edge_fraction: float):
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
-    series = synthesize(famp, x, ts)
-    d = series.density
+    _check_resolution(famp, ts)
+    amp = _weighted_state(famp, x)
+    d = np.abs(_chirp_z_sum(famp, amp, ts, t_max / (n - 1))) ** 2
     i = int(np.argmax(d))
     peak = d[i]
     if i == 0 or i == n - 1:
@@ -403,16 +468,8 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
             f"is above {edge_fraction:.0%} of the maximum {peak:.3e}",
             end_limit=edge_fraction * peak,
         )
-    # refine on a dense local grid around the coarse argmax
-    lo = max(ts[i] - 2.0 * coarse_dt, 0.0)
-    hi = min(ts[i] + 2.0 * coarse_dt, t_max)
-    fine = np.linspace(lo, hi, 257)
-    fine_series = synthesize(famp, x, fine)
-    try:
-        t_star, v_star = refine_max(fine, fine_series.density)
-    except EdgeMaximumError as exc:
-        raise WindowError(str(exc)) from exc
-    return float(t_star), float(v_star)
+    t_start, _ = refine_max(ts, d)
+    return _newton_peak(famp, amp, t_start, ts[i - 1], ts[i + 1])
 
 
 def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
@@ -424,10 +481,14 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
 
     The window must not cut the pulse: the density at the far end has to stay
     below edge_fraction of the maximum and the maximum must be interior,
-    otherwise WindowError asks the caller to extend the window.  The discrete
-    maximum is refined by parabolic interpolation on a dense local grid.  By
-    default the observation point is the barrier exit x = l (or x = 0 for the
-    free basis).
+    otherwise WindowError asks the caller to extend the window.  The density
+    is sampled every coarse_dt by one chirp z-synthesis; from the vertex of
+    the parabola through the discrete maximum and its neighbours, Newton's
+    method on dD/dt, with psi, psi' and psi'' summed over the energy panels,
+    finds the root between those neighbours.  A non-concave density there, a
+    step out of that bracket or no convergence raises WindowError.
+    peak_density is |psi|^2 at the root.  By default the observation point
+    is the barrier exit x = l (or x = 0 for the free basis).
     """
     if x is None:
         x = 0.0 if famp.free else famp.barrier.l

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from tunneltimes import stationary
 from tunneltimes import wavepacket as wp
@@ -24,6 +25,28 @@ def find_plateau(values, rel_tol=0.05, min_len=3):
                 if best is None or (j - i) > (best[1] - best[0]):
                     best = (i, j)
     return best
+
+
+def packet_support(packet):
+    """The interval (-pi b, 0) on which the initial packet is nonzero."""
+    return (-math.pi * packet.b, 0.0)
+
+
+def packet_center(packet):
+    """x0 = -pi b / 2, where the initial density is largest."""
+    return -math.pi * packet.b / 2.0
+
+
+def initial_wavefunction(packet, x):
+    """psi(x, 0) = A (1 - cos(2x/b)) e^{ipx} on the support, zero outside.
+
+    Accepts scalars or arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (x > -math.pi * packet.b) & (x < 0.0)
+    envelope = packet.amplitude * (1.0 - np.cos(2.0 * x / packet.b))
+    psi = np.where(inside, envelope, 0.0) * np.exp(1j * packet.p * x)
+    return psi if psi.ndim else complex(psi)
 
 
 def transfer_matrix_solution(u0, l, eps):
@@ -127,3 +150,26 @@ def doubling_scan_arrival(packet, barrier, t_max=30.0, coarse_dt=0.05,
     raise wp.WindowError(
         f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
     )
+
+
+def direct_arrival_root(famp, x, t_guess, half_width=1e-3):
+    """Oracle for the arrival maximum: (t*, D(t*)) with dD/dt(t*) = 0.
+
+    D = |psi|^2, with psi = sum_n amp_n e^{-i eps_n t} and psi' = sum_n
+    -i eps_n amp_n e^{-i eps_n t} summed over every node with its own
+    exponential, with no factorisation over the energy panels.  The root is
+    bracketed within half_width of t_guess and found by brentq; it fails if
+    dD/dt has no sign change there.
+    """
+    amp = famp.weights * famp.values * wp._basis(famp, [x])[0]
+
+    def slope_and_density(t):
+        terms = amp * np.exp(-1j * famp.grid * t)
+        psi = terms.sum()
+        slope = 2.0 * (psi.conjugate() * (-1j * famp.grid * terms).sum()).real
+        return slope, abs(psi) ** 2
+
+    t_star = brentq(lambda t: slope_and_density(t)[0],
+                    t_guess - half_width, t_guess + half_width,
+                    xtol=1e-15, rtol=1e-15)
+    return t_star, slope_and_density(t_star)[1]

@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from helpers import (
     finite_difference_group_delay,
     find_plateau,
+    initial_wavefunction,
     transfer_matrix_solution,
 )
 from tunneltimes import numerics, spectral, stationary, times, wavepacket
@@ -213,10 +214,10 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
         eps = float(famp.grid[i])
         sol = stationary.solve(barrier, eps)
         re, _ = quad(lambda x: (np.conj(stationary.wavefunction_at(sol, x))
-                                * PACKET.initial_wavefunction(x)).real,
+                                * initial_wavefunction(PACKET, x)).real,
                      -math.pi * PACKET.b, 0.0, epsabs=1e-13, limit=300)
         im, _ = quad(lambda x: (np.conj(stationary.wavefunction_at(sol, x))
-                                * PACKET.initial_wavefunction(x)).imag,
+                                * initial_wavefunction(PACKET, x)).imag,
                      -math.pi * PACKET.b, 0.0, epsabs=1e-13, limit=300)
         overlap_worst = max(overlap_worst, abs(famp.values[i] - (re + 1j * im)))
 

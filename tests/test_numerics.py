@@ -33,7 +33,7 @@ class TestDifferentiate:
     def test_relative_accuracy_over_range(self, f, df):
         for eps in np.linspace(0.5, 50.0, 25):
             d = richardson_derivative(f, eps)
-            assert d == pytest.approx(df(eps), rel=1e-9)
+            assert d == pytest.approx(df(eps), rel=1e-9, abs=0.0)
 
     def test_phase_derivative_matches_analytic(self):
         barrier = BarrierSpec(12.0, 1.0)
@@ -78,7 +78,7 @@ class TestRefineMax:
 class TestGrids:
     def test_panel_weights_integrate_polynomial_exactly(self):
         nodes, weights = gauss_legendre_panels(-1.0, 3.0, 7, order=6)
-        assert np.sum(weights) == pytest.approx(4.0, rel=1e-14)
+        assert np.sum(weights) == pytest.approx(4.0, rel=1e-14, abs=0.0)
         # order-6 Gauss is exact through degree 11
         value = np.sum(weights * nodes**9)
         assert value == pytest.approx((3.0**10 - 1.0) / 10.0, rel=1e-13)
@@ -87,9 +87,10 @@ class TestGrids:
 class TestUniformStep:
     @pytest.mark.parametrize("lo, hi, n", [(0.0, 480.0, 9601), (7.5, 7.7, 257)])
     def test_accepts_linspace(self, lo, hi, n):
-        # the refinement window's rounded steps differ by ~1e-12 relative
+        # a short grid away from t = 0, whose rounded steps differ by ~1e-12
+        # relative: only the sample positions are compared
         ts = np.linspace(lo, hi, n)
-        assert uniform_step(ts) == pytest.approx((hi - lo) / (n - 1), rel=1e-14)
+        assert uniform_step(ts) == pytest.approx((hi - lo) / (n - 1), rel=1e-14, abs=0.0)
 
     def test_rejects_one_moved_point(self):
         ts = np.linspace(7.5, 7.7, 257)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import doubling_scan_arrival, spatial_profile, weighted_mean_time
+from helpers import (
+    direct_arrival_root,
+    doubling_scan_arrival,
+    initial_wavefunction,
+    spatial_profile,
+    weighted_mean_time,
+)
 from tunneltimes import stationary
 from tunneltimes import wavepacket as wp
 from tunneltimes.model import BarrierSpec, PacketSpec
@@ -121,7 +127,7 @@ class TestSpectralAmplitude:
             sol = stationary.solve(BARRIER4, eps)
             overlap = quad_complex(
                 lambda x: np.conj(stationary.wavefunction_at(sol, x))
-                * PACKET.initial_wavefunction(x),
+                * initial_wavefunction(PACKET, x),
                 -math.pi * PACKET.b, 0.0)
             worst = max(worst, abs(famp.values[i] - overlap))
         assert worst < 1e-9
@@ -209,7 +215,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("ts", [np.linspace(0.0, 480.0, 9601),
                                     np.linspace(7.5, 7.7, 257)],
-                             ids=["horizon", "refinement-window"])
+                             ids=["horizon", "offset-grid"])
     def test_chirp_z_matches_direct_sum_on_opaque_grid(self, opaque_famp, ts):
         fast = synthesize_amplitude(opaque_famp, 12.0, ts)
         rng = np.random.default_rng(480)
@@ -235,7 +241,7 @@ class TestSynthesize:
     def test_initial_reconstruction_quality(self):
         # truncated expansion reproduces psi(x, 0) on the support within 5% L2
         xs = np.linspace(-2.0 * math.pi, 0.0, 401)
-        psi0 = PACKET.initial_wavefunction(xs)
+        psi0 = initial_wavefunction(PACKET, xs)
         den = np.trapezoid(np.abs(psi0) ** 2, xs)
         grid = EnergyGridSpec.for_horizon(U0, 10.0)
         for famp in (free_spectral_amplitude(PACKET, U0, grid),
@@ -427,6 +433,50 @@ class TestPredictedWindow:
         with pytest.raises(WindowError, match="cuts the pulse") as got:
             scan_arrival(PACKET, barrier, max_doublings=max_doublings)
         assert str(got.value) == str(expected.value)
+
+
+class TestNewtonPeak:
+    @pytest.mark.parametrize("l", (1.0, 3.0) + STRATUM_WIDTHS)
+    def test_arrival_is_the_direct_sum_root(self, l):
+        arr, famp = scan_arrival(PACKET, BarrierSpec(U0, l))
+        t_ref, peak_ref = direct_arrival_root(famp, l, arr.t_arr)
+        assert abs(arr.t_arr - t_ref) <= 1e-10
+        assert arr.peak_density == pytest.approx(peak_ref, rel=1e-12, abs=0.0)
+
+    def test_free_arrival_is_the_direct_sum_root(self):
+        t_in = free_arrival_time(PACKET, U0, t_max=30.0)
+        famp = free_spectral_amplitude(PACKET, U0, EnergyGridSpec.for_horizon(U0, 30.0))
+        t_ref, _ = direct_arrival_root(famp, 0.0, t_in)
+        assert abs(t_in - t_ref) <= 1e-10
+
+    @pytest.fixture(scope="class")
+    def famp4(self):
+        return spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 30.0))
+
+    def test_accepted_window_synthesizes_once(self, monkeypatch, famp4):
+        calls = dict.fromkeys(("_weighted_state", "_chirp_z_sum", "_direct_sum"), 0)
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(wp, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(wp, name, spy)
+        arrival_time_of_max(famp4, 30.0)
+        assert calls == {"_weighted_state": 1, "_chirp_z_sum": 1, "_direct_sum": 0}
+
+    def test_non_concave_start_raises(self, famp4):
+        # at l = 4 the density peaks at t = 0.413 and is convex beyond ~0.67
+        with pytest.raises(WindowError, match="not concave"):
+            wp._newton_peak(famp4, wp._weighted_state(famp4, 4.0), 0.8, 0.0, 30.0)
+
+    def test_step_out_of_the_bracket_raises(self, famp4):
+        # a bracket that excludes the root: the first step jumps to ~0.413
+        with pytest.raises(WindowError, match="leaves the bracket"):
+            wp._newton_peak(famp4, wp._weighted_state(famp4, 4.0), 0.45, 0.449, 0.451)
+
+    def test_iteration_cap_raises(self, monkeypatch, famp4):
+        monkeypatch.setattr(wp, "_NEWTON_STEPS", 1)
+        with pytest.raises(WindowError, match="did not converge"):
+            arrival_time_of_max(famp4, 30.0)
 
 
 class TestMeanCrossing:
