@@ -1,12 +1,40 @@
 """Generic numerical kernels.
 
-Parabolic sub-grid peak refinement, composite Gauss-Legendre panel grids,
-and detection of uniform sample grids.
+Elementary functions chosen for the input type, parabolic sub-grid peak
+refinement, composite Gauss-Legendre panel grids, and detection of uniform
+sample grids.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
+
+
+class Elementary(NamedTuple):
+    """The elementary functions a closed form is written against."""
+
+    sqrt: Callable
+    exp: Callable
+    expm1: Callable
+    tanh: Callable
+    cexp: Callable  # complex exponential
+
+
+# One value runs on Python floats through math and cmath, which cost a
+# fraction of numpy's per-call dispatch on a scalar; an array runs through
+# numpy.  sqrt rounds correctly in both, so only the transcendental
+# functions may differ in the last bit between the two.
+_SCALAR = Elementary(math.sqrt, math.exp, math.expm1, math.tanh, cmath.exp)
+_ARRAY = Elementary(np.sqrt, np.exp, np.expm1, np.tanh, np.exp)
+
+
+def elementary(x) -> Elementary:
+    """numpy's functions for an array x of one or more dimensions, else math's."""
+    return _ARRAY if isinstance(x, np.ndarray) and x.ndim else _SCALAR
 
 
 class EdgeMaximumError(ValueError):

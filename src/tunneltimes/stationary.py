@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BarrierSpec, Energy, require_sub_barrier
+from .numerics import elementary
 
 # Below this theta = chi l the scaled form loses digits to cancellation, and
 # amplitudes and barrier_probability switch to forms that have none.
@@ -45,33 +46,47 @@ def amplitudes(u0: float, l: float, eps):
     """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
 
     C_l = C e^{chi l} is the scaled growing-wave coefficient.  Vectorized
-    over eps (a float gives scalars); uses the overflow-safe scaled form above.
-    Below theta = chi l = THIN_THETA the terms of Im(denom) = -g (1 - q) and
-    of R = C + D - 1 cancel, so there 1 - q is taken from expm1 and
-    R = -i (1 - q) u0 / (2 k chi denom), both free of cancellation.
+    over eps; a float gives Python complex numbers, computed with math and
+    cmath (see numerics.elementary).  Uses the overflow-safe scaled form
+    above.  Below theta = chi l = THIN_THETA the terms of
+    Im(denom) = -g (1 - q) and of R = C + D - 1 cancel, so there denom and R
+    take the forms of _thin_barrier, which are free of cancellation.
     """
     require_sub_barrier(u0, eps)
-    k = np.sqrt(eps)
-    chi = np.sqrt(u0 - eps)
+    fn = elementary(eps)
+    k = fn.sqrt(eps)
+    chi = fn.sqrt(u0 - eps)
     theta = chi * l
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    q = np.exp(-2.0 * theta)
-    decay = np.exp(-theta)
+    q = fn.exp(-2.0 * theta)
+    decay = fn.exp(-theta)
     ik_chi = 1j * k / chi
     denom = (1.0 - 1j * g) + q * (1.0 + 1j * g)
     thin = theta < THIN_THETA
-    # a float eps gives numpy scalars, which the index () selects whole
-    at, any_thin = (thin, thin.any()) if thin.ndim else ((), bool(thin))
-    if any_thin:
-        one_minus_q = -np.expm1(-2.0 * theta[at])
-        denom = _replace(denom, at, (1.0 + q[at]) - 1j * g[at] * one_minus_q)
-    T = 2.0 * np.exp(-1j * k * l) * decay / denom
+    thin_R = None
+    if isinstance(thin, np.ndarray):    # an array: the entries below, by mask
+        if thin.any():
+            denom[thin], thin_R = _thin_barrier(
+                u0, k[thin], chi[thin], g[thin], q[thin], -fn.expm1(-2.0 * theta[thin]))
+    elif thin:                          # a float: the thin forms whole
+        denom, thin_R = _thin_barrier(u0, k, chi, g, q, -fn.expm1(-2.0 * theta))
+    T = 2.0 * fn.cexp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
     D = (1.0 - ik_chi) / denom
     R = decay * C_l + D - 1.0
-    if any_thin:
-        R = _replace(R, at, -1j * one_minus_q * u0 / (2.0 * k[at] * chi[at] * denom[at]))
+    if thin_R is not None:
+        R = _replace(R, thin, thin_R)
     return T, R, C_l, D
+
+
+def _thin_barrier(u0, k, chi, g, q, one_minus_q):
+    """(denom, R) below THIN_THETA, with one_minus_q = -expm1(-2 theta).
+
+    denom = (1 + q) - i g (1 - q) and R = -i (1 - q) u0 / (2 k chi denom):
+    no term of either cancels as theta -> 0.
+    """
+    denom = (1.0 + q) - 1j * g * one_minus_q
+    return denom, -1j * one_minus_q * u0 / (2.0 * k * chi * denom)
 
 
 def _replace(values, at, fixed):

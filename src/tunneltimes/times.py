@@ -24,6 +24,7 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, require_sub_barrier
+from .numerics import elementary
 
 
 class CrossCheckError(RuntimeError):
@@ -50,14 +51,25 @@ class TimesReport:
 
 
 def _tanh_minus_theta(theta):
-    """tanh(theta) - theta without cancellation for small theta."""
+    """tanh(theta) - theta without cancellation for small theta.
+
+    Below |theta| = 0.05 its Taylor series, above it the direct difference;
+    a float evaluates only the one it needs, an array both.
+    """
+    if isinstance(theta, np.ndarray):
+        return np.where(np.abs(theta) < 0.05, _tanh_minus_theta_series(theta),
+                        np.tanh(theta) - theta)
+    if abs(theta) < 0.05:
+        return _tanh_minus_theta_series(theta)
+    return math.tanh(theta) - theta
+
+
+def _tanh_minus_theta_series(theta):
+    """Taylor series of tanh(theta) - theta through theta^13."""
     t3 = theta**3
     t2 = theta**2
-    series = t3 * (-1.0 / 3.0 + t2 * (2.0 / 15.0 + t2 * (-17.0 / 315.0 + t2 * (
+    return t3 * (-1.0 / 3.0 + t2 * (2.0 / 15.0 + t2 * (-17.0 / 315.0 + t2 * (
         62.0 / 2835.0 + t2 * (-1382.0 / 155925.0 + t2 * (21844.0 / 6081075.0))))))
-    direct = np.tanh(theta) - theta
-    out = np.where(np.abs(theta) < 0.05, series, direct)
-    return out if out.ndim else float(out)
 
 
 def phase_shift_derivative(barrier: BarrierSpec, eps):
@@ -70,14 +82,16 @@ def phase_shift_derivative(barrier: BarrierSpec, eps):
 
     a grouping in which the three numerator terms are individually O(chi^3),
     so nothing is lost to cancellation as eps -> u0.  Then
-    d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2).
+    d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2).  Vectorized over eps;
+    a float is computed with math (see numerics.elementary).
     """
     u0, l = barrier.u0, barrier.l
     require_sub_barrier(u0, eps)
-    k = np.sqrt(eps)
-    chi = np.sqrt(u0 - eps)
+    fn = elementary(eps)
+    k = fn.sqrt(eps)
+    chi = fn.sqrt(u0 - eps)
     theta = chi * l
-    tanh = np.tanh(theta)
+    tanh = fn.tanh(theta)
     G = (k * k - chi * chi) / (2.0 * k * chi) * tanh
     num = (
         u0 * u0 * _tanh_minus_theta(theta)
@@ -85,8 +99,7 @@ def phase_shift_derivative(barrier: BarrierSpec, eps):
         + k * k * (k * k - chi * chi) * theta * tanh * tanh
     )
     dG = num / (4.0 * k**3 * chi**3)
-    out = -l / (2.0 * k) + dG / (1.0 + G * G)
-    return out if out.ndim else float(out)
+    return -l / (2.0 * k) + dG / (1.0 + G * G)
 
 
 def free_group_time(eps: float, l: float) -> float:

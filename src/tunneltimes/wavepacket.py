@@ -53,11 +53,14 @@ class WindowError(RuntimeError):
 
     end_limit is the end density the window had to fall below when its
     maximum was interior but the pulse was cut, and None otherwise.
+    extendable is False when no longer window can help.
     """
 
-    def __init__(self, message: str, end_limit: float | None = None):
+    def __init__(self, message: str, end_limit: float | None = None,
+                 extendable: bool = True):
         super().__init__(message)
         self.end_limit = end_limit
+        self.extendable = extendable
 
 
 class TailMassError(RuntimeError):
@@ -336,7 +339,9 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
     kernel[:n_times] = chirp[:n_times]
     kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
     kernel = np.fft.fft(kernel)
-    panels = (amp * np.exp(-1j * famp.grid * times[0])).reshape(n_panels, order)
+    if times[0] != 0.0:
+        amp = amp * np.exp(-1j * famp.grid * times[0])
+    panels = amp.reshape(n_panels, order)
     pre = np.conj(chirp[:n_panels])
     elapsed = times - times[0]
     out = np.zeros(n_times, dtype=complex)
@@ -456,12 +461,13 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     d = np.abs(_chirp_z_sum(famp, amp, ts, t_max / (n - 1))) ** 2
     i = int(np.argmax(d))
     peak = d[i]
-    if i == 0 or i == n - 1:
-        raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})")
     # Only the far edge is extendable: the evolution always starts at t = 0,
     # where the truncated decomposition leaves a nonzero residual density at
     # the observation point.  The pulse must have decayed before the window
     # closes.
+    if i == 0 or i == n - 1:
+        raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})",
+                          extendable=i > 0)
     if d[-1] > edge_fraction * peak:
         raise WindowError(
             f"window [0, {t_max:g}] cuts the pulse: end density {d[-1]:.3e} "
@@ -521,9 +527,10 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     (see endpoint_amplitude) predicts the shortest window H_min whose end
     density passes, and the scan jumps to the first doubling that reaches
     (1 - WINDOW_MARGIN) H_min; every window it skips would have failed.
-    From there, or when the first maximum sits on a window edge, it doubles
-    t_max.  Returns (ArrivalTime, SpectralAmplitude).  Raises WindowError if
-    the largest window still fails.
+    From there, or when the first maximum sits on the far edge of its
+    window, it doubles t_max.  Returns (ArrivalTime, SpectralAmplitude).
+    Raises WindowError if the largest window still fails, and from the
+    window at hand if its maximum sits at t = 0, which no window moves.
     """
     attempt, last_error = 0, None
     while attempt <= max_doublings:
@@ -533,6 +540,8 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
         try:
             return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
         except WindowError as exc:
+            if not exc.extendable:
+                raise
             # keep the message only: the traceback would hold this window's
             # grid alive while the next, larger one is built
             last_error, end_limit = str(exc), exc.end_limit

@@ -27,6 +27,26 @@ def find_plateau(values, rel_tol=0.05, min_len=3):
     return best
 
 
+def sub_barrier_domain(n, seed=0):
+    """(u0, l, eps) over the sub-barrier domain, for float against array checks.
+
+    u0 is log-uniform on [0.1, 100]; eps/u0 is uniform on [1e-6, 0.999] for
+    half the points and 1 - 10^(-3 ... -12) for the rest; theta = chi l is
+    log-uniform on [1e-10, 50].  Points 1e-9 either side of THIN_THETA and
+    of the 0.05 switch of the tanh(theta) - theta series are appended.
+    """
+    rng = np.random.default_rng(seed)
+    u0 = 10.0 ** rng.uniform(-1.0, 2.0, n)
+    frac = np.concatenate([rng.uniform(1e-6, 0.999, n // 2),
+                           1.0 - 10.0 ** rng.uniform(-12.0, -3.0, n - n // 2)])
+    theta = 10.0 ** rng.uniform(-10.0, math.log10(50.0), n)
+    points = [(float(a), float(f), float(t)) for a, f, t in zip(u0, frac, theta)]
+    points += [(12.0, f, switch * (1.0 + side))
+               for switch in (stationary.THIN_THETA, 0.05)
+               for side in (-1e-9, 1e-9) for f in (0.5, 1.0 - 1e-12)]
+    return [(a, t / math.sqrt(a - a * f), a * f) for a, f, t in points]
+
+
 def packet_support(packet):
     """The interval (-pi b, 0) on which the initial packet is nonzero."""
     return (-math.pi * packet.b, 0.0)

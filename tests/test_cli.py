@@ -137,6 +137,13 @@ class TestPacket:
                          "--t-max", "60", "--out", str(tmp_path / "pkt")])
         assert code == 2
 
+    def test_maximum_at_the_start_exits_two(self, tmp_path, capsys):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.58",
+                         "--l-min", "5.5", "--l-max", "5.5", "--steps", "1",
+                         "--out", str(tmp_path / "pkt")])
+        assert code == 2
+        assert "(t = 0)" in capsys.readouterr().err
+
     def test_above_barrier_momentum_rejected(self, tmp_path):
         code = cli.main(["packet", "--u0", "10", "--p", "3.6",
                          "--l-min", "1", "--l-max", "2", "--steps", "2",

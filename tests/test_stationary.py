@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import transfer_matrix_solution
+from helpers import sub_barrier_domain, transfer_matrix_solution
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec, Energy
 from tunneltimes.stationary import (
@@ -85,6 +85,26 @@ class TestSolve:
         assert abs(T) == 0.0  # underflows cleanly
         assert abs(abs(R) - 1.0) < 1e-12
         assert np.isfinite([T, R, C, D]).all()
+
+
+class TestFloatPath:
+    """A float energy runs on Python scalars, an array on numpy."""
+
+    def test_float_matches_one_element_array(self):
+        # math and numpy may round exp, expm1 and e^{-ikl} differently in
+        # the last bit; nothing in the scaled or the thin form amplifies it
+        for u0, l, eps in sub_barrier_domain(3000):
+            scalar = amplitudes(u0, l, eps)
+            array = amplitudes(u0, l, np.array([eps]))
+            for name, s, a in zip("T R C_l D".split(), scalar, array):
+                assert abs(s - a[0]) <= 2e-15 * abs(a[0]), (name, u0, l, eps)
+
+    @pytest.mark.parametrize("eps", [EPS, np.float64(EPS), 0.01, U0 * (1.0 - 1e-12)],
+                             ids=["float", "float64", "low", "top"])
+    @pytest.mark.parametrize("l", [1e-6, 1.0, 40.0])
+    def test_float_gives_python_complex(self, eps, l):
+        for value in amplitudes(U0, l, eps):
+            assert type(value) is complex
 
 
 class TestMatching:

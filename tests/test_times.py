@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import finite_difference_group_delay
+from helpers import finite_difference_group_delay, sub_barrier_domain
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
@@ -307,6 +307,18 @@ class TestOneStatePerRow:
         # vectorised tanh and sqrt may round the last bit differently
         expected = [phase_shift_derivative(barrier, float(e)) for e in eps.ravel()]
         np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=0.0)
+
+    def test_float_matches_one_element_array(self):
+        # just above the 0.05 switch the direct tanh(theta) - theta cancels
+        # to theta^3/3, so one ulp of tanh there is ~3/theta^2 ulp of the
+        # difference: ~1e-13 of the scale of d(alpha)/d(eps)
+        for u0, l, eps in sub_barrier_domain(3000):
+            barrier = BarrierSpec(u0, l)
+            array = phase_shift_derivative(barrier, np.array([eps]))[0]
+            tau_0 = free_group_time(eps, l)
+            scale = max(abs(tau_0 + array), tau_0)
+            assert abs(phase_shift_derivative(barrier, eps) - array) <= 2e-13 * scale, (
+                u0, l, eps)
 
 
 class TestDelayCrossing:

@@ -416,6 +416,22 @@ class TestPredictedWindow:
         monkeypatch.undo()
         assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier, t_max=0.1))
 
+    def test_maximum_at_the_start_raises_at_once(self, monkeypatch):
+        # at p = 3.58, l = 5.5 the coarse maximum is the density the
+        # truncated decomposition leaves at t = 0, which no longer window
+        # moves: every window up to 480 failed the same way
+        grids = []
+        original = wp.spectral_amplitude
+
+        def spy(packet, barrier, grid):
+            grids.append(grid)
+            return original(packet, barrier, grid)
+
+        monkeypatch.setattr(wp, "spectral_amplitude", spy)
+        with pytest.raises(WindowError, match=r"\(t = 0\)$"):
+            scan_arrival(PacketSpec(p=3.58, b=2.0), BarrierSpec(U0, 5.5))
+        assert grids == [EnergyGridSpec.for_horizon(U0, 30.0)]
+
     def test_failed_prediction_keeps_doubling(self, monkeypatch):
         # just above a threshold H_min undershoots the window that passes
         barrier = BarrierSpec(U0, 9.151 + 0.002)
