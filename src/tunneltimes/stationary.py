@@ -98,8 +98,12 @@ def _replace(values, at, fixed):
 
 
 def normalization(eps):
-    """Energy-delta normalization constant N = (4 pi sqrt(eps))^(-1/2)."""
-    return 1.0 / np.sqrt(4.0 * np.pi * np.sqrt(eps))
+    """Energy-delta normalization constant N = (4 pi sqrt(eps))^(-1/2).
+
+    Vectorized over eps; a float gives a Python float, computed with math.
+    """
+    fn = elementary(eps)
+    return 1.0 / fn.sqrt(4.0 * math.pi * fn.sqrt(eps))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def solve(barrier: BarrierSpec, energy: Energy | float) -> ScatteringSolution:
         T=complex(T),
         C_l=complex(C_l),
         D=complex(D),
-        N=float(normalization(energy.eps)),
+        N=normalization(energy.eps),
     )
 
 

@@ -10,9 +10,10 @@ coefficient at energy eps is
 
 with I available in closed form.  Synthesis evaluates
 psi(x, t) = int_0^{u0} f(eps) psi_eps(x) e^{-i eps t} d(eps) on a composite
-Gauss-Legendre energy grid whose panels resolve the fastest oscillation
-e^{-i eps t} requested, so a weighted sum reproduces the integral at any
-(x, t) pair.
+Gauss-Legendre energy grid whose panels span at most half a period of the
+fastest oscillation e^{-i eps t} requested, pi / t_max, where the 8-point
+rule still integrates it to ~1e-15, so a weighted sum reproduces the
+integral at any (x, t) pair.
 
 The nodes of that grid are eps_pj = e_j + p W: panel p of width W and
 Gauss-Legendre offset e_j.  On a uniform time grid t_m = t_0 + m dt the sum
@@ -124,9 +125,19 @@ class EnergyGridSpec:
 
     @classmethod
     def for_horizon(cls, eps_max: float, t_max: float, order: int = 8) -> "EnergyGridSpec":
-        """Panels no wider than a quarter oscillation period of e^{-i eps t_max}."""
-        width = math.pi / (2.0 * max(abs(t_max), 1.0))
-        return cls(n_panels=max(64, math.ceil(eps_max / width)), order=order)
+        """Panels no wider than half an oscillation period of e^{-i eps t_max}.
+
+        That is the width _check_resolution accepts at t_max (or at 1, for
+        shorter horizons), and at it the 8-point rule integrates e^{-i eps t}
+        to ~1e-15.  The panel count is raised until eps_max / n_panels meets
+        that check in floating point: the rounded ceiling alone can leave the
+        width one ulp above pi / t_max.
+        """
+        width = math.pi / max(abs(t_max), 1.0)
+        n_panels = max(64, math.ceil(eps_max / width))
+        while eps_max / n_panels > width:
+            n_panels += 1
+        return cls(n_panels=n_panels, order=order)
 
 
 @dataclass(frozen=True)
@@ -504,8 +515,14 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
 
 def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
                       coarse_dt: float = 0.05) -> float:
-    """Arrival of the free packet maximum at x = 0 (the t_in reference)."""
-    grid = EnergyGridSpec.for_horizon(eps_max, t_max)
+    """Arrival of the free packet maximum at x = 0 (the t_in reference).
+
+    The free grid keeps quarter-period panels at t_max: its integrand
+    N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only like the square
+    root of the panel width, and half-period panels would move it by ~6e-6.
+    """
+    # for_horizon floors the horizon at 1, so the floor is doubled as well
+    grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
     famp = free_spectral_amplitude(packet, eps_max, grid)
     t_star, _ = _locate_peak(famp, 0.0, t_max, coarse_dt, edge_fraction=0.01)
     return t_star

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from tunneltimes import stationary
+from tunneltimes import stationary, times
 from tunneltimes import wavepacket as wp
 
 
@@ -32,8 +32,9 @@ def sub_barrier_domain(n, seed=0):
 
     u0 is log-uniform on [0.1, 100]; eps/u0 is uniform on [1e-6, 0.999] for
     half the points and 1 - 10^(-3 ... -12) for the rest; theta = chi l is
-    log-uniform on [1e-10, 50].  Points 1e-9 either side of THIN_THETA and
-    of the 0.05 switch of the tanh(theta) - theta series are appended.
+    log-uniform on [1e-10, 50].  Points 1e-9 either side of THIN_THETA, of
+    times.TANH_SERIES_THETA (the switch of the tanh(theta) - theta series)
+    and of 0.05, where that switch sat before, are appended.
     """
     rng = np.random.default_rng(seed)
     u0 = 10.0 ** rng.uniform(-1.0, 2.0, n)
@@ -42,7 +43,7 @@ def sub_barrier_domain(n, seed=0):
     theta = 10.0 ** rng.uniform(-10.0, math.log10(50.0), n)
     points = [(float(a), float(f), float(t)) for a, f, t in zip(u0, frac, theta)]
     points += [(12.0, f, switch * (1.0 + side))
-               for switch in (stationary.THIN_THETA, 0.05)
+               for switch in (stationary.THIN_THETA, times.TANH_SERIES_THETA, 0.05)
                for side in (-1e-9, 1e-9) for f in (0.5, 1.0 - 1e-12)]
     return [(a, t / math.sqrt(a - a * f), a * f) for a, f, t in points]
 

@@ -106,6 +106,15 @@ class TestFloatPath:
         for value in amplitudes(U0, l, eps):
             assert type(value) is complex
 
+    def test_normalization_float_matches_array(self):
+        # sqrt rounds correctly in math and numpy alike, so bit for bit
+        eps = 10.0 ** np.linspace(-12.0, 3.0, 301)
+        array = stationary.normalization(eps)
+        for e, a in zip(eps, array):
+            for scalar in (stationary.normalization(float(e)),
+                           stationary.normalization(np.float64(e))):
+                assert type(scalar) is float and scalar == a, e
+
 
 class TestMatching:
     @pytest.mark.parametrize("l", [0.1, 1.0, 10.0])

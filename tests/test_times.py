@@ -93,15 +93,15 @@ class TestGroupDelay:
 
     @pytest.mark.parametrize("theta,expected", [
         (0.01, -3.3332000053966067e-7),    # series branch
-        (0.049, -3.917870653373709e-5),    # series branch, near switchover
-        (0.051, -4.4171045013894131e-5),   # direct branch, near switchover
-        (0.2, -0.0026246797750959993),     # direct branch
+        (0.049, -3.917870653373709e-5),    # series branch
+        (0.051, -4.4171045013894131e-5),   # series branch
+        (0.2, -0.0026246797750959993),     # direct branch, at the switch
     ])
     def test_tanh_series_branch_accuracy(self, theta, expected):
         # frozen 40-digit values; both branches of the stabilized helper must
-        # agree with them across the chi*l = 0.05 switchover.  The direct
-        # branch loses ~eps theta / |tanh theta - theta| to cancellation
-        # (9e-14 at 0.051); the series must be good to the last digits.
+        # agree with them.  The direct branch loses ~eps theta /
+        # |tanh theta - theta| to cancellation (~75 ulp at the switch,
+        # TANH_SERIES_THETA = 0.2); the series must be good to the last digits.
         rel = 1e-15 if theta < 0.05 else 1e-12
         assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=rel, abs=0.0)
 
@@ -113,6 +113,17 @@ class TestGroupDelay:
         with mp.workdps(40):
             expected = float(mp.tanh(theta) - theta)
         assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.054, 0.1, 0.15, 0.2 * (1.0 - 1e-9)])
+    def test_tanh_series_to_the_switch(self, theta):
+        # nine terms through theta^19 leave 7.7e-17 of the sum at the switch
+        assert theta < times.TANH_SERIES_THETA
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expected = float(mp.tanh(theta) - theta)
+        for value in (times._tanh_minus_theta(theta),
+                      times._tanh_minus_theta(np.array([theta]))[0]):
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestFreeTimes:
@@ -309,9 +320,9 @@ class TestOneStatePerRow:
         np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=0.0)
 
     def test_float_matches_one_element_array(self):
-        # just above the 0.05 switch the direct tanh(theta) - theta cancels
-        # to theta^3/3, so one ulp of tanh there is ~3/theta^2 ulp of the
-        # difference: ~1e-13 of the scale of d(alpha)/d(eps)
+        # just above TANH_SERIES_THETA the direct tanh(theta) - theta cancels
+        # to theta^3/3, so one ulp of tanh there is ~3/theta^2 = 75 ulp of
+        # the difference: ~1e-14 of the scale of d(alpha)/d(eps)
         for u0, l, eps in sub_barrier_domain(3000):
             barrier = BarrierSpec(u0, l)
             array = phase_shift_derivative(barrier, np.array([eps]))[0]
@@ -438,3 +449,24 @@ class TestHighPrecision:
     def test_domain(self, u0, frac, log_theta):
         eps = u0 * frac
         assert_matches_reference(u0, 10.0**log_theta / math.sqrt(u0 - eps), eps)
+
+    @pytest.mark.parametrize("u0,frac,theta", [
+        (0.198, 1.0 - 1e-12, 0.054),  # worst point of the former 0.05 switch
+        *[(u0, frac, times.TANH_SERIES_THETA * (1.0 + side))
+          for u0 in (0.198, 12.0, 90.0) for frac in (0.5, 1.0 - 1e-6, 1.0 - 1e-12)
+          for side in (-1e-9, 1e-9)],
+    ])
+    def test_either_side_of_the_tanh_series_switch(self, u0, frac, theta):
+        # float, one-element array and 60-digit tau_g agree to 2e-14 of
+        # max(|tau_g|, tau_0)
+        eps = u0 * frac
+        l = theta / math.sqrt(u0 - eps)
+        barrier = BarrierSpec(u0, l)
+        tau_0 = free_group_time(eps, l)
+        tau_g = high_precision_reference(u0, l, eps)[3]
+        scale = max(abs(tau_g), tau_0)
+        scalar = phase_shift_derivative(barrier, eps)
+        array = phase_shift_derivative(barrier, np.array([eps]))[0]
+        assert abs(scalar - array) <= 2e-14 * scale
+        for dalpha in (scalar, array):
+            assert abs(tau_0 + dalpha - tau_g) <= 2e-14 * scale

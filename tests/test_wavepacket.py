@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
@@ -114,6 +116,38 @@ class TestEnvelopeBranches:
     def test_scalar_in_scalar_out(self):
         assert isinstance(envelope_transform(0.3, 2.0), complex)
         assert envelope_transform(np.array([0.3]), 2.0).shape == (1,)
+
+
+class TestEnergyGrid:
+    """for_horizon builds the widest panels _check_resolution accepts."""
+
+    def test_half_period_at_the_horizon(self):
+        grid = EnergyGridSpec.for_horizon(U0, 480.0)
+        assert grid.n_panels == math.ceil(U0 * 480.0 / math.pi) == 4798
+        assert EnergyGridSpec.for_horizon(U0, 0.5) == EnergyGridSpec(64)
+
+    def test_rounded_ceiling_gets_one_more_panel(self):
+        # ceil(u0 t / pi) = 6195 panels leave u0 / 6195 one ulp above pi / t
+        u0, t = 20.273090092696634, 960.0
+        assert u0 / math.ceil(u0 / (math.pi / t)) > math.pi / t
+        famp = free_spectral_amplitude(PACKET, u0, EnergyGridSpec.for_horizon(u0, t))
+        assert famp.layout.n_panels == 6196
+        assert famp.max_panel_width <= math.pi / t
+        wp._check_resolution(famp, [t])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(u0=st.floats(0.1, 100.0), periods=st.integers(65, 40000),
+           ulps=st.integers(-4, 4))
+    @example(u0=20.273090092696634, periods=6195, ulps=0)  # t = 960
+    def test_panels_meet_the_resolution_check(self, u0, periods, ulps):
+        # horizons within a few ulp of u0 t / pi = periods, where the
+        # rounded ceiling can fall one short
+        t = math.pi * periods / u0
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        n_panels = EnergyGridSpec.for_horizon(u0, t).n_panels
+        assert u0 / n_panels <= math.pi / t
+        assert n_panels <= math.ceil(u0 * t / math.pi) + 1
 
 
 class TestSpectralAmplitude:
@@ -403,7 +437,7 @@ class TestPredictedWindow:
         tried = windows_tried(monkeypatch)
         _, famp = scan_arrival(PACKET, BarrierSpec(U0, l))
         assert len(tried) == 2 and tried[0] == 30.0
-        assert famp.max_panel_width <= math.pi / (2.0 * tried[-1])
+        assert famp.max_panel_width <= math.pi / tried[-1]
 
     def test_edge_maximum_doubles(self, monkeypatch):
         # the density still rises at t = 0.1, 0.2 and 0.4, so the first window
@@ -451,6 +485,34 @@ class TestPredictedWindow:
         assert str(got.value) == str(expected.value)
 
 
+class TestGridConvergence:
+    """The accepted half-period grid against the same window on 4x the panels."""
+
+    @staticmethod
+    def on_both_grids(monkeypatch, packet, l):
+        tried = windows_tried(monkeypatch)
+        barrier = BarrierSpec(U0, l)
+        arr, famp = scan_arrival(packet, barrier)
+        monkeypatch.undo()
+        fine = spectral_amplitude(packet, barrier,
+                                  EnergyGridSpec(4 * famp.layout.n_panels))
+        return arr, arrival_time_of_max(fine, tried[-1])
+
+    @pytest.mark.parametrize("l", STRATUM_WIDTHS)
+    def test_opaque_widths(self, monkeypatch, l):
+        arr, fine = self.on_both_grids(monkeypatch, PACKET, l)
+        assert abs(arr.t_arr - fine.t_arr) <= 1e-10
+        assert arr.peak_density == pytest.approx(fine.peak_density, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p,b", [(3.6, 2.0), (2.0, 5.0), (5.0, 1.0)])
+    @pytest.mark.parametrize("l", [0.3, 1.0])
+    def test_thin_widths(self, monkeypatch, p, b, l):
+        # the eps -> 0 end of the energy integral converges only like W^{3/2}
+        # here; 1e-6 is the arrival tolerance of the benchmark's oracle
+        arr, fine = self.on_both_grids(monkeypatch, PacketSpec(p=p, b=b), l)
+        assert abs(arr.t_arr - fine.t_arr) <= 1e-6
+
+
 class TestNewtonPeak:
     @pytest.mark.parametrize("l", (1.0, 3.0) + STRATUM_WIDTHS)
     def test_arrival_is_the_direct_sum_root(self, l):
@@ -460,8 +522,10 @@ class TestNewtonPeak:
         assert arr.peak_density == pytest.approx(peak_ref, rel=1e-12, abs=0.0)
 
     def test_free_arrival_is_the_direct_sum_root(self):
+        # the free grid keeps quarter-period panels at t_max = 30, which is
+        # the half-period grid of the horizon 60
         t_in = free_arrival_time(PACKET, U0, t_max=30.0)
-        famp = free_spectral_amplitude(PACKET, U0, EnergyGridSpec.for_horizon(U0, 30.0))
+        famp = free_spectral_amplitude(PACKET, U0, EnergyGridSpec.for_horizon(U0, 60.0))
         t_ref, _ = direct_arrival_root(famp, 0.0, t_in)
         assert abs(t_in - t_ref) <= 1e-10
 
