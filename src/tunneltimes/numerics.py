@@ -8,6 +8,7 @@ sample grids.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -73,6 +74,18 @@ def refine_max(nodes, values):
     return float(x_star), float(la * v0 + lb * v1 + lc * v2)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 8):
     """Composite Gauss-Legendre nodes and weights on [a, b].
 
@@ -83,7 +96,7 @@ def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 8):
         raise ValueError("need a < b")
     if n_panels < 1 or order < 2:
         raise ValueError("need n_panels >= 1 and order >= 2")
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _legendre_rule(order)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

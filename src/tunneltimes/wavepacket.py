@@ -27,7 +27,11 @@ direct sum of exponentials, built in blocks so that no (n_t, n_eps) matrix
 is ever formed; it is the definition the fast path is tested against.  At
 a single time the same factorisation gives psi and its first two time
 derivatives from P + order exponentials; the arrival maximum is refined on
-those.
+those.  The maximum is searched in windows [0, t_max 2^a] that double
+until one contains the whole pulse.  At the barrier exit the cut energy
+integral leaves the endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly decaying
+artifact of the truncation, which the end-of-window test removes before it
+compares the density left at the end with the maximum.
 
 A "free" variant (T = 1, R = 0 basis) provides the no-barrier reference used
 for the arrival of the packet maximum at the barrier entrance.
@@ -35,7 +39,9 @@ for the arrival of the packet maximum at the barrier entrance.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +58,11 @@ class SynthesisResolutionError(RuntimeError):
 class WindowError(RuntimeError):
     """The time window does not safely contain the density maximum.
 
-    end_limit is the end density the window had to fall below when its
-    maximum was interior but the pulse was cut, and None otherwise.
     extendable is False when no longer window can help.
     """
 
-    def __init__(self, message: str, end_limit: float | None = None,
-                 extendable: bool = True):
+    def __init__(self, message: str, extendable: bool = True):
         super().__init__(message)
-        self.end_limit = end_limit
         self.extendable = extendable
 
 
@@ -68,20 +70,32 @@ class TailMassError(RuntimeError):
     """The density tail beyond the window is too heavy for a trusted mean."""
 
 
+# Taylor coefficients of (1 - exp(-i theta)) / theta, highest power first.
+_ONE_MINUS_EXP_SERIES = (-1j / 5040.0, 1.0 / 720.0, 1j / 120.0, -1.0 / 24.0,
+                         -1j / 6.0, 0.5, 1j)
+
+
+def _one_minus_exp_series(theta):
+    series = 0j
+    for c in _ONE_MINUS_EXP_SERIES:
+        series = series * theta + c
+    return series
+
+
 def _one_minus_exp_over(theta):
     """(1 - exp(-i theta)) / theta, stable for small theta (entire function).
 
     The Taylor series is evaluated only where |theta| < 0.05 and the direct
-    form only elsewhere.
+    form only elsewhere.  An array runs through numpy, one value through
+    cmath.
     """
-    theta = np.asarray(theta, dtype=float)
+    if not isinstance(theta, np.ndarray):
+        if abs(theta) < 0.05:
+            return _one_minus_exp_series(theta)
+        return (1.0 - cmath.exp(-1j * theta)) / theta
     out = np.empty(theta.shape, dtype=complex)
     small = np.abs(theta) < 0.05
-    ts = theta[small]
-    series = np.zeros(ts.shape, dtype=complex)
-    for c in (-1j / 5040.0, 1.0 / 720.0, 1j / 120.0, -1.0 / 24.0, -1j / 6.0, 0.5, 1j):
-        series = series * ts + c
-    out[small] = series
+    out[small] = _one_minus_exp_series(theta[small])
     td = theta[~small]
     out[~small] = (1.0 - np.exp(-1j * td)) / td
     return out
@@ -94,17 +108,27 @@ def envelope_transform(q, b: float):
     h(theta) = (1 - e^{-i theta})/theta, has removable singularities at
     q = +-c where the numerator is rewritten around the nearby zero; the
     q = 0 point is already regular in this form (I(0) = pi b, I(+-c) = -pi b/2).
-    Each entry is evaluated in its one branch only.
+    Each entry is evaluated in its one branch only.  A real number runs in
+    Python scalars and returns a complex, without numpy's per-call cost on
+    0-d arrays; anything else runs through numpy.
     """
-    q = np.asarray(q, dtype=float)
     c = 2.0 / b
     pb = math.pi * b
+    scale = 1j * pb * c * c
+    if isinstance(q, numbers.Real):
+        q = float(q)
+        dm, dp = q - c, q + c
+        if abs(dm) * pb < 0.05:
+            return scale * _one_minus_exp_over(dm * pb) / (q * dp)
+        if abs(dp) * pb < 0.05:
+            return scale * _one_minus_exp_over(dp * pb) / (q * dm)
+        return scale * _one_minus_exp_over(q * pb) / (dm * dp)
+    q = np.asarray(q, dtype=float)
     dm = q - c
     dp = q + c
     near_p = np.abs(dm) * pb < 0.05
     near_m = np.abs(dp) * pb < 0.05
     generic = ~(near_p | near_m)
-    scale = 1j * pb * c * c
     out = np.empty(q.shape, dtype=complex)
     out[generic] = scale * _one_minus_exp_over(q[generic] * pb) / (dm[generic] * dp[generic])
     out[near_p] = scale * _one_minus_exp_over(dm[near_p] * pb) / (q[near_p] * dp[near_p])
@@ -463,13 +487,52 @@ def _newton_peak(famp: SpectralAmplitude, amp: np.ndarray, t: float,
         f"steps (last step {step:.3e})")
 
 
+def _check_window(t_max: float, coarse_dt: float, max_doublings: int = 0) -> None:
+    """ValueError unless t_max and coarse_dt are finite and positive and
+    max_doublings is a nonnegative integer."""
+    for name, value in (("t_max", t_max), ("coarse_dt", coarse_dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (isinstance(max_doublings, numbers.Integral) and max_doublings >= 0):
+        raise ValueError(
+            f"max_doublings must be a nonnegative integer, got {max_doublings!r}")
+
+
 def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
-                 coarse_dt: float, edge_fraction: float):
+                 coarse_dt: float, edge_fraction: float,
+                 endpoint: complex | None = None):
+    """(t, D) of the maximum of D = |psi(x, t)|^2 on [0, t_max], or WindowError.
+
+    D is sampled every ~coarse_dt by one chirp z-synthesis.  The maximum must
+    be interior, and the window must not cut the pulse: the density left at
+    T = t_max must stay below edge_fraction of the maximum.
+
+    Without endpoint that is the raw end density D(T).  With endpoint =
+    h(u0) (see endpoint_amplitude, for the barrier basis at x = l) the known
+    endpoint term of the cut energy integral is removed first.  Integrating
+    int_0^{u0} h(eps) e^{-i eps t} d(eps) by parts gives
+
+        psi(l, t) = (i/t) h(u0) e^{-i u0 t} + O(t^{-2})
+
+    once the pulse has passed (A. Erdelyi, Asymptotic Expansions, 1956,
+    ch. 2).  That term is a truncation artifact, not the pulse: D(T) only
+    falls like |h(u0)|^2 / T^2, 3-4x per doubling of T, while the remainder
+    |psi(T) - (i/T) h(u0) e^{-i u0 T}|^2 falls ~16x.  The window then passes
+    when the smaller of D(T) and that remainder is below edge_fraction of
+    the maximum, and when |h(u0)|^2 / T^2 is below the maximum, so that the
+    endpoint term cannot raise a later maximum above the one found.  D(T)
+    stays in the test because in short windows the O(t^{-2}) remainder is
+    not yet small against the endpoint term, and removing the term can
+    raise the end density (from 0.95 % to 1.1 % of the maximum at p = 2,
+    b = 5, l = 8.5, T = 30); a window whose raw end density passes is never
+    rejected for it.
+    """
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
     _check_resolution(famp, ts)
     amp = _weighted_state(famp, x)
-    d = np.abs(_chirp_z_sum(famp, amp, ts, t_max / (n - 1))) ** 2
+    psi = _chirp_z_sum(famp, amp, ts, t_max / (n - 1))
+    d = np.abs(psi) ** 2
     i = int(np.argmax(d))
     peak = d[i]
     # Only the far edge is extendable: the evolution always starts at t = 0,
@@ -479,12 +542,23 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     if i == 0 or i == n - 1:
         raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})",
                           extendable=i > 0)
-    if d[-1] > edge_fraction * peak:
+    end, which = d[-1], "end density"
+    if endpoint is not None:
+        term = 1j / t_max * endpoint * cmath.exp(-1j * famp.eps_max * t_max)
+        remainder = abs(psi[-1] - term) ** 2
+        if remainder < end:
+            end, which = remainder, "end density less the endpoint term"
+    if end > edge_fraction * peak:
         raise WindowError(
-            f"window [0, {t_max:g}] cuts the pulse: end density {d[-1]:.3e} "
-            f"is above {edge_fraction:.0%} of the maximum {peak:.3e}",
-            end_limit=edge_fraction * peak,
-        )
+            f"window [0, {t_max:g}] cuts the pulse: {which} {end:.3e} "
+            f"is above {edge_fraction:.0%} of the maximum {peak:.3e}")
+    if endpoint is not None:
+        tail = abs(endpoint) ** 2 / t_max**2
+        if not tail < peak:
+            raise WindowError(
+                f"window [0, {t_max:g}] is too short: the endpoint density "
+                f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
+                f"maximum {peak:.3e}")
     t_start, _ = refine_max(ts, d)
     return _newton_peak(famp, amp, t_start, ts[i - 1], ts[i + 1])
 
@@ -496,20 +570,29 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
                         x: float | None = None) -> ArrivalTime:
     """Time at which |psi(x, t)|^2 attains its global maximum on [0, t_max].
 
-    The window must not cut the pulse: the density at the far end has to stay
-    below edge_fraction of the maximum and the maximum must be interior,
-    otherwise WindowError asks the caller to extend the window.  The density
-    is sampled every coarse_dt by one chirp z-synthesis; from the vertex of
-    the parabola through the discrete maximum and its neighbours, Newton's
-    method on dD/dt, with psi, psi' and psi'' summed over the energy panels,
-    finds the root between those neighbours.  A non-concave density there, a
-    step out of that bracket or no convergence raises WindowError.
-    peak_density is |psi|^2 at the root.  By default the observation point
-    is the barrier exit x = l (or x = 0 for the free basis).
+    The window must not cut the pulse and the maximum must be interior,
+    otherwise WindowError asks the caller to extend the window.  At the
+    barrier exit x = l the end density may be taken with the endpoint term
+    (i/t) h(u0) e^{-i u0 t} of the energy cutoff removed, and |h(u0)|^2 /
+    t_max^2 must stay below the maximum; for the free basis and at any other
+    x it is the raw density at t_max.  It has to stay below edge_fraction
+    of the maximum (see _locate_peak).  The density is sampled
+    every coarse_dt by one chirp z-synthesis; from the vertex of the parabola
+    through the discrete maximum and its neighbours, Newton's method on
+    dD/dt, with psi, psi' and psi'' summed over the energy panels, finds the
+    root between those neighbours.  A non-concave density there, a step out
+    of that bracket or no convergence raises WindowError.  peak_density is
+    |psi|^2 at the root.  By default the observation point is the barrier
+    exit x = l (or x = 0 for the free basis).  A t_max or coarse_dt that is
+    not finite and positive raises ValueError.
     """
+    _check_window(t_max, coarse_dt)
     if x is None:
         x = 0.0 if famp.free else famp.barrier.l
-    t_star, v_star = _locate_peak(famp, x, t_max, coarse_dt, edge_fraction)
+    endpoint = None
+    if not famp.free and x == famp.barrier.l:
+        endpoint = endpoint_amplitude(famp.packet, famp.barrier)
+    t_star, v_star = _locate_peak(famp, x, t_max, coarse_dt, edge_fraction, endpoint)
     return ArrivalTime(x=float(x), t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 
@@ -520,7 +603,9 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
     The free grid keeps quarter-period panels at t_max: its integrand
     N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only like the square
     root of the panel width, and half-period panels would move it by ~6e-6.
+    The window takes the raw end-density test.
     """
+    _check_window(t_max, coarse_dt)
     # for_horizon floors the horizon at 1, so the floor is doubled as well
     grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
     famp = free_spectral_amplitude(packet, eps_max, grid)
@@ -528,29 +613,26 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
     return t_star
 
 
-# The predicted window may start this fraction below H_min: where the
-# accepted window doubles, H_min falls 0.4-2.7 % short of the window that
-# just passes.
-WINDOW_MARGIN = 0.05
-
-
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
                  coarse_dt: float = 0.05, max_doublings: int = 4,
                  t_in: float | None = None):
     """Arrival time in the first window t_max 2^a, a <= max_doublings, that passes.
 
-    Each window gets its own energy grid (wider windows need finer panels).
-    If the first window cuts the pulse, the late density |h(u0)|^2 / t^2
-    (see endpoint_amplitude) predicts the shortest window H_min whose end
-    density passes, and the scan jumps to the first doubling that reaches
-    (1 - WINDOW_MARGIN) H_min; every window it skips would have failed.
-    From there, or when the first maximum sits on the far edge of its
-    window, it doubles t_max.  Returns (ArrivalTime, SpectralAmplitude).
-    Raises WindowError if the largest window still fails, and from the
-    window at hand if its maximum sits at t = 0, which no window moves.
+    Each window gets its own energy grid (wider windows need finer panels),
+    and t_max doubles while arrival_time_of_max rejects the window.  The end
+    density is tested with the endpoint term removed, and what remains falls
+    ~16x per doubling, so opaque widths stop at short windows: at u0 = 31.4,
+    p = 3.6, b = 2 and t_max = 30 the window doubles at l = 8.252, 10.228
+    and 13.073, and t = 120 serves up to there.  Returns
+    (ArrivalTime, SpectralAmplitude).  Raises WindowError if the largest
+    window still fails, and from the window at hand if its maximum sits at
+    t = 0, which no window moves.  Raises ValueError unless t_max and
+    coarse_dt are finite and positive and max_doublings is a nonnegative
+    integer.
     """
-    attempt, last_error = 0, None
-    while attempt <= max_doublings:
+    _check_window(t_max, coarse_dt, max_doublings)
+    last_error = None
+    for attempt in range(max_doublings + 1):
         horizon = t_max * 2**attempt
         grid = EnergyGridSpec.for_horizon(barrier.u0, horizon)
         famp = spectral_amplitude(packet, barrier, grid)
@@ -561,15 +643,8 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
                 raise
             # keep the message only: the traceback would hold this window's
             # grid alive while the next, larger one is built
-            last_error, end_limit = str(exc), exc.end_limit
+            last_error = str(exc)
         del famp
-        attempt += 1
-        if attempt == 1 and end_limit is not None:
-            # the late density |h(u0)|^2 / t^2 falls to end_limit at h_min
-            h_min = abs(endpoint_amplitude(packet, barrier)) / math.sqrt(end_limit)
-            reach = (1.0 - WINDOW_MARGIN) * h_min
-            while attempt < max_doublings and t_max * 2**attempt < reach:
-                attempt += 1
     raise WindowError(
         f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
     )

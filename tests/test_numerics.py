@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import StencilError, richardson_derivative
-from tunneltimes import stationary, times
+from tunneltimes import numerics, stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.numerics import (
     EdgeMaximumError,
@@ -82,6 +82,25 @@ class TestGrids:
         # order-6 Gauss is exact through degree 11
         value = np.sum(weights * nodes**9)
         assert value == pytest.approx((3.0**10 - 1.0) / 10.0, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [2, 8])
+    def test_reference_rule_built_once_and_read_only(self, order):
+        xs, ws = np.polynomial.legendre.leggauss(order)
+        nodes, weights = gauss_legendre_panels(0.0, 31.4, 64, order)
+        rule = numerics._legendre_rule(order)
+        assert numerics._legendre_rule(order) is rule
+        assert np.array_equal(rule[0], xs) and np.array_equal(rule[1], ws)
+        for arr in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # the panels are those of a freshly built rule, bit for bit, and the
+        # caller's to modify
+        edges = np.linspace(0.0, 31.4, 65)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * xs).ravel())
+        assert np.array_equal(weights, (half[:, None] * ws).ravel())
+        nodes[0] = -1.0
+        assert numerics._legendre_rule(order)[0][0] == xs[0]
 
 
 class TestUniformStep:

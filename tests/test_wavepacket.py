@@ -116,6 +116,25 @@ class TestEnvelopeBranches:
     def test_scalar_in_scalar_out(self):
         assert isinstance(envelope_transform(0.3, 2.0), complex)
         assert envelope_transform(np.array([0.3]), 2.0).shape == (1,)
+        assert isinstance(envelope_transform(np.array(0.3), 2.0), complex)
+        assert envelope_transform([0.3, 1.0], 2.0).shape == (2,)
+
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
+    def test_float_matches_one_element_array(self, b):
+        # q = 0 and q = +-c, and either side of |theta| = 0.05, where the
+        # series of (1 - e^{-i theta}) / theta hands over to the direct form,
+        # in the generic branch (theta = q pi b) and the two near-c branches
+        # (theta = (q -+ c) pi b)
+        c, pb = 2.0 / b, math.pi * b
+        offsets = [s * f * 0.05 / pb for s in (-1.0, 1.0) for f in (0.3, 0.999, 1.001, 3.0)]
+        qs = [q0 + dq for q0 in (0.0, c, -c) for dq in [0.0] + offsets]
+        qs += list(np.random.default_rng(11).uniform(-12.0, 12.0, 50))
+        for q in qs:
+            scalar = envelope_transform(float(q), b)
+            array = envelope_transform(np.array([q]), b)[0]
+            assert type(scalar) is complex
+            assert abs(scalar - array) <= 2e-15 * abs(array), q
+        assert envelope_transform(np.float64(c), b) == envelope_transform(float(c), b)
 
 
 class TestEnergyGrid:
@@ -340,9 +359,10 @@ class TestArrival:
             arrival_time_of_max(famp, 30.0)
 
     def test_scan_extends_window(self):
+        # 30 and 60 cut the pulse at l = 12; 120 passes
         arr, famp = scan_arrival(PACKET, BarrierSpec(U0, 12.0), t_max=30.0)
         assert arr.t_arr == pytest.approx(6.70, abs=0.05)
-        assert famp.max_panel_width <= math.pi / 240.0
+        assert famp.layout == EnergyGridSpec.for_horizon(U0, 120.0)
 
     def test_peak_stable_under_grid_halving(self):
         g1 = EnergyGridSpec.for_horizon(U0, 30.0)
@@ -400,7 +420,9 @@ class TestEndpoint:
 
 # Widths where the accepted window doubles: below each one window
 # 30 * 2^a passes, above it the next is needed.
-DOUBLING_THRESHOLDS = (7.966, 9.151, 10.360, 11.765)
+DOUBLING_THRESHOLDS = (8.252, 10.228)
+# where it doubled under the raw 1 % end-density test, up to 480
+RAW_TEST_THRESHOLDS = (7.966, 9.151, 10.360, 11.765)
 # one width inside each width stratum of the packet-opaque benchmark
 STRATUM_WIDTHS = (8.25, 8.85, 10.0, 11.0, 12.2)
 
@@ -422,9 +444,20 @@ def outcome(arr, famp):
     return arr.t_arr, arr.peak_density, famp.captured_weight, len(famp.grid)
 
 
+def plain_windows(l):
+    """The windows 30, 60, ... that scan_arrival tries at width l for PACKET."""
+    return [30.0 * 2**a for a in range(1 + sum(l > x for x in DOUBLING_THRESHOLDS))]
+
+
 class TestPredictedWindow:
+    """scan_arrival against plain doubling (helpers.doubling_scan_arrival).
+
+    The windows it tries are those plain doubling tries; there is no longer
+    a predicted jump, and the name is kept for the test ids.
+    """
+
     @pytest.mark.parametrize("l", sorted(
-        {round(x + s, 3) for x in DOUBLING_THRESHOLDS for s in (-0.002, 0.002)}
+        {round(x + s, 3) for x in RAW_TEST_THRESHOLDS for s in (-0.002, 0.002)}
         | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)}))
     def test_equals_plain_doubling(self, l):
         # the integer widths are those of the arrival_sweep fixture
@@ -434,17 +467,18 @@ class TestPredictedWindow:
 
     @pytest.mark.parametrize("l", STRATUM_WIDTHS)
     def test_builds_first_and_accepted_window_only(self, monkeypatch, l):
+        # plain doubling: every window up to the one that passes, each on
+        # the grid of its own horizon, and none beyond it
         tried = windows_tried(monkeypatch)
         _, famp = scan_arrival(PACKET, BarrierSpec(U0, l))
-        assert len(tried) == 2 and tried[0] == 30.0
-        assert famp.max_panel_width <= math.pi / tried[-1]
+        assert tried == plain_windows(l)
+        assert famp.layout == EnergyGridSpec.for_horizon(U0, tried[-1])
 
     def test_edge_maximum_doubles(self, monkeypatch):
-        # the density still rises at t = 0.1, 0.2 and 0.4, so the first window
-        # has no peak to predict from; 0.8 cuts the pulse and 1.6 passes
+        # the density still rises at t = 0.1, 0.2 and 0.4; 0.8 cuts the pulse
+        # and 1.6 passes
         barrier = BarrierSpec(U0, 1.0)
         tried = windows_tried(monkeypatch)
-        monkeypatch.setattr(wp, "endpoint_amplitude", None)
         got = scan_arrival(PACKET, barrier, t_max=0.1)
         assert tried == [0.1, 0.2, 0.4, 0.8, 1.6]
         monkeypatch.undo()
@@ -467,8 +501,9 @@ class TestPredictedWindow:
         assert grids == [EnergyGridSpec.for_horizon(U0, 30.0)]
 
     def test_failed_prediction_keeps_doubling(self, monkeypatch):
-        # just above a threshold H_min undershoots the window that passes
-        barrier = BarrierSpec(U0, 9.151 + 0.002)
+        # just above the last threshold the remainder at t = 60 is still
+        # above 1 % of the peak, so the scan doubles once more
+        barrier = BarrierSpec(U0, DOUBLING_THRESHOLDS[-1] + 0.002)
         tried = windows_tried(monkeypatch)
         got = scan_arrival(PACKET, barrier)
         assert tried == [30.0, 60.0, 120.0]
@@ -477,12 +512,132 @@ class TestPredictedWindow:
 
     @pytest.mark.parametrize("max_doublings", [0, 1, 2])
     def test_same_error_as_plain_doubling(self, max_doublings):
-        barrier = BarrierSpec(U0, 12.2)
+        # l = 13.5 needs the window 240
+        barrier = BarrierSpec(U0, 13.5)
         with pytest.raises(WindowError) as expected:
             doubling_scan_arrival(PACKET, barrier, max_doublings=max_doublings)
         with pytest.raises(WindowError, match="cuts the pulse") as got:
             scan_arrival(PACKET, barrier, max_doublings=max_doublings)
         assert str(got.value) == str(expected.value)
+
+
+SWEEP_PACKETS = (PACKET, PacketSpec(p=2.0, b=5.0), PacketSpec(p=5.0, b=1.0))
+SWEEP_WIDTHS = sorted(
+    {round(x + s, 3) for x in DOUBLING_THRESHOLDS + RAW_TEST_THRESHOLDS
+     for s in (-0.002, 0.002)}
+    | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)})
+
+
+def end_ratios(famp, t_max):
+    """(raw, remainder, tail) at the end of the window [0, t_max] at x = l.
+
+    The raw end density, the end density less the endpoint term and
+    |h(u0)|^2 / t_max^2, each over the coarse maximum, from the same
+    samples arrival_time_of_max takes.
+    """
+    l = famp.barrier.l
+    ts = np.linspace(0.0, t_max, int(round(t_max / 0.05)) + 1)
+    psi = synthesize_amplitude(famp, l, ts)
+    peak = np.max(np.abs(psi) ** 2)
+    h = endpoint_amplitude(famp.packet, famp.barrier)
+    term = 1j / t_max * h * np.exp(-1j * famp.barrier.u0 * t_max)
+    return (abs(psi[-1]) ** 2 / peak, abs(psi[-1] - term) ** 2 / peak,
+            abs(h) ** 2 / t_max**2 / peak)
+
+
+class TestWindowAcceptance:
+    """The end test at the barrier exit, with the endpoint term removed."""
+
+    @pytest.mark.parametrize("l", SWEEP_WIDTHS)
+    @pytest.mark.parametrize("packet", SWEEP_PACKETS, ids=["p3.6", "p2", "p5"])
+    def test_matches_the_horizon_480_arrival(self, packet, l):
+        # the maximum the scan accepts is the one the window 480 finds.  On
+        # the horizon-480 grid, Newton from the scan's t_arr finds the root
+        # it converges to there, so that the grid refinement (up to ~2e-9 in
+        # t_arr at thin barriers) does not enter the comparison
+        barrier = BarrierSpec(U0, l)
+        arr, famp = scan_arrival(packet, barrier)
+        wide = spectral_amplitude(packet, barrier, EnergyGridSpec.for_horizon(U0, 480.0))
+        ref = arrival_time_of_max(wide, 480.0)
+        t, peak = wp._newton_peak(wide, wp._weighted_state(wide, l), arr.t_arr,
+                                  arr.t_arr - 0.05, arr.t_arr + 0.05)
+        assert abs(t - ref.t_arr) <= 1e-10
+        assert peak == pytest.approx(ref.peak_density, rel=1e-12, abs=0.0)
+
+    @pytest.fixture(scope="class")
+    def opaque120(self):
+        return spectral_amplitude(PACKET, BarrierSpec(U0, 12.2),
+                                  EnergyGridSpec.for_horizon(U0, 120.0))
+
+    def test_remainder_accepts_where_the_raw_end_density_fails(self, opaque120):
+        raw, remainder, tail = end_ratios(opaque120, 120.0)
+        assert remainder <= 0.01 < raw and tail < 1.0
+        arr = arrival_time_of_max(opaque120, 120.0)
+        assert arr.t_arr == pytest.approx(7.60, abs=0.05)
+
+    def test_remainder_above_the_edge_fraction_rejects(self):
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, 12.2),
+                                  EnergyGridSpec.for_horizon(U0, 60.0))
+        raw, remainder, _ = end_ratios(famp, 60.0)
+        assert 0.01 < remainder < raw
+        with pytest.raises(WindowError, match="cuts the pulse: end density less the"):
+            arrival_time_of_max(famp, 60.0)
+
+    def test_raw_end_density_still_accepts(self):
+        # early on the remainder is not yet small against the endpoint term:
+        # here removing it raises the end density from 0.95 % to 1.1 % of the
+        # peak, and the window passes on the raw test as it always did
+        famp = spectral_amplitude(PacketSpec(p=2.0, b=5.0), BarrierSpec(U0, 8.5),
+                                  EnergyGridSpec.for_horizon(U0, 30.0))
+        raw, remainder, _ = end_ratios(famp, 30.0)
+        assert raw <= 0.01 < remainder
+        arrival_time_of_max(famp, 30.0)
+
+    def test_endpoint_tail_above_the_maximum_rejects(self):
+        # with the end test loosened to the whole peak the window [0, 15]
+        # passes it, but |h(u0)|^2 / t^2 at t = 15 is 3.4 times the maximum
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, 12.25),
+                                  EnergyGridSpec.for_horizon(U0, 15.0))
+        raw, _, tail = end_ratios(famp, 15.0)
+        assert raw < 1.0 <= tail
+        with pytest.raises(WindowError, match="is not below the maximum"):
+            arrival_time_of_max(famp, 15.0, edge_fraction=1.0)
+
+    def test_other_points_take_the_raw_test(self, opaque120):
+        # the endpoint term belongs to x = l only; just past the exit the
+        # raw end density decides, and it still cuts the pulse at t = 120
+        with pytest.raises(WindowError, match=r"cuts the pulse: end density \d"):
+            arrival_time_of_max(opaque120, 120.0, x=12.2 + 0.01)
+
+
+class TestWindowArguments:
+    """A bad t_max, coarse_dt or max_doublings raises ValueError up front."""
+
+    @pytest.fixture(scope="class")
+    def famp4(self):
+        return spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 30.0))
+
+    BAD = [({"t_max": math.nan}, "t_max"), ({"t_max": -30.0}, "t_max"),
+           ({"t_max": 0.0}, "t_max"), ({"t_max": math.inf}, "t_max"),
+           ({"coarse_dt": 0.0}, "coarse_dt"), ({"coarse_dt": math.nan}, "coarse_dt"),
+           ({"coarse_dt": -0.05}, "coarse_dt")]
+
+    @pytest.mark.parametrize("kwargs,name", BAD + [({"max_doublings": -1}, "max_doublings"),
+                                                   ({"max_doublings": 1.5}, "max_doublings")])
+    def test_scan_arrival(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            scan_arrival(PACKET, BARRIER4, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,name", BAD)
+    def test_arrival_time_of_max(self, famp4, kwargs, name):
+        args = {"t_max": 30.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            arrival_time_of_max(famp4, **args)
+
+    @pytest.mark.parametrize("kwargs,name", BAD)
+    def test_free_arrival_time(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            free_arrival_time(PACKET, U0, **kwargs)
 
 
 class TestGridConvergence:
