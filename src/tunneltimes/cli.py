@@ -142,7 +142,7 @@ def cmd_packet(args) -> int:
                                                  dt=args.dt)
         except TailMassError as exc:
             raise TailMassError(f"l = {l:g}: {exc}") from exc
-        mean_rows.append([float(l), mean.t_mean])
+        mean_rows.append([float(l), mean.t_mean, mean.endpoint_share])
         if args.dump_series:
             n = int(round(args.t_max / args.dt)) + 1
             ts = np.linspace(0.0, args.t_max, n)
@@ -157,7 +157,7 @@ def cmd_packet(args) -> int:
                ["l", "t_arr", "t_arr_minus_tin", "captured_weight"],
                arrival_rows)
     _write_csv(base + "_mean.csv", _meta("packet", **meta_common),
-               ["l", "t_mean"], mean_rows)
+               ["l", "t_mean", "endpoint_share"], mean_rows)
     for l, ts, dens in series_dumps:
         rows = [[float(t), float(d)] for t, d in zip(ts, dens)]
         _write_csv(f"{base}_series_l{_fmt(l)}.csv",

@@ -67,7 +67,7 @@ class WindowError(RuntimeError):
 
 
 class TailMassError(RuntimeError):
-    """The density tail beyond the window is too heavy for a trusted mean."""
+    """The 1/t^2 tail of the endpoint term moves the mean too far with the cutoff."""
 
 
 # Taylor coefficients of (1 - exp(-i theta)) / theta, highest power first.
@@ -650,70 +650,60 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     )
 
 
+# Largest move of t_mean, as a fraction of it, that a doubling of the cutoff
+# may cause before the mean is rejected.
+MEAN_DRIFT_TOL = 0.005
+
+
 @dataclass(frozen=True)
 class MeanTime:
-    """Mean crossing time with its tail diagnostics."""
+    """Mean crossing time at the barrier exit with its endpoint share.
+
+    endpoint_share is S = |h(u0)|^2 / int_0^{t_cut} |psi|^2 dt, the rate
+    d t_mean / d ln t_cut that the endpoint term of the energy cutoff causes.
+    """
 
     x: float
     t_mean: float
     t_cut: float
-    decay_exponent: float
-    tail_num_fraction: float
-    tail_den_fraction: float
-
-
-def _tail_estimate(ts: np.ndarray, d: np.ndarray, t_cut: float):
-    """Power-law fit c t^{-gamma} over the last decade, block-averaged."""
-    mask = ts >= t_cut / 10.0
-    t_tail, d_tail = ts[mask], d[mask]
-    n_bins = 12
-    edges = np.geomspace(t_tail[0], t_tail[-1], n_bins + 1)
-    mids, means = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (t_tail >= a) & (t_tail <= b)
-        if np.any(sel) and np.mean(d_tail[sel]) > 0.0:
-            mids.append(math.sqrt(a * b))
-            means.append(np.mean(d_tail[sel]))
-    if len(mids) < 3:
-        return 0.0, float("inf"), float("inf")
-    slope, intercept = np.polyfit(np.log(mids), np.log(means), 1)
-    gamma = -slope
-    c = math.exp(intercept)
-    # int_T^inf c t^{1-gamma} dt and int_T^inf c t^{-gamma} dt
-    tail_num = c * t_cut ** (2.0 - gamma) / (gamma - 2.0) if gamma > 2.05 else float("inf")
-    tail_den = c * t_cut ** (1.0 - gamma) / (gamma - 1.0) if gamma > 1.05 else float("inf")
-    return gamma, tail_num, tail_den
+    endpoint_share: float
 
 
 def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
-                       dt: float = 0.02, tail_tolerance: float = 0.005) -> MeanTime:
-    """Quantum-average crossing time of the point x over the window [0, t_cut].
+                       dt: float = 0.02) -> MeanTime:
+    """Quantum-average crossing time of the barrier exit x = l over [0, t_cut].
 
-    Computes int t |psi|^2 dt / int |psi|^2 dt on the window and estimates the
-    neglected tail from a power-law fit to the last decade of samples.  If the
-    estimated tail exceeds tail_tolerance of either integral (in particular
-    when the fitted decay is too shallow for the moment to converge), raises
-    TailMassError: the mean would not be trustworthy at any finite cutoff.
+    t_mean = int t D dt / int D dt with D = |psi(l, t)|^2, both integrals by
+    the trapezoid rule on max(round(t_cut / dt), 64) + 1 uniform samples.
+    Once the pulse has passed, D ~ |h(u0)|^2 / t^2 (the endpoint term of the
+    cut energy integral, see endpoint_amplitude), so the first moment grows
+    like |h(u0)|^2 ln t_cut and t_mean drifts by S = |h(u0)|^2 / int D dt
+    per unit of ln t_cut.  If doubling the cutoff would move t_mean by more
+    than MEAN_DRIFT_TOL of itself, S ln 2 > MEAN_DRIFT_TOL t_mean, raises
+    TailMassError: the mean then measures the cutoff more than the pulse.
+    h(u0) is known for the barrier basis at x = l only, so the free basis or
+    any other x raises ValueError, as does a t_cut or dt that is not finite
+    and positive.
     """
+    _check_window(t_cut, dt)
+    if famp.free or x != famp.barrier.l:
+        raise ValueError("the mean crossing time needs the barrier basis at "
+                         f"its exit x = l, got x = {x!r}")
     n = max(int(round(t_cut / dt)), 64) + 1
     ts = np.linspace(0.0, t_cut, n)
-    series = synthesize(famp, x, ts)
-    d = series.density
+    d = synthesize(famp, x, ts).density
     den = float(np.trapezoid(d, ts))
     if den <= 0.0:
         raise ValueError("density has no mass on the window")
-    num = float(np.trapezoid(ts * d, ts))
-    gamma, tail_num, tail_den = _tail_estimate(ts, d, t_cut)
-    frac_num = tail_num / num if num > 0.0 else float("inf")
-    frac_den = tail_den / den
-    if frac_num > tail_tolerance or frac_den > tail_tolerance:
+    t_mean = float(np.trapezoid(ts * d, ts)) / den
+    share = abs(endpoint_amplitude(famp.packet, famp.barrier)) ** 2 / den
+    drift = share * math.log(2.0)
+    if drift > MEAN_DRIFT_TOL * t_mean:
         raise TailMassError(
-            f"tail beyond t = {t_cut:g} holds an estimated {100 * frac_num:.3g}% "
-            f"of the first moment and {100 * frac_den:.3g}% of the norm "
-            f"(fitted decay t^-{gamma:.2f}); tolerance is {100 * tail_tolerance:g}%"
+            f"the 1/t^2 tail of the endpoint term has share S = {share:.3e}: "
+            f"doubling t_cut = {t_cut:g} would move t_mean = {t_mean:.6g} by "
+            f"S ln 2, {100 * drift / t_mean:.3g}%; tolerance is "
+            f"{100 * MEAN_DRIFT_TOL:g}%"
         )
-    return MeanTime(
-        x=float(x), t_mean=num / den, t_cut=float(t_cut),
-        decay_exponent=float(gamma),
-        tail_num_fraction=float(frac_num), tail_den_fraction=float(frac_den),
-    )
+    return MeanTime(x=float(x), t_mean=t_mean, t_cut=float(t_cut),
+                    endpoint_share=float(share))

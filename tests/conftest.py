@@ -22,7 +22,10 @@ def arrival_sweep():
 
 @pytest.fixture(scope="session")
 def mean_sweep():
-    """[(l, t_mean)] over the widths where the tail criterion is satisfiable."""
+    """[(l, t_mean)] at t_cut = 60 over widths whose endpoint share S passes.
+
+    S ln 2 <= MEAN_DRIFT_TOL t_mean holds up to l = 3.590 for this packet.
+    """
     grid = wp.EnergyGridSpec.for_horizon(U0, 60.0)
     rows = []
     for l in (1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25):

@@ -115,8 +115,24 @@ class TestPacket:
             assert vals[1] == pytest.approx(vals[2] + float(read_csv(
                 tmp_path / "pkt_arrival.csv")[0]["t_in"]), abs=1e-9)
         _, header_m, rows_m = read_csv(tmp_path / "pkt_mean.csv")
-        assert header_m == ["l", "t_mean"]
+        assert header_m == ["l", "t_mean", "endpoint_share"]
         assert len(rows_m) == 3
+
+    def test_mean_reported_below_the_edge(self, tmp_path):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",
+                         "--l-min", "3.5", "--l-max", "3.5", "--steps", "1",
+                         "--t-max", "60", "--out", str(tmp_path / "pkt")])
+        assert code == 0
+        _, _, rows = read_csv(tmp_path / "pkt_mean.csv")
+        assert float(rows[0][2]) * math.log(2.0) < 0.005 * float(rows[0][1])
+
+    def test_endpoint_share_too_large_exits_two(self, tmp_path, capsys):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",
+                         "--l-min", "5", "--l-max", "5", "--steps", "1",
+                         "--t-max", "60", "--out", str(tmp_path / "pkt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "l = 5:" in err and "S = " in err
 
     def test_dump_series_sidecars(self, tmp_path):
         base = tmp_path / "pkt"

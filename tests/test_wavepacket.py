@@ -734,12 +734,67 @@ class TestMeanCrossing:
 
     def test_valid_window_produces_diagnostics(self):
         grid = EnergyGridSpec.for_horizon(U0, 60.0)
-        famp = spectral_amplitude(PACKET, BarrierSpec(U0, 2.0), grid)
+        barrier = BarrierSpec(U0, 2.0)
+        famp = spectral_amplitude(PACKET, barrier, grid)
         mean = mean_crossing_time(famp, 2.0, 60.0, dt=0.02)
         assert mean.t_mean == pytest.approx(0.4267, abs=2e-3)
-        assert mean.tail_num_fraction < 0.005
-        assert mean.tail_den_fraction < 0.005
-        assert mean.decay_exponent > 2.05
+        ts = np.linspace(0.0, 60.0, 3001)
+        norm = np.trapezoid(synthesize(famp, 2.0, ts).density, ts)
+        assert mean.endpoint_share == pytest.approx(
+            abs(endpoint_amplitude(PACKET, barrier)) ** 2 / norm, rel=1e-12)
+        assert 0.0 < mean.endpoint_share * math.log(2.0) < wp.MEAN_DRIFT_TOL * mean.t_mean
+
+    @pytest.mark.parametrize("t_cut,dt", [
+        (60.0, -0.02), (60.0, 0.0), (math.nan, 0.02), (60.0, math.inf),
+    ])
+    def test_bad_window_rejected(self, t_cut, dt):
+        grid = EnergyGridSpec.for_horizon(U0, 60.0)
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, 2.0), grid)
+        with pytest.raises(ValueError, match="finite and positive"):
+            mean_crossing_time(famp, 2.0, t_cut, dt=dt)
+
+    def test_needs_the_barrier_exit(self):
+        grid = EnergyGridSpec.for_horizon(U0, 60.0)
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, 2.0), grid)
+        with pytest.raises(ValueError, match="exit"):
+            mean_crossing_time(famp, 0.0, 60.0)
+        free = free_spectral_amplitude(PACKET, U0, grid)
+        with pytest.raises(ValueError, match="exit"):
+            mean_crossing_time(free, 2.0, 60.0)
+
+    def test_verdict_does_not_depend_on_the_cutoff(self):
+        # S is a property of the packet and the barrier, not of t_cut: a
+        # mean accepted at t_cut = 30 stays accepted with more data
+        packet = PacketSpec(p=3.58, b=2.0)
+        barrier = BarrierSpec(U0, 1.8)
+        means = [mean_crossing_time(
+            spectral_amplitude(packet, barrier, EnergyGridSpec.for_horizon(U0, t_cut)),
+            1.8, t_cut, dt=0.02) for t_cut in (30.0, 60.0)]
+        assert means[0].endpoint_share == pytest.approx(means[1].endpoint_share, rel=1e-4)
+
+    @pytest.mark.parametrize("l,accepted", [(3.58, True), (3.6, False)])
+    def test_verdict_edge(self, l, accepted):
+        # S ln 2 = 0.005 t_mean at l = 3.590 for this packet and t_cut = 60
+        grid = EnergyGridSpec.for_horizon(U0, 60.0)
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, l), grid)
+        if accepted:
+            mean_crossing_time(famp, l, 60.0, dt=0.02)
+        else:
+            with pytest.raises(TailMassError, match="S = "):
+                mean_crossing_time(famp, l, 60.0, dt=0.02)
+
+    @pytest.mark.parametrize("l", [3.0, 5.0])
+    def test_mean_drifts_by_the_endpoint_share(self, monkeypatch, l):
+        # the 1/t^2 tail adds S ln 2 to t_mean per doubling of t_cut; the
+        # excess over it (4.5 % at l = 3, 3.9 % at l = 5) is the O(1/t_cut)
+        # drift of the intercept and roughly halves with each doubling
+        monkeypatch.setattr(wp, "MEAN_DRIFT_TOL", math.inf)
+        grid = EnergyGridSpec.for_horizon(U0, 480.0)
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, l), grid)
+        m1 = mean_crossing_time(famp, l, 120.0, dt=0.02)
+        m2 = mean_crossing_time(famp, l, 240.0, dt=0.02)
+        assert m2.t_mean - m1.t_mean == pytest.approx(
+            m1.endpoint_share * math.log(2.0), rel=0.06)
 
     def test_heavy_tail_rejected(self):
         # wide barriers ring with a ~1/t^2 envelope from the spectral cutoff,
