@@ -37,7 +37,6 @@ from .wavepacket import (
     TimeSeries,
     arrival_time_of_max,
     free_arrival_time,
-    free_spectral_amplitude,
     mean_crossing_time,
     scan_arrival,
     spectral_amplitude,
@@ -66,7 +65,6 @@ __all__ = [
     "free_arrival_time",
     "free_group_time",
     "free_phase_time",
-    "free_spectral_amplitude",
     "from_physical",
     "group_delay",
     "hartman_limit",

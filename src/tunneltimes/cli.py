@@ -260,10 +260,13 @@ def _merge_config(args) -> None:
 def _validate(args) -> None:
     """Reject a numeric option that is not a finite number, naming it.
 
-    Sizes (_SIZES) must also be positive, and counts whole numbers.
-    Relations between options, such as l-min <= l-max, are checked by the
-    command that needs them, and eps < u0 by the model.
+    Sizes (_SIZES) must also be positive, and counts whole numbers; --out,
+    which a config file may set to anything, must be a string.  Relations
+    between options, such as l-min <= l-max, are checked by the command that
+    needs them, and eps < u0 by the model.
     """
+    if not isinstance(args.out, str):
+        raise ValueError(f"--out must be a path string, got {args.out!r}")
     for name, spec in _OPTIONS.items():
         value = getattr(args, name, None)
         if value is None or (spec["type"] is str and name != "l"):

@@ -1,8 +1,7 @@
 """Generic numerical kernels.
 
-Elementary functions chosen for the input type, parabolic sub-grid peak
-refinement, composite Gauss-Legendre panel grids, and detection of uniform
-sample grids.
+Elementary functions chosen for the input type, composite Gauss-Legendre
+panel grids, and detection of uniform sample grids.
 """
 
 from __future__ import annotations
@@ -36,42 +35,6 @@ _ARRAY = Elementary(np.sqrt, np.exp, np.expm1, np.tanh, np.exp)
 def elementary(x) -> Elementary:
     """numpy's functions for an array x of one or more dimensions, else math's."""
     return _ARRAY if isinstance(x, np.ndarray) and x.ndim else _SCALAR
-
-
-class EdgeMaximumError(ValueError):
-    """The discrete maximum sits on the grid edge; extend the grid."""
-
-
-def refine_max(nodes, values):
-    """Sub-grid maximum by parabolic interpolation through the discrete argmax.
-
-    Returns (x_star, v_star).  Requires at least 3 nodes and an interior
-    discrete maximum; raises EdgeMaximumError otherwise so the caller can
-    extend the grid.
-    """
-    t = np.asarray(nodes, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if len(t) < 3 or len(t) != len(v):
-        raise ValueError("need at least 3 nodes with matching values")
-    i = int(np.argmax(v))
-    if i == 0 or i == len(t) - 1:
-        raise EdgeMaximumError(
-            f"maximum at grid edge (index {i}); extend the grid"
-        )
-    t0, t1, t2 = t[i - 1], t[i], t[i + 1]
-    v0, v1, v2 = v[i - 1], v[i], v[i + 1]
-    # vertex of the parabola through the three bracketing samples
-    denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
-    if denom == 0.0:
-        return float(t1), float(v1)
-    shift = 0.5 * ((t1 - t0) ** 2 * (v1 - v2) - (t1 - t2) ** 2 * (v1 - v0)) / denom
-    x_star = t1 - shift
-    x_star = min(max(x_star, t0), t2)
-    # evaluate the same parabola at its vertex
-    la = (x_star - t1) * (x_star - t2) / ((t0 - t1) * (t0 - t2))
-    lb = (x_star - t0) * (x_star - t2) / ((t1 - t0) * (t1 - t2))
-    lc = (x_star - t0) * (x_star - t1) / ((t2 - t0) * (t2 - t1))
-    return float(x_star), float(la * v0 + lb * v1 + lc * v2)
 
 
 @functools.lru_cache(maxsize=8)

@@ -154,7 +154,9 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     row is checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
     (H. G. Winful, PRL 91, 260401 (2003)), which ties the phase derivative to
     the barrier probability; a mismatch beyond WINFUL_TOL of
-    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.
+    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.  Where |T|^2
+    underflows (opaque barriers, from chi l ~ 350) tau_d_out has no finite
+    value, and ValueError is raised.
     """
     if barrier.l == 0.0:
         return TimesReport(
@@ -173,6 +175,11 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
             f"tau_g {tau_g!r} vs tau_d_in - Im(R)/(2 eps) "
             f"{tau_d_in - self_interference!r} differ by {residual:.3e} "
             f"at eps={eps}, l={barrier.l}")
+    j_out = stationary.transmitted_current(sol)
+    if not (j_out > 0.0 and math.isfinite(prob / j_out)):
+        raise ValueError(
+            f"tau_d_out is not finite at l = {barrier.l}, eps = {eps}: |T|^2 "
+            f"underflows at chi l = {sol.chi * barrier.l:.6g}")
     return TimesReport(
         eps=eps,
         l=barrier.l,
@@ -181,7 +188,7 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
         t_ph=phase_time(barrier, eps),
         t_free=free_phase_time(eps, barrier.l),
         tau_d_in=tau_d_in,
-        tau_d_out=prob / stationary.transmitted_current(sol),
+        tau_d_out=prob / j_out,
         hartman_limit=hartman_limit(barrier.u0, eps),
     )
 

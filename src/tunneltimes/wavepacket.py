@@ -22,19 +22,19 @@ w = e^{-i W dt} (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249
 (1969)), evaluated for P panels and M times as one FFT convolution of
 length >= P + M - 1 by Bluestein's identity pm = (p^2 + m^2 - (m - p)^2)/2
 (IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions
-replace the M sums of P * order terms.  Any other time grid takes the
-direct sum of exponentials, built in blocks so that no (n_t, n_eps) matrix
-is ever formed; it is the definition the fast path is tested against.  At
-a single time the same factorisation gives psi and its first two time
-derivatives from P + order exponentials; the arrival maximum is refined on
-those.  The maximum is searched in windows [0, t_max 2^a] that double
-until one contains the whole pulse.  At the barrier exit the cut energy
-integral leaves the endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly decaying
-artifact of the truncation, which the end-of-window test removes before it
-compares the density left at the end with the maximum.
+replace the M sums of P * order terms, so synthesis takes uniform time
+grids only.  At a single time the same factorisation gives psi and its
+first two time derivatives from P + order exponentials; Newton's method
+refines the arrival maximum on those from the largest sample.  The maximum
+is searched in windows [0, t_max 2^a] that double until one contains the
+whole pulse.  At the barrier exit the cut energy integral leaves the
+endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly decaying artifact of the
+truncation, which the end-of-window test removes before it compares the
+density left at the end with the maximum.
 
-A "free" variant (T = 1, R = 0 basis) provides the no-barrier reference used
-for the arrival of the packet maximum at the barrier entrance.
+The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
+T = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
+arrival at x = 0 is the reference t_in for the arrival at the barrier exit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, PacketSpec
-from .numerics import gauss_legendre_panels, refine_max, uniform_step
+from .numerics import gauss_legendre_panels, uniform_step
 
 
 class SynthesisResolutionError(RuntimeError):
@@ -158,6 +158,10 @@ class EnergyGridSpec:
         width one ulp above pi / t_max.
         """
         width = math.pi / max(abs(t_max), 1.0)
+        if not math.isfinite(eps_max / width):
+            raise ValueError(
+                f"eps_max = {eps_max!r} over panels of width {width:.4g} needs "
+                "a panel count that is not finite")
         n_panels = max(64, math.ceil(eps_max / width))
         while eps_max / n_panels > width:
             n_panels += 1
@@ -168,12 +172,12 @@ class EnergyGridSpec:
 class SpectralAmplitude:
     """Sampled expansion coefficient f(eps) on a quadrature grid.
 
-    barrier is None for the free (no-barrier) basis.  captured_weight is
-    int_0^{eps_max} |f|^2 d(eps), the packet norm retained by the sub-barrier
-    truncation.  layout is the composite Gauss-Legendre layout of grid:
-    node j of panel p sits at grid[p * layout.order + j].  T, R, C_l and D
-    are the stationary amplitudes at the grid nodes, C_l = C e^{chi l} the
-    scaled interior one (all None for the free basis).
+    captured_weight is int_0^{eps_max} |f|^2 d(eps), the packet norm
+    retained by the sub-barrier truncation at eps_max = u0.  layout is the
+    composite Gauss-Legendre layout of grid: node j of panel p sits at
+    grid[p * layout.order + j].  T, R, C_l and D are the stationary
+    amplitudes at the grid nodes, C_l = C e^{chi l} the scaled interior one.
+    The free packet is the barrier of width 0, where T = 1 and R = 0.
     """
 
     grid: np.ndarray
@@ -181,13 +185,12 @@ class SpectralAmplitude:
     weights: np.ndarray
     captured_weight: float
     packet: PacketSpec
-    barrier: BarrierSpec | None
-    eps_max: float
+    barrier: BarrierSpec
     layout: EnergyGridSpec
-    T: np.ndarray | None = None
-    R: np.ndarray | None = None
-    C_l: np.ndarray | None = None
-    D: np.ndarray | None = None
+    T: np.ndarray
+    R: np.ndarray
+    C_l: np.ndarray
+    D: np.ndarray
 
     def __post_init__(self):
         if len(self.grid) != self.layout.n_panels * self.layout.order:
@@ -197,16 +200,15 @@ class SpectralAmplitude:
             )
         if self.grid[0] <= 0.0 or self.grid[-1] > self.eps_max * (1.0 + 1e-12):
             raise ValueError("energy grid must lie inside (0, eps_max]")
-        if self.barrier is not None and self.eps_max > self.barrier.u0 * (1.0 + 1e-12):
-            raise ValueError("energy grid extends beyond the barrier top u0")
         if self.captured_weight > 1.0 + 1e-6:
             raise ValueError(
                 f"captured weight {self.captured_weight} exceeds the packet norm"
             )
 
     @property
-    def free(self) -> bool:
-        return self.barrier is None
+    def eps_max(self) -> float:
+        """The truncation of the energy integral, the barrier top u0."""
+        return self.barrier.u0
 
     @property
     def max_panel_width(self) -> float:
@@ -241,8 +243,7 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     captured = float(np.sum(weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=nodes, values=f, weights=weights, captured_weight=captured,
-        packet=packet, barrier=barrier, eps_max=barrier.u0, layout=grid,
-        T=T, R=R, C_l=C_l, D=D,
+        packet=packet, barrier=barrier, layout=grid, T=T, R=R, C_l=C_l, D=D,
     )
 
 
@@ -263,38 +264,12 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
                    * overlap * 2.0 / (2.0 - ikl))
 
 
-def free_spectral_amplitude(packet: PacketSpec, eps_max: float,
-                            grid: EnergyGridSpec) -> SpectralAmplitude:
-    """Expansion over free states N e^{ikx} with the same energy truncation."""
-    nodes, weights = gauss_legendre_panels(0.0, eps_max, grid.n_panels, grid.order)
-    k = np.sqrt(nodes)
-    f = stationary.normalization(nodes) * packet.amplitude * envelope_transform(
-        packet.p - k, packet.b
-    )
-    captured = float(np.sum(weights * np.abs(f) ** 2))
-    return SpectralAmplitude(
-        grid=nodes, values=f, weights=weights, captured_weight=captured,
-        packet=packet, barrier=None, eps_max=eps_max, layout=grid,
-    )
-
-
-# Largest (rows, n_eps) block of exponentials built at once by the direct
-# sums, in elements: 1 MiB of complex128.
-_BLOCK = 1 << 16
-
-
-def _block_rows(famp: SpectralAmplitude) -> int:
-    return max(1, _BLOCK // len(famp.grid))
-
-
 def _basis(famp: SpectralAmplitude, xs: np.ndarray) -> np.ndarray:
     """psi_eps(x) as a (len(xs), n_eps) matrix: one row per position."""
     x = np.asarray(xs, dtype=float)
     eps = famp.grid
     k = np.sqrt(eps)
     N = stationary.normalization(eps)
-    if famp.free:
-        return N * np.exp(1j * k * x[:, None])
     chi = np.sqrt(famp.barrier.u0 - eps)
     return N * stationary._three_region(x, famp.barrier.l, k, chi, famp.T, famp.R,
                                         famp.C_l, famp.D)
@@ -325,15 +300,6 @@ def _check_resolution(famp: SpectralAmplitude, times) -> None:
         )
 
 
-def _direct_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_eps amp e^{-i eps t} at each t, in blocks of rows of exponentials."""
-    rows = _block_rows(famp)
-    return np.concatenate([
-        np.exp(-1j * np.outer(times[i:i + rows], famp.grid)) @ amp
-        for i in range(0, len(times), rows)
-    ])
-
-
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n; numpy.fft is fastest on these lengths."""
     best = 1 << (n - 1).bit_length()
@@ -352,7 +318,7 @@ def _fft_size(n: int) -> int:
 
 def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
                  dt: float) -> np.ndarray:
-    """The direct sum on a uniform grid t_m = t_0 + m dt, by chirp z-transforms.
+    """sum_eps amp e^{-i eps t} on a uniform grid t_m = t_0 + m dt, by chirp z.
 
     Node j of panel p is eps_pj = e_j + p W, with W the panel width and e_j
     the nodes of panel 0, so with w = e^{-i W dt}
@@ -392,19 +358,18 @@ def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
 
 
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
-    """Complex psi(x, t) on the time grid (quadrature-weighted spectral sum).
+    """Complex psi(x, t) on a uniform time grid (quadrature-weighted spectral sum).
 
-    A uniform time grid takes the chirp z-transform path; any other grid
-    takes the blocked direct sum, which is the definition the fast path is
-    tested against.
+    times must be a uniform grid t_0 + m dt of at least 3 points (see
+    numerics.uniform_step), which the chirp z-transform sums; any other grid
+    raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     _check_resolution(famp, times)
-    amp = _weighted_state(famp, x)
     dt = uniform_step(times)
     if dt is None:
-        return _direct_sum(famp, amp, times)
-    return _chirp_z_sum(famp, amp, times, dt)
+        raise ValueError("synthesis needs a uniform time grid of at least 3 points")
+    return _chirp_z_sum(famp, _weighted_state(famp, x), times, dt)
 
 
 def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
@@ -451,7 +416,7 @@ def _panel_derivatives(famp: SpectralAmplitude, amp: np.ndarray, t: float):
     return psi, d1, d2
 
 
-# Newton steps allowed from the coarse parabolic vertex to the root of
+# Newton steps allowed from the largest coarse sample to the root of
 # dD/dt, and the step, as a fraction of the bracket, below which that root
 # counts as found: convergence is quadratic, so the error left after such a
 # step is of the order of its square over the pulse duration.
@@ -498,19 +463,28 @@ def _check_window(t_max: float, coarse_dt: float, max_doublings: int = 0) -> Non
             f"max_doublings must be a nonnegative integer, got {max_doublings!r}")
 
 
-def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
-                 coarse_dt: float, edge_fraction: float,
-                 endpoint: complex | None = None):
-    """(t, D) of the maximum of D = |psi(x, t)|^2 on [0, t_max], or WindowError.
+# The window passes when the density left at its end is below this
+# fraction of the maximum.
+EDGE_FRACTION = 0.01
 
-    D is sampled every ~coarse_dt by one chirp z-synthesis.  The maximum must
-    be interior, and the window must not cut the pulse: the density left at
-    T = t_max must stay below edge_fraction of the maximum.
 
-    Without endpoint that is the raw end density D(T).  With endpoint =
-    h(u0) (see endpoint_amplitude, for the barrier basis at x = l) the known
+def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
+                        coarse_dt: float = 0.05,
+                        t_in: float | None = None,
+                        x: float | None = None) -> ArrivalTime:
+    """Time at which D = |psi(x, t)|^2 attains its global maximum on [0, t_max].
+
+    D is sampled every ~coarse_dt by one chirp z-synthesis.  The maximum
+    must be interior, and the window must not cut the pulse: the density
+    left at T = t_max must stay below EDGE_FRACTION of the maximum.
+    Otherwise WindowError asks the caller to extend the window; a maximum
+    at t = 0 is not extendable.  By default the observation point is the
+    barrier exit x = l.
+
+    Away from x = l the end density is the raw D(T).  At x = l the known
     endpoint term of the cut energy integral is removed first.  Integrating
-    int_0^{u0} h(eps) e^{-i eps t} d(eps) by parts gives
+    int_0^{u0} h(eps) e^{-i eps t} d(eps) by parts, with h(u0) from
+    endpoint_amplitude, gives
 
         psi(l, t) = (i/t) h(u0) e^{-i u0 t} + O(t^{-2})
 
@@ -518,7 +492,7 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     ch. 2).  That term is a truncation artifact, not the pulse: D(T) only
     falls like |h(u0)|^2 / T^2, 3-4x per doubling of T, while the remainder
     |psi(T) - (i/T) h(u0) e^{-i u0 T}|^2 falls ~16x.  The window then passes
-    when the smaller of D(T) and that remainder is below edge_fraction of
+    when the smaller of D(T) and that remainder is below EDGE_FRACTION of
     the maximum, and when |h(u0)|^2 / T^2 is below the maximum, so that the
     endpoint term cannot raise a later maximum above the one found.  D(T)
     stays in the test because in short windows the O(t^{-2}) remainder is
@@ -526,7 +500,16 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     raise the end density (from 0.95 % to 1.1 % of the maximum at p = 2,
     b = 5, l = 8.5, T = 30); a window whose raw end density passes is never
     rejected for it.
+
+    From the largest sample, Newton's method on dD/dt, with psi, psi' and
+    psi'' summed over the energy panels, finds the root between its two
+    neighbours.  A non-concave density there, a step out of that bracket or
+    no convergence raises WindowError.  peak_density is D at the root.  A
+    t_max or coarse_dt that is not finite and positive raises ValueError.
     """
+    _check_window(t_max, coarse_dt)
+    if x is None:
+        x = famp.barrier.l
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
     _check_resolution(famp, ts)
@@ -542,16 +525,18 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
     if i == 0 or i == n - 1:
         raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})",
                           extendable=i > 0)
+    endpoint = None
     end, which = d[-1], "end density"
-    if endpoint is not None:
+    if x == famp.barrier.l:
+        endpoint = endpoint_amplitude(famp.packet, famp.barrier)
         term = 1j / t_max * endpoint * cmath.exp(-1j * famp.eps_max * t_max)
         remainder = abs(psi[-1] - term) ** 2
         if remainder < end:
             end, which = remainder, "end density less the endpoint term"
-    if end > edge_fraction * peak:
+    if end > EDGE_FRACTION * peak:
         raise WindowError(
             f"window [0, {t_max:g}] cuts the pulse: {which} {end:.3e} "
-            f"is above {edge_fraction:.0%} of the maximum {peak:.3e}")
+            f"is above {EDGE_FRACTION:.0%} of the maximum {peak:.3e}")
     if endpoint is not None:
         tail = abs(endpoint) ** 2 / t_max**2
         if not tail < peak:
@@ -559,40 +544,7 @@ def _locate_peak(famp: SpectralAmplitude, x: float, t_max: float,
                 f"window [0, {t_max:g}] is too short: the endpoint density "
                 f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
                 f"maximum {peak:.3e}")
-    t_start, _ = refine_max(ts, d)
-    return _newton_peak(famp, amp, t_start, ts[i - 1], ts[i + 1])
-
-
-def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
-                        coarse_dt: float = 0.05,
-                        edge_fraction: float = 0.01,
-                        t_in: float | None = None,
-                        x: float | None = None) -> ArrivalTime:
-    """Time at which |psi(x, t)|^2 attains its global maximum on [0, t_max].
-
-    The window must not cut the pulse and the maximum must be interior,
-    otherwise WindowError asks the caller to extend the window.  At the
-    barrier exit x = l the end density may be taken with the endpoint term
-    (i/t) h(u0) e^{-i u0 t} of the energy cutoff removed, and |h(u0)|^2 /
-    t_max^2 must stay below the maximum; for the free basis and at any other
-    x it is the raw density at t_max.  It has to stay below edge_fraction
-    of the maximum (see _locate_peak).  The density is sampled
-    every coarse_dt by one chirp z-synthesis; from the vertex of the parabola
-    through the discrete maximum and its neighbours, Newton's method on
-    dD/dt, with psi, psi' and psi'' summed over the energy panels, finds the
-    root between those neighbours.  A non-concave density there, a step out
-    of that bracket or no convergence raises WindowError.  peak_density is
-    |psi|^2 at the root.  By default the observation point is the barrier
-    exit x = l (or x = 0 for the free basis).  A t_max or coarse_dt that is
-    not finite and positive raises ValueError.
-    """
-    _check_window(t_max, coarse_dt)
-    if x is None:
-        x = 0.0 if famp.free else famp.barrier.l
-    endpoint = None
-    if not famp.free and x == famp.barrier.l:
-        endpoint = endpoint_amplitude(famp.packet, famp.barrier)
-    t_star, v_star = _locate_peak(famp, x, t_max, coarse_dt, edge_fraction, endpoint)
+    t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
     return ArrivalTime(x=float(x), t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 
@@ -600,17 +552,17 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
                       coarse_dt: float = 0.05) -> float:
     """Arrival of the free packet maximum at x = 0 (the t_in reference).
 
-    The free grid keeps quarter-period panels at t_max: its integrand
-    N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only like the square
-    root of the panel width, and half-period panels would move it by ~6e-6.
-    The window takes the raw end-density test.
+    The free packet is the barrier BarrierSpec(eps_max, 0), which needs
+    p^2 < eps_max.  Its grid keeps quarter-period panels at t_max: its
+    integrand N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only like
+    the square root of the panel width, and half-period panels would move it
+    by ~6e-6.
     """
     _check_window(t_max, coarse_dt)
     # for_horizon floors the horizon at 1, so the floor is doubled as well
     grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
-    famp = free_spectral_amplitude(packet, eps_max, grid)
-    t_star, _ = _locate_peak(famp, 0.0, t_max, coarse_dt, edge_fraction=0.01)
-    return t_star
+    famp = spectral_amplitude(packet, BarrierSpec(eps_max, 0.0), grid)
+    return arrival_time_of_max(famp, t_max, coarse_dt).t_arr
 
 
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
@@ -681,12 +633,11 @@ def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
     per unit of ln t_cut.  If doubling the cutoff would move t_mean by more
     than MEAN_DRIFT_TOL of itself, S ln 2 > MEAN_DRIFT_TOL t_mean, raises
     TailMassError: the mean then measures the cutoff more than the pulse.
-    h(u0) is known for the barrier basis at x = l only, so the free basis or
-    any other x raises ValueError, as does a t_cut or dt that is not finite
-    and positive.
+    h(u0) is the endpoint term at x = l only, so any other x raises
+    ValueError, as does a t_cut or dt that is not finite and positive.
     """
     _check_window(t_cut, dt)
-    if famp.free or x != famp.barrier.l:
+    if x != famp.barrier.l:
         raise ValueError("the mean crossing time needs the barrier basis at "
                          f"its exit x = l, got x = {x!r}")
     n = max(int(round(t_cut / dt)), 64) + 1

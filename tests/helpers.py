@@ -141,12 +141,38 @@ def weighted_mean_time(times, density) -> float:
     return float(np.trapezoid(times * density, times) / den)
 
 
+# Largest (rows, n_eps) block of exponentials built at once by the direct
+# sums, in elements: 1 MiB of complex128.
+_BLOCK = 1 << 16
+
+
+def _block_rows(famp):
+    return max(1, _BLOCK // len(famp.grid))
+
+
+def direct_synthesis(famp, x, times):
+    """Oracle for synthesize_amplitude: psi(x, t) on any time grid.
+
+    psi(x, t) = sum_eps w f psi_eps(x) e^{-i eps t}, with one exponential per
+    node and time and no factorisation over the energy panels, built in
+    blocks of rows so that no (n_t, n_eps) matrix is formed.
+    """
+    times = np.asarray(times, dtype=float)
+    wp._check_resolution(famp, times)
+    amp = wp._weighted_state(famp, x)
+    rows = _block_rows(famp)
+    return np.concatenate([
+        np.exp(-1j * np.outer(times[i:i + rows], famp.grid)) @ amp
+        for i in range(0, len(times), rows)
+    ])
+
+
 def spatial_profile(famp, xs, t):
     """Complex psi(x, t) over an array of positions at one instant."""
     xs = np.asarray(xs, dtype=float)
     wp._check_resolution(famp, [t])
     coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
-    rows = wp._block_rows(famp)
+    rows = _block_rows(famp)
     return np.concatenate([
         wp._basis(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
     ])

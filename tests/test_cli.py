@@ -74,6 +74,17 @@ class TestTimesWidth:
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert cli.main(["times-width", "--nope", "1"]) == 1
 
+    def test_opaque_width_exits_one(self, tmp_path, capsys):
+        # |T|^2 underflows at u0 = 8, eps = 4 beyond l ~ 178
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "8", "--eps", "4", "--l-min", "176",
+                         "--l-max", "185", "--steps", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "tau_d_out is not finite" in err and "chi l" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTimesEnergy:
     def test_crossing_footer_and_monotone_free_time(self, tmp_path):
@@ -251,6 +262,23 @@ class TestOptionValidation:
         err = capsys.readouterr().err
         assert code == 1
         assert option in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_out_must_be_a_string(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": 5}))
+        code = cli.main(["times-width", "--config", str(config)]
+                        + self.BASE["times-width"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--out" in err and "Traceback" not in err
+
+    def test_panel_count_overflow_rejected(self, tmp_path, capsys):
+        code = cli.main(["packet", "--u0", "1e308", "--p", "3.6", "--l-min", "1",
+                         "--l-max", "1", "--steps", "1", "--out", str(tmp_path / "pkt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "not finite" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_count_must_be_whole(self, tmp_path, capsys):

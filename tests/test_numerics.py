@@ -6,12 +6,7 @@ import pytest
 from helpers import StencilError, richardson_derivative
 from tunneltimes import numerics, stationary, times
 from tunneltimes.model import BarrierSpec
-from tunneltimes.numerics import (
-    EdgeMaximumError,
-    gauss_legendre_panels,
-    refine_max,
-    uniform_step,
-)
+from tunneltimes.numerics import gauss_legendre_panels, uniform_step
 
 
 class TestDifferentiate:
@@ -54,25 +49,6 @@ class TestContinuousPhase:
         track = np.unwrap(np.angle(samples))
         closed = [stationary.phase_shift(BarrierSpec(u0, l), eps) for l in ls]
         assert np.max(np.abs(track - closed)) < 1e-10
-
-
-class TestRefineMax:
-    def test_exact_on_parabola(self):
-        t = np.linspace(0.0, 4.0, 17)
-        v = 3.0 - (t - 1.7321) ** 2
-        t_star, v_star = refine_max(t, v)
-        assert t_star == pytest.approx(1.7321, abs=1e-12)
-        assert v_star == pytest.approx(3.0, abs=1e-12)
-
-    def test_symmetric_triangle(self):
-        t = np.arange(7.0)
-        v = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])
-        t_star, _ = refine_max(t, v)
-        assert t_star == pytest.approx(3.0, abs=1e-14)
-
-    def test_edge_maximum_raises(self):
-        with pytest.raises(EdgeMaximumError):
-            refine_max([0.0, 1.0, 2.0], [3.0, 2.0, 1.0])
 
 
 class TestGrids:

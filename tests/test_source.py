@@ -1,0 +1,41 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import tunneltimes
+
+SOURCES = sorted(Path(tunneltimes.__file__).parent.glob("*.py"))
+
+
+def private_definitions(tree):
+    """Names starting with one underscore that a module binds at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def loaded_names(tree):
+    """Every name the module reads, bare or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_no_private_name_is_used_only_outside_the_package():
+    # src/ holds no code that only the tests use: a private module-level
+    # name that nothing in the package reads is dead or test-only
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set().union(*(loaded_names(tree) for tree in trees.values()))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in private_definitions(tree) - used)
+    assert unused == []

@@ -238,6 +238,13 @@ class TestReport:
         for field in ("tau_g", "t_ph", "tau_d_in", "tau_d_out", "hartman_limit"):
             assert math.isfinite(getattr(report, field))
 
+    @pytest.mark.parametrize("l", [182.0, 190.0])
+    def test_underflowing_transmission_rejected(self, l):
+        # at u0 = 8, eps = 4, |T|^2 ~ e^{-4 l}: at l = 182 tau_d_out would
+        # overflow to inf, at l = 190 the transmitted current is 0
+        with pytest.raises(ValueError, match=r"l = 1[89]\d.*eps = 4.*chi l = "):
+            compute_times(BarrierSpec(8.0, l), 4.0)
+
 
 class TestOneStatePerRow:
     """compute_times builds one scattering state and reads every time off it."""

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from helpers import (
     direct_arrival_root,
+    direct_synthesis,
     doubling_scan_arrival,
     initial_wavefunction,
     spatial_profile,
@@ -17,7 +18,6 @@ from helpers import (
 from tunneltimes import stationary
 from tunneltimes import wavepacket as wp
 from tunneltimes.model import BarrierSpec, PacketSpec
-from tunneltimes.numerics import uniform_step
 from tunneltimes.wavepacket import (
     EnergyGridSpec,
     SpectralAmplitude,
@@ -29,7 +29,6 @@ from tunneltimes.wavepacket import (
     endpoint_amplitude,
     envelope_transform,
     free_arrival_time,
-    free_spectral_amplitude,
     mean_crossing_time,
     scan_arrival,
     spectral_amplitude,
@@ -40,6 +39,7 @@ from tunneltimes.wavepacket import (
 PACKET = PacketSpec(p=3.6, b=2.0)
 U0 = 31.4
 BARRIER4 = BarrierSpec(U0, 4.0)
+FREE = BarrierSpec(U0, 0.0)  # the free packet: a barrier of zero width
 
 
 def quad_complex(f, a, b):
@@ -149,7 +149,8 @@ class TestEnergyGrid:
         # ceil(u0 t / pi) = 6195 panels leave u0 / 6195 one ulp above pi / t
         u0, t = 20.273090092696634, 960.0
         assert u0 / math.ceil(u0 / (math.pi / t)) > math.pi / t
-        famp = free_spectral_amplitude(PACKET, u0, EnergyGridSpec.for_horizon(u0, t))
+        famp = spectral_amplitude(PACKET, BarrierSpec(u0, 0.0),
+                                  EnergyGridSpec.for_horizon(u0, t))
         assert famp.layout.n_panels == 6196
         assert famp.max_panel_width <= math.pi / t
         wp._check_resolution(famp, [t])
@@ -167,6 +168,11 @@ class TestEnergyGrid:
         n_panels = EnergyGridSpec.for_horizon(u0, t).n_panels
         assert u0 / n_panels <= math.pi / t
         assert n_panels <= math.ceil(u0 * t / math.pi) + 1
+
+    def test_panel_count_must_be_finite(self):
+        # 1e308 / (pi / 30) overflows to inf, whose ceiling is no count
+        with pytest.raises(ValueError, match="not finite"):
+            EnergyGridSpec.for_horizon(1e308, 30.0)
 
 
 class TestSpectralAmplitude:
@@ -192,8 +198,8 @@ class TestSpectralAmplitude:
 
     def test_captured_weight_monotone_in_truncation(self):
         grid = EnergyGridSpec(400)
-        free_caps = [free_spectral_amplitude(PACKET, e, grid).captured_weight
-                     for e in (10.0, 20.0, 31.4, 50.0)]
+        free_caps = [spectral_amplitude(PACKET, BarrierSpec(e, 0.0), grid).captured_weight
+                     for e in (14.0, 20.0, 31.4, 50.0)]
         assert all(b >= a for a, b in zip(free_caps, free_caps[1:]))
         barrier_caps = [
             spectral_amplitude(PACKET, BarrierSpec(u0, 4.0), grid).captured_weight
@@ -215,9 +221,16 @@ class TestSpectralAmplitude:
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
         with pytest.raises(ValueError, match="inside"):
             dataclasses.replace(famp, grid=famp.grid + 1.0)
-        with pytest.raises(ValueError, match="beyond"):
-            dataclasses.replace(famp, eps_max=U0 + 5.0,
-                                grid=famp.grid * (U0 + 5.0) / U0)
+
+    def test_zero_width_is_the_free_basis(self):
+        # at l = 0, T = 1 and R = 0 exactly, so f is the plane-wave overlap
+        famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
+        assert np.all(famp.T == 1.0) and np.all(famp.R == 0.0)
+        k = np.sqrt(famp.grid)
+        free = (stationary.normalization(famp.grid) * PACKET.amplitude
+                * envelope_transform(PACKET.p - k, PACKET.b))
+        assert np.array_equal(famp.values, free)
+        assert famp.eps_max == U0
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +255,8 @@ class TestSynthesize:
         f2 = spectral_amplitude(PACKET, BARRIER4, g2)
         rng = np.random.default_rng(3)
         ts = np.sort(rng.uniform(0.1, 25.0, 30))
-        d1 = synthesize(f1, 4.0, ts).density
-        d2 = synthesize(f2, 4.0, ts).density
+        d1 = np.abs(direct_synthesis(f1, 4.0, ts)) ** 2
+        d2 = np.abs(direct_synthesis(f2, 4.0, ts)) ** 2
         assert np.max(np.abs(d1 - d2) / d2) < 1e-6
 
     def test_resolution_guard(self):
@@ -263,8 +276,15 @@ class TestSynthesize:
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 20.0))
         ts = np.linspace(0.0, 10.0, 41)
         fast = synthesize_amplitude(famp, 4.0, ts)
-        slow = synthesize_amplitude(famp, 4.0, list(ts) + [10.5])[:-1]
+        slow = direct_synthesis(famp, 4.0, ts)
         assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("ts", [[0.0, 1.0, 2.5], [0.0, 1.0], np.linspace(1.0, 0.0, 5)],
+                             ids=["uneven", "two-points", "descending"])
+    def test_non_uniform_grid_rejected(self, ts):
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        with pytest.raises(ValueError, match="uniform"):
+            synthesize_amplitude(famp, 4.0, ts)
 
     @pytest.mark.parametrize("ts", [np.linspace(0.0, 480.0, 9601),
                                     np.linspace(7.5, 7.7, 257)],
@@ -273,8 +293,7 @@ class TestSynthesize:
         fast = synthesize_amplitude(opaque_famp, 12.0, ts)
         rng = np.random.default_rng(480)
         idx = np.sort(rng.choice(len(ts), size=200, replace=False))
-        assert uniform_step(ts[idx]) is None  # so the reference is the direct sum
-        direct = synthesize_amplitude(opaque_famp, 12.0, ts[idx])
+        direct = direct_synthesis(opaque_famp, 12.0, ts[idx])
         assert np.max(np.abs(fast[idx] - direct)) <= 1e-12 * np.max(np.abs(fast))
 
     def test_spatial_profile_matches_stationary_states(self):
@@ -297,7 +316,7 @@ class TestSynthesize:
         psi0 = initial_wavefunction(PACKET, xs)
         den = np.trapezoid(np.abs(psi0) ** 2, xs)
         grid = EnergyGridSpec.for_horizon(U0, 10.0)
-        for famp in (free_spectral_amplitude(PACKET, U0, grid),
+        for famp in (spectral_amplitude(PACKET, FREE, grid),
                      spectral_amplitude(PACKET, BARRIER4, grid)):
             rec = spatial_profile(famp, xs, 0.0)
             err = math.sqrt(np.trapezoid(np.abs(rec - psi0) ** 2, xs) / den)
@@ -324,10 +343,19 @@ class TestArrival:
         assert t_in == pytest.approx(0.4264, abs=2e-3)
         assert abs(t_in - math.pi / 7.2) / (math.pi / 7.2) < 0.05
 
+    def test_free_reference_value(self):
+        # the zero-width barrier gives the t_in of the former plane-wave basis
+        t_in = free_arrival_time(PACKET, U0, t_max=30.0)
+        assert t_in == pytest.approx(0.4264431467041201, rel=1e-15, abs=0.0)
+
+    def test_free_reference_needs_sub_barrier_momentum(self):
+        with pytest.raises(ValueError, match="p\\^2 < u0"):
+            free_arrival_time(PACKET, PACKET.p**2)
+
     def test_free_flight_to_detector(self):
         # negligible barrier: peak travels from x0 = -pi at speed 2p
         grid = EnergyGridSpec.for_horizon(50.0, 10.0)
-        famp = free_spectral_amplitude(PACKET, 50.0, grid)
+        famp = spectral_amplitude(PACKET, BarrierSpec(50.0, 0.0), grid)
         arr = arrival_time_of_max(famp, 10.0, coarse_dt=0.02, x=5.0)
         ballistic = (math.pi * PACKET.b / 2.0 + 5.0) / (2.0 * PACKET.p)
         assert abs(arr.t_arr - ballistic) / ballistic <= 0.10
@@ -593,15 +621,16 @@ class TestWindowAcceptance:
         assert raw <= 0.01 < remainder
         arrival_time_of_max(famp, 30.0)
 
-    def test_endpoint_tail_above_the_maximum_rejects(self):
+    def test_endpoint_tail_above_the_maximum_rejects(self, monkeypatch):
         # with the end test loosened to the whole peak the window [0, 15]
         # passes it, but |h(u0)|^2 / t^2 at t = 15 is 3.4 times the maximum
+        monkeypatch.setattr(wp, "EDGE_FRACTION", 1.0)
         famp = spectral_amplitude(PACKET, BarrierSpec(U0, 12.25),
                                   EnergyGridSpec.for_horizon(U0, 15.0))
         raw, _, tail = end_ratios(famp, 15.0)
         assert raw < 1.0 <= tail
         with pytest.raises(WindowError, match="is not below the maximum"):
-            arrival_time_of_max(famp, 15.0, edge_fraction=1.0)
+            arrival_time_of_max(famp, 15.0)
 
     def test_other_points_take_the_raw_test(self, opaque120):
         # the endpoint term belongs to x = l only; just past the exit the
@@ -680,7 +709,7 @@ class TestNewtonPeak:
         # the free grid keeps quarter-period panels at t_max = 30, which is
         # the half-period grid of the horizon 60
         t_in = free_arrival_time(PACKET, U0, t_max=30.0)
-        famp = free_spectral_amplitude(PACKET, U0, EnergyGridSpec.for_horizon(U0, 60.0))
+        famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
         t_ref, _ = direct_arrival_root(famp, 0.0, t_in)
         assert abs(t_in - t_ref) <= 1e-10
 
@@ -689,14 +718,14 @@ class TestNewtonPeak:
         return spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 30.0))
 
     def test_accepted_window_synthesizes_once(self, monkeypatch, famp4):
-        calls = dict.fromkeys(("_weighted_state", "_chirp_z_sum", "_direct_sum"), 0)
+        calls = dict.fromkeys(("_weighted_state", "_chirp_z_sum"), 0)
         for name in calls:
             def spy(*args, _name=name, _original=getattr(wp, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(wp, name, spy)
         arrival_time_of_max(famp4, 30.0)
-        assert calls == {"_weighted_state": 1, "_chirp_z_sum": 1, "_direct_sum": 0}
+        assert calls == {"_weighted_state": 1, "_chirp_z_sum": 1}
 
     def test_non_concave_start_raises(self, famp4):
         # at l = 4 the density peaks at t = 0.413 and is convex beyond ~0.67
@@ -758,7 +787,7 @@ class TestMeanCrossing:
         famp = spectral_amplitude(PACKET, BarrierSpec(U0, 2.0), grid)
         with pytest.raises(ValueError, match="exit"):
             mean_crossing_time(famp, 0.0, 60.0)
-        free = free_spectral_amplitude(PACKET, U0, grid)
+        free = spectral_amplitude(PACKET, FREE, grid)
         with pytest.raises(ValueError, match="exit"):
             mean_crossing_time(free, 2.0, 60.0)
 
