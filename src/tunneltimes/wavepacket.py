@@ -8,7 +8,8 @@ coefficient at energy eps is
     f(eps) = N A [ I(p - k) + conj(R) I(p + k) ],
     I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx,
 
-with I available in closed form.  Synthesis evaluates
+with I available in closed form; on the energy grid I(p - k) and I(p + k)
+share one exponential e^{ik pi b} per node.  Synthesis evaluates
 psi(x, t) = int_0^{u0} f(eps) psi_eps(x) e^{-i eps t} d(eps) on a composite
 Gauss-Legendre energy grid whose panels span at most half a period of the
 fastest oscillation e^{-i eps t} requested, pi / t_max, where the 8-point
@@ -21,16 +22,16 @@ over the panels is therefore, for each offset, a chirp z-transform in
 w = e^{-i W dt} (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249
 (1969)), evaluated for P panels and M times as one FFT convolution of
 length >= P + M - 1 by Bluestein's identity pm = (p^2 + m^2 - (m - p)^2)/2
-(IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions
-replace the M sums of P * order terms, so synthesis takes uniform time
-grids only.  At a single time the same factorisation gives psi and its
-first two time derivatives from P + order exponentials; Newton's method
-refines the arrival maximum on those from the largest sample.  The maximum
-is searched in windows [0, t_max 2^a] that double until one contains the
-whole pulse.  At the barrier exit the cut energy integral leaves the
-endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly decaying artifact of the
-truncation, which the end-of-window test removes before it compares the
-density left at the end with the maximum.
+(IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions, run
+as one batched FFT pair, replace the M sums of P * order terms, so
+synthesis takes uniform time grids only.  At a single time the same
+factorisation gives psi and its first two time derivatives from P + order
+exponentials; Newton's method refines the arrival maximum on those from the
+largest sample.  The maximum is searched in windows [0, t_max 2^a] that
+double until one contains the whole pulse.  At the barrier exit the cut
+energy integral leaves the endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly
+decaying artifact of the truncation, which the end-of-window test removes
+before it compares the density left at the end with the maximum.
 
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
 T = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
@@ -70,9 +71,11 @@ class TailMassError(RuntimeError):
     """The 1/t^2 tail of the endpoint term moves the mean too far with the cutoff."""
 
 
-# Taylor coefficients of (1 - exp(-i theta)) / theta, highest power first.
+# Taylor coefficients of (1 - exp(-i theta)) / theta, highest power first,
+# and the |theta| below which the series replaces the direct form.
 _ONE_MINUS_EXP_SERIES = (-1j / 5040.0, 1.0 / 720.0, 1j / 120.0, -1.0 / 24.0,
                          -1j / 6.0, 0.5, 1j)
+_SERIES_THETA = 0.05
 
 
 def _one_minus_exp_series(theta):
@@ -85,20 +88,30 @@ def _one_minus_exp_series(theta):
 def _one_minus_exp_over(theta):
     """(1 - exp(-i theta)) / theta, stable for small theta (entire function).
 
-    The Taylor series is evaluated only where |theta| < 0.05 and the direct
-    form only elsewhere.  An array runs through numpy, one value through
-    cmath.
+    The Taylor series is evaluated only where |theta| < _SERIES_THETA and the
+    direct form only elsewhere.  An array runs through numpy, one value
+    through cmath.
     """
     if not isinstance(theta, np.ndarray):
-        if abs(theta) < 0.05:
+        if abs(theta) < _SERIES_THETA:
             return _one_minus_exp_series(theta)
         return (1.0 - cmath.exp(-1j * theta)) / theta
     out = np.empty(theta.shape, dtype=complex)
-    small = np.abs(theta) < 0.05
+    small = np.abs(theta) < _SERIES_THETA
     out[small] = _one_minus_exp_series(theta[small])
     td = theta[~small]
     out[~small] = (1.0 - np.exp(-1j * td)) / td
     return out
+
+
+def _envelope_branch(q, i: int, b: float):
+    """I(q) in the form regular at q = (0, c, -c)[i]: of the denominator's
+    factors (q, q - c, q + c), the one that vanishes there moves into h."""
+    c = 2.0 / b
+    pb = math.pi * b
+    factors = (q, q - c, q + c)
+    return (1j * pb * c * c * _one_minus_exp_over(factors[i] * pb)
+            / (factors[i - 2] * factors[i - 1]))
 
 
 def envelope_transform(q, b: float):
@@ -108,32 +121,28 @@ def envelope_transform(q, b: float):
     h(theta) = (1 - e^{-i theta})/theta, has removable singularities at
     q = +-c where the numerator is rewritten around the nearby zero; the
     q = 0 point is already regular in this form (I(0) = pi b, I(+-c) = -pi b/2).
-    Each entry is evaluated in its one branch only.  A real number runs in
-    Python scalars and returns a complex, without numpy's per-call cost on
-    0-d arrays; anything else runs through numpy.
+    Each entry is evaluated in its one _envelope_branch only.  A real number
+    runs in Python scalars and returns a complex, without numpy's per-call
+    cost on 0-d arrays; anything else runs through numpy.
     """
     c = 2.0 / b
     pb = math.pi * b
-    scale = 1j * pb * c * c
     if isinstance(q, numbers.Real):
         q = float(q)
-        dm, dp = q - c, q + c
-        if abs(dm) * pb < 0.05:
-            return scale * _one_minus_exp_over(dm * pb) / (q * dp)
-        if abs(dp) * pb < 0.05:
-            return scale * _one_minus_exp_over(dp * pb) / (q * dm)
-        return scale * _one_minus_exp_over(q * pb) / (dm * dp)
+        near_p = abs(q - c) * pb < _SERIES_THETA
+        near_m = abs(q + c) * pb < _SERIES_THETA
+        return _envelope_branch(q, 1 if near_p else 2 if near_m else 0, b)
     q = np.asarray(q, dtype=float)
-    dm = q - c
-    dp = q + c
-    near_p = np.abs(dm) * pb < 0.05
-    near_m = np.abs(dp) * pb < 0.05
-    generic = ~(near_p | near_m)
+    near_p = np.abs(q - c) * pb < _SERIES_THETA
+    near_m = np.abs(q + c) * pb < _SERIES_THETA
     out = np.empty(q.shape, dtype=complex)
-    out[generic] = scale * _one_minus_exp_over(q[generic] * pb) / (dm[generic] * dp[generic])
-    out[near_p] = scale * _one_minus_exp_over(dm[near_p] * pb) / (q[near_p] * dp[near_p])
-    out[near_m] = scale * _one_minus_exp_over(dp[near_m] * pb) / (q[near_m] * dm[near_m])
+    for i, where in enumerate((~(near_p | near_m), near_p, near_m)):
+        out[where] = _envelope_branch(q[where], i, b)
     return out if out.ndim else complex(out)
+
+
+# Largest energy grid for_horizon builds; its amplitude record takes ~0.4 GB.
+MAX_GRID_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,8 @@ class EnergyGridSpec:
         shorter horizons), and at it the 8-point rule integrates e^{-i eps t}
         to ~1e-15.  The panel count is raised until eps_max / n_panels meets
         that check in floating point: the rounded ceiling alone can leave the
-        width one ulp above pi / t_max.
+        width one ulp above pi / t_max.  A grid of more than MAX_GRID_NODES
+        nodes raises ValueError before anything is allocated.
         """
         width = math.pi / max(abs(t_max), 1.0)
         if not math.isfinite(eps_max / width):
@@ -165,6 +175,10 @@ class EnergyGridSpec:
         n_panels = max(64, math.ceil(eps_max / width))
         while eps_max / n_panels > width:
             n_panels += 1
+        if n_panels * order > MAX_GRID_NODES:
+            raise ValueError(
+                f"an energy grid for eps_max = {eps_max:g} up to t_max = {t_max:g} needs "
+                f"{n_panels * order:,} nodes, more than the {MAX_GRID_NODES:,} allowed")
         return cls(n_panels=n_panels, order=order)
 
 
@@ -216,9 +230,37 @@ class SpectralAmplitude:
 
 
 def _overlap(packet: PacketSpec, k, R):
-    """f / (N A) = I(p - k) + conj(R) I(p + k) for reflection amplitude R at k."""
-    return (envelope_transform(packet.p - k, packet.b)
-            + np.conj(R) * envelope_transform(packet.p + k, packet.b))
+    """f / (N A) = I(p - k) + conj(R) I(p + k) for reflection amplitude R at k.
+
+    A float k runs through envelope_transform.  An ascending array k takes
+    one exponential z = e^{ik pi b} per node: with E = e^{-ip pi b}, c = 2/b
+    and d(q) = q (q^2 - c^2) / (i c^2), I(p - k) = (1 - E z) / d(p - k) and
+    I(p + k) = (1 - E conj(z)) / d(p + k).  The few nodes within
+    _SERIES_THETA / (pi b) of a removable point q = 0, c or -c, found by
+    bisection, take envelope_transform's branch about that point instead.
+    """
+    p, b = packet.p, packet.b
+    if isinstance(k, numbers.Real):
+        return envelope_transform(p - k, b) + np.conj(R) * envelope_transform(p + k, b)
+    c, pb = 2.0 / b, math.pi * b
+    ie = 1j * cmath.exp(-1j * p * pb)
+    z = np.exp(1j * pb * k)
+    # the k about p - k = 0, c, -c; p + k is there on their mirror image
+    half = _SERIES_THETA / pb
+    windows = np.subtract.outer(p - np.array([0.0, c, -c]), [half, -half])
+    # complex products take named operands: numpy would run one on a large
+    # temporary in place, which rounds otherwise, and blocks would differ
+    transforms = []
+    for q, zq, sign in ((p - k, z, 1.0), (p + k, np.conj(z), -1.0)):
+        num = 1j - ie * zq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = c * c / (q * (q - c) * (q + c))
+            transforms.append(num * scale)
+        for i, (lo, hi) in enumerate(np.searchsorted(k, np.sort(sign * windows))):
+            if hi > lo:
+                transforms[-1][lo:hi] = _envelope_branch(q[lo:hi], i, b)
+    rc = np.conj(R)
+    return transforms[0] + rc * transforms[1]
 
 
 # Energy nodes per block of spectral_amplitude: its temporaries stay at
@@ -327,7 +369,8 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
 
     and each inner sum is one Bluestein convolution, via
     pm = (p^2 + m^2 - (m - p)^2) / 2, of length >= P + M - 1 for P panels
-    and M times.
+    and M times.  The order convolutions run as one batched FFT pair over
+    the rows of the (order, P) matrix of pre-chirped panel sums.
     """
     n_panels, order = famp.layout.n_panels, famp.layout.order
     n_times = len(times)
@@ -342,14 +385,10 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
     kernel = np.fft.fft(kernel)
     if times[0] != 0.0:
         amp = amp * np.exp(-1j * famp.grid * times[0])
-    panels = amp.reshape(n_panels, order)
-    pre = np.conj(chirp[:n_panels])
-    elapsed = times - times[0]
-    out = np.zeros(n_times, dtype=complex)
-    for j in range(order):
-        conv = np.fft.ifft(np.fft.fft(panels[:, j] * pre, size) * kernel)[:n_times]
-        out += np.exp(-1j * famp.grid[j] * elapsed) * conv
-    return out * np.conj(chirp[:n_times])
+    panels = amp.reshape(n_panels, order).T * np.conj(chirp[:n_panels])
+    conv = np.fft.ifft(np.fft.fft(panels, size, axis=1) * kernel, axis=1)[:, :n_times]
+    offsets = np.exp(-1j * np.outer(famp.grid[:order], times - times[0]))
+    return (offsets * conv).sum(axis=0) * np.conj(chirp[:n_times])
 
 
 def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:

@@ -220,3 +220,30 @@ def direct_arrival_root(famp, x, t_guess, half_width=1e-3):
                     t_guess - half_width, t_guess + half_width,
                     xtol=1e-15, rtol=1e-15)
     return t_star, slope_and_density(t_star)[1]
+
+
+def mp_overlap(packet, k, R=0.0, dps=40):
+    """Oracle for f / (N A) = I(p - k) + conj(R) I(p + k) at one k, by mpmath.
+
+    I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx is summed as
+    J(q) - (J(q + c) + J(q - c)) / 2, c = 2/b, over the plane-wave integrals
+    J(s) = (1 - e^{-is pi b}) / (is), J(0) = pi b: three exponentials at dps
+    digits instead of the closed form's one over the product q (q^2 - c^2).
+    p, b and k are the exact values of their floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        p, k, b = mp.mpf(packet.p), mp.mpf(k), mp.mpf(packet.b)
+        c, pb = 2 / b, mp.pi * b
+
+        def J(s):
+            return pb if s == 0 else (1 - mp.exp(-1j * s * pb)) / (1j * s)
+
+        def I(q):
+            return J(q) - (J(q + c) + J(q - c)) / 2
+
+        value = I(p - k)
+        if R != 0.0:
+            value += mp.conj(mp.mpc(R)) * I(p + k)
+        return complex(value)

@@ -281,6 +281,17 @@ class TestOptionValidation:
         assert "not finite" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_oversize_grid_rejected(self, tmp_path, capsys):
+        # t_max = 1e9 would need ~1.6e11 energy nodes; for_horizon refuses
+        # the grid before it is allocated
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--l-min", "1",
+                         "--l-max", "1", "--steps", "1", "--t-max", "1e9",
+                         "--out", str(tmp_path / "pkt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "t_max = 2e+09 needs" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_count_must_be_whole(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"steps": 2.5}))

@@ -12,6 +12,7 @@ from helpers import (
     direct_synthesis,
     doubling_scan_arrival,
     initial_wavefunction,
+    mp_overlap,
     spatial_profile,
     weighted_mean_time,
 )
@@ -137,6 +138,46 @@ class TestEnvelopeBranches:
         assert envelope_transform(np.float64(c), b) == envelope_transform(float(c), b)
 
 
+class TestOverlap:
+    """The one-exponential array path of _overlap against mpmath.
+
+    The points sit on the removable points q = 0, c, -c of I(p - k) and
+    I(p + k) (exactly, at p = c), on both sides of the branch switch
+    |q - s| pi b = 0.05 and well inside it, where the generic form loses
+    digits, and near the zeros q pi b = 2 pi n of I.  k < 0 lies outside the
+    energy grid but brings p + k to 0 and -c.
+    """
+
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("p", ["c", 3.6])
+    def test_against_mpmath(self, b, p):
+        pytest.importorskip("mpmath")
+        c, pb = 2.0 / b, math.pi * b
+        p = c if p == "c" else p
+        packet = PacketSpec(p=p, b=b)
+        thetas = [0.0] + [s * t for s in (-1.0, 1.0)
+                          for t in (1e-9, 1e-6, 1e-3, 0.05 * (1 - 1e-3),
+                                    0.05 * (1 + 1e-3), 0.2)]
+        ks = [sign * (p - s) - sign * theta / pb
+              for s in (0.0, c, -c) for sign in (1.0, -1.0) for theta in thetas]
+        zeros = [m * n * c * (1.0 + d) for m in (-1.0, 1.0) for n in (2, 3, 5)
+                 for d in (0.0, -1e-8, 1e-8)]
+        ks += [p - q for q in zeros] + [q - p for q in zeros]
+        k = np.unique(ks)
+        if p == c:
+            for s in (0.0, c, -c):
+                assert s in p - k and s in p + k
+        R = np.random.default_rng(5).uniform(-0.7, 0.7, (len(k), 2)) @ [1.0, 1j]
+        got = wp._overlap(packet, k, R)
+        ref = np.array([mp_overlap(packet, kk, rr) for kk, rr in zip(k, R)])
+        # the generic form rounds the phases p pi b and k pi b apart, so
+        # toward a removable point its error grows like ulp(p pi b) / theta,
+        # to ~2e-14 of I(0) = pi b at the switch; with the generic form
+        # inside the switch the error at theta = 1e-3 would be ~1e-11
+        err = np.abs(got - ref) / (pb * (1.0 + np.abs(R)))
+        assert np.max(err) <= 1e-13, k[np.argmax(err)]
+
+
 class TestEnergyGrid:
     """for_horizon builds the widest panels _check_resolution accepts."""
 
@@ -168,6 +209,17 @@ class TestEnergyGrid:
         n_panels = EnergyGridSpec.for_horizon(u0, t).n_panels
         assert u0 / n_panels <= math.pi / t
         assert n_panels <= math.ceil(u0 * t / math.pi) + 1
+
+    def test_oversize_grid_rejected(self):
+        # 31.4 * 5e4 / pi panels of 8 nodes stay below 2^22; twice as many
+        # do not, and the refusal comes before any grid is allocated
+        assert EnergyGridSpec.for_horizon(U0, 5e4).n_panels * 8 <= wp.MAX_GRID_NODES
+        with pytest.raises(ValueError, match=r"t_max = 100000 needs 7,99.* nodes"):
+            EnergyGridSpec.for_horizon(U0, 1e5)
+        with pytest.raises(ValueError, match="nodes"):
+            free_arrival_time(PACKET, U0, t_max=1e9)
+        with pytest.raises(ValueError, match="nodes"):
+            scan_arrival(PACKET, BARRIER4, t_max=1e9)
 
     def test_panel_count_must_be_finite(self):
         # 1e308 / (pi / 30) overflows to inf, whose ceiling is no count
@@ -224,12 +276,13 @@ class TestSpectralAmplitude:
 
     def test_zero_width_is_the_free_basis(self):
         # at l = 0, T = 1 and R = 0 exactly, so f is the plane-wave overlap
+        # N A I(p - k), here with I summed by mpmath at every node
+        pytest.importorskip("mpmath")
         famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
         assert np.all(famp.T == 1.0) and np.all(famp.R == 0.0)
-        k = np.sqrt(famp.grid)
-        free = (stationary.normalization(famp.grid) * PACKET.amplitude
-                * envelope_transform(PACKET.p - k, PACKET.b))
-        assert np.array_equal(famp.values, free)
+        overlap = np.array([mp_overlap(PACKET, k) for k in np.sqrt(famp.grid)])
+        free = stationary.normalization(famp.grid) * PACKET.amplitude * overlap
+        assert np.max(np.abs(famp.values - free)) <= 1e-13 * np.max(np.abs(free))
         assert famp.eps_max == U0
 
 
