@@ -33,6 +33,13 @@ energy integral leaves the endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly
 decaying artifact of the truncation, which the end-of-window test removes
 before it compares the density left at the end with the maximum.
 
+A width sweep repeats what does not depend on l, so that is built once: the
+energy basis (nodes, weights, k, chi, N, N A, I(p - k) and I(p + k)) per
+(packet, u0, grid layout), and the chirp-z plan (chirp, kernel FFT and
+offsets) per (u0, layout, exact time samples).  Each is kept in a
+least-recently-used cache of at most _RETAINED_NODES nodes or complex
+values, in read-only arrays that every SpectralAmplitude on them shares.
+
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
 T = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
 arrival at x = 0 is the reference t_in for the arrival at the barrier exit.
@@ -43,7 +50,9 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,34 +123,25 @@ def _envelope_branch(q, i: int, b: float):
             / (factors[i - 2] * factors[i - 1]))
 
 
-def envelope_transform(q, b: float):
-    """Closed form of I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx.
+def envelope_transform(q: float, b: float) -> complex:
+    """Closed form of I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx at a real q.
 
     The generic expression i pi b c^2 h(q pi b) / ((q-c)(q+c)), c = 2/b and
     h(theta) = (1 - e^{-i theta})/theta, has removable singularities at
     q = +-c where the numerator is rewritten around the nearby zero; the
     q = 0 point is already regular in this form (I(0) = pi b, I(+-c) = -pi b/2).
-    Each entry is evaluated in its one _envelope_branch only.  A real number
-    runs in Python scalars and returns a complex, without numpy's per-call
-    cost on 0-d arrays; anything else runs through numpy.
+    q is evaluated in its one _envelope_branch only, in Python scalars.
     """
     c = 2.0 / b
     pb = math.pi * b
-    if isinstance(q, numbers.Real):
-        q = float(q)
-        near_p = abs(q - c) * pb < _SERIES_THETA
-        near_m = abs(q + c) * pb < _SERIES_THETA
-        return _envelope_branch(q, 1 if near_p else 2 if near_m else 0, b)
-    q = np.asarray(q, dtype=float)
-    near_p = np.abs(q - c) * pb < _SERIES_THETA
-    near_m = np.abs(q + c) * pb < _SERIES_THETA
-    out = np.empty(q.shape, dtype=complex)
-    for i, where in enumerate((~(near_p | near_m), near_p, near_m)):
-        out[where] = _envelope_branch(q[where], i, b)
-    return out if out.ndim else complex(out)
+    q = float(q)
+    near_p = abs(q - c) * pb < _SERIES_THETA
+    near_m = abs(q + c) * pb < _SERIES_THETA
+    return _envelope_branch(q, 1 if near_p else 2 if near_m else 0, b)
 
 
-# Largest energy grid for_horizon builds; its amplitude record takes ~0.4 GB.
+# Largest energy grid for_horizon builds; its amplitude record with its basis
+# takes ~0.7 GB (160 bytes per node).
 MAX_GRID_NODES = 2**22
 
 
@@ -182,6 +182,20 @@ class EnergyGridSpec:
         return cls(n_panels=n_panels, order=order)
 
 
+class _EnergyBasis(NamedTuple):
+    """The width-independent half of a packet's energy grid, in read-only arrays:
+    nodes, weights and, per node, k, chi, N, N A, I(p - k) and I(p + k)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    k: np.ndarray
+    chi: np.ndarray
+    N: np.ndarray
+    NA: np.ndarray
+    I_minus: np.ndarray
+    I_plus: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpectralAmplitude:
     """Sampled expansion coefficient f(eps) on a quadrature grid.
@@ -192,6 +206,8 @@ class SpectralAmplitude:
     grid[p * layout.order + j].  T, R, C_l and D are the stationary
     amplitudes at the grid nodes, C_l = C e^{chi l} the scaled interior one.
     The free packet is the barrier of width 0, where T = 1 and R = 0.
+    basis is the width-independent half shared by every width of the same
+    (packet, u0, layout); grid and weights are its read-only arrays.
     """
 
     grid: np.ndarray
@@ -205,6 +221,7 @@ class SpectralAmplitude:
     R: np.ndarray
     C_l: np.ndarray
     D: np.ndarray
+    basis: _EnergyBasis
 
     def __post_init__(self):
         if len(self.grid) != self.layout.n_panels * self.layout.order:
@@ -229,27 +246,53 @@ class SpectralAmplitude:
         return self.eps_max / self.layout.n_panels
 
 
-def _overlap(packet: PacketSpec, k, R):
-    """f / (N A) = I(p - k) + conj(R) I(p + k) for reflection amplitude R at k.
+class _BoundedCache:
+    """Values by key, least recently used out first, of total size(value) at
+    most budget; a value larger than the whole budget is returned, not kept."""
 
-    A float k runs through envelope_transform.  An ascending array k takes
-    one exponential z = e^{ik pi b} per node: with E = e^{-ip pi b}, c = 2/b
-    and d(q) = q (q^2 - c^2) / (i c^2), I(p - k) = (1 - E z) / d(p - k) and
-    I(p + k) = (1 - E conj(z)) / d(p + k).  The few nodes within
-    _SERIES_THETA / (pi b) of a removable point q = 0, c or -c, found by
-    bisection, take envelope_transform's branch about that point instead.
+    def __init__(self, budget: int, size):
+        self.budget, self.size = budget, size
+        self.entries = OrderedDict()    # key -> (value, its size)
+        self.retained = 0
+
+    def get(self, key, build):
+        """The value kept for key, else build()'s, kept if it fits."""
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key][0]
+        value = build()
+        n = self.size(value)
+        if n <= self.budget:
+            while self.retained + n > self.budget:
+                self.retained -= self.entries.popitem(last=False)[1][1]
+            self.entries[key] = value, n
+            self.retained += n
+        return value
+
+
+# Energy nodes the basis cache keeps (80 bytes each, ~10 MB in all), and
+# complex values the synthesis-plan cache keeps (~2 MB).
+_RETAINED_NODES = 1 << 17
+_BASES = _BoundedCache(_RETAINED_NODES, lambda basis: len(basis.nodes))
+
+
+def _envelope_pair(packet: PacketSpec, k: np.ndarray):
+    """(I(p - k), I(p + k)) over an ascending array k.
+
+    One exponential z = e^{ik pi b} per node serves both: with
+    E = e^{-ip pi b}, c = 2/b and d(q) = q (q^2 - c^2) / (i c^2),
+    I(p - k) = (1 - E z) / d(p - k) and I(p + k) = (1 - E conj(z)) / d(p + k).
+    The few nodes within _SERIES_THETA / (pi b) of a removable point q = 0,
+    c or -c, found by bisection, take envelope_transform's branch about
+    that point instead.
     """
     p, b = packet.p, packet.b
-    if isinstance(k, numbers.Real):
-        return envelope_transform(p - k, b) + np.conj(R) * envelope_transform(p + k, b)
     c, pb = 2.0 / b, math.pi * b
     ie = 1j * cmath.exp(-1j * p * pb)
     z = np.exp(1j * pb * k)
     # the k about p - k = 0, c, -c; p + k is there on their mirror image
     half = _SERIES_THETA / pb
     windows = np.subtract.outer(p - np.array([0.0, c, -c]), [half, -half])
-    # complex products take named operands: numpy would run one on a large
-    # temporary in place, which rounds otherwise, and blocks would differ
     transforms = []
     for q, zq, sign in ((p - k, z, 1.0), (p + k, np.conj(z), -1.0)):
         num = 1j - ie * zq
@@ -259,33 +302,58 @@ def _overlap(packet: PacketSpec, k, R):
         for i, (lo, hi) in enumerate(np.searchsorted(k, np.sort(sign * windows))):
             if hi > lo:
                 transforms[-1][lo:hi] = _envelope_branch(q[lo:hi], i, b)
-    rc = np.conj(R)
-    return transforms[0] + rc * transforms[1]
+    return transforms
 
 
-# Energy nodes per block of spectral_amplitude: its temporaries stay at
-# 64 KiB of complex128, and only the arrays of the record span the grid.
+# Energy nodes per block of the basis and of spectral_amplitude: their
+# temporaries stay at 64 KiB of complex128; only the kept arrays span the grid.
 _NODE_BLOCK = 4096
+
+
+def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _EnergyBasis:
+    nodes, weights = gauss_legendre_panels(0.0, u0, grid.n_panels, grid.order)
+    k = np.sqrt(nodes)
+    N = stationary.normalization(nodes)
+    I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
+    for lo in range(0, len(nodes), _NODE_BLOCK):
+        part = slice(lo, lo + _NODE_BLOCK)
+        I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
+    basis = _EnergyBasis(nodes, weights, k, np.sqrt(u0 - nodes), N,
+                         N * packet.amplitude, I_minus, I_plus)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
                        grid: EnergyGridSpec) -> SpectralAmplitude:
-    """Expand the packet over sub-barrier left-incident scattering states."""
+    """Expand the packet over sub-barrier left-incident scattering states.
+
+    The width-independent _EnergyBasis is kept per (packet, u0, grid) in a
+    cache of at most _RETAINED_NODES nodes (a larger grid is used, not
+    kept), so per width only the stationary amplitudes and
+    f = N A [I(p - k) + conj(R) I(p + k)] are formed.
+    """
     if packet.p**2 >= barrier.u0:
         raise ValueError("sub-barrier study requires p^2 < u0")
-    nodes, weights = gauss_legendre_panels(0.0, barrier.u0, grid.n_panels, grid.order)
-    T, R, C_l, D, f = (np.empty(nodes.shape, dtype=complex) for _ in range(5))
-    for lo in range(0, len(nodes), _NODE_BLOCK):
+    basis = _BASES.get((packet, barrier.u0, grid),
+                       lambda: _build_basis(packet, barrier.u0, grid))
+    T, R, C_l, D, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(5))
+    for lo in range(0, len(basis.nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
-        eps = nodes[part]
         T[part], R[part], C_l[part], D[part] = stationary.amplitudes(
-            barrier.u0, barrier.l, eps)
-        f[part] = (stationary.normalization(eps) * packet.amplitude
-                   * _overlap(packet, np.sqrt(eps), R[part]))
-    captured = float(np.sum(weights * np.abs(f) ** 2))
+            barrier.u0, barrier.l, basis.nodes[part])
+        # complex products take named operands: numpy would run one on a large
+        # temporary in place, which rounds otherwise, and blocks would differ
+        rc = np.conj(R[part])
+        reflected = rc * basis.I_plus[part]
+        overlap = basis.I_minus[part] + reflected
+        f[part] = basis.NA[part] * overlap
+    captured = float(np.sum(basis.weights * np.abs(f) ** 2))
     return SpectralAmplitude(
-        grid=nodes, values=f, weights=weights, captured_weight=captured,
+        grid=basis.nodes, values=f, weights=basis.weights, captured_weight=captured,
         packet=packet, barrier=barrier, layout=grid, T=T, R=R, C_l=C_l, D=D,
+        basis=basis,
     )
 
 
@@ -301,7 +369,9 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     """
     k = math.sqrt(barrier.u0)
     ikl = 1j * k * barrier.l
-    overlap = _overlap(packet, k, -ikl / (2.0 - ikl))
+    R = -ikl / (2.0 - ikl)
+    overlap = (envelope_transform(packet.p - k, packet.b)
+               + np.conj(R) * envelope_transform(packet.p + k, packet.b))
     return complex(stationary.normalization(barrier.u0) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
 
@@ -309,12 +379,9 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
 def _basis(famp: SpectralAmplitude, xs: np.ndarray) -> np.ndarray:
     """psi_eps(x) as a (len(xs), n_eps) matrix: one row per position."""
     x = np.asarray(xs, dtype=float)
-    eps = famp.grid
-    k = np.sqrt(eps)
-    N = stationary.normalization(eps)
-    chi = np.sqrt(famp.barrier.u0 - eps)
-    return N * stationary._three_region(x, famp.barrier.l, k, chi, famp.T, famp.R,
-                                        famp.C_l, famp.D)
+    basis = famp.basis
+    return basis.N * stationary._three_region(x, famp.barrier.l, basis.k, basis.chi,
+                                              famp.T, famp.R, famp.C_l, famp.D)
 
 
 @dataclass(frozen=True)
@@ -358,6 +425,35 @@ def _fft_size(n: int) -> int:
     return best
 
 
+class _ChirpPlan(NamedTuple):
+    """The part of a chirp z-sum fixed by the grid and the time samples."""
+
+    conj_chirp: np.ndarray  # w^{n^2/2}, n < max(P, M)
+    kernel: np.ndarray      # FFT of the Bluestein kernel
+    offsets: np.ndarray     # e^{-i e_j (t_m - t_0)}, (order, M)
+
+
+def _chirp_plan(famp: SpectralAmplitude, times: np.ndarray, dt: float) -> _ChirpPlan:
+    n_panels, order = famp.layout.n_panels, famp.layout.order
+    n_times = len(times)
+    theta = famp.max_panel_width * dt
+    n = np.arange(max(n_panels, n_times), dtype=float)
+    # n*n is an exact integer in float64; w**(n**2/2) would round the power
+    chirp = np.exp(0.5j * theta * (n * n))
+    size = _fft_size(n_panels + n_times - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_times] = chirp[:n_times]
+    kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
+    plan = _ChirpPlan(np.conj(chirp), np.fft.fft(kernel),
+                      np.exp(-1j * np.outer(famp.grid[:order], times - times[0])))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+_PLANS = _BoundedCache(_RETAINED_NODES, lambda plan: sum(a.size for a in plan))
+
+
 def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
                  dt: float) -> np.ndarray:
     """sum_eps amp e^{-i eps t} on a uniform grid t_m = t_0 + m dt, by chirp z.
@@ -370,25 +466,20 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
     and each inner sum is one Bluestein convolution, via
     pm = (p^2 + m^2 - (m - p)^2) / 2, of length >= P + M - 1 for P panels
     and M times.  The order convolutions run as one batched FFT pair over
-    the rows of the (order, P) matrix of pre-chirped panel sums.
+    the rows of the (order, P) matrix of pre-chirped panel sums.  The chirp,
+    the kernel's FFT and the offsets form a _ChirpPlan, kept per (u0, layout,
+    dt, exact time samples) in a cache of at most _RETAINED_NODES complex
+    values, so a call forms only the panel FFT pair and the contraction.
     """
-    n_panels, order = famp.layout.n_panels, famp.layout.order
-    n_times = len(times)
-    theta = famp.max_panel_width * dt
-    n = np.arange(max(n_panels, n_times), dtype=float)
-    # n*n is an exact integer in float64; w**(n**2/2) would round the power
-    chirp = np.exp(0.5j * theta * (n * n))
-    size = _fft_size(n_panels + n_times - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:n_times] = chirp[:n_times]
-    kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
-    kernel = np.fft.fft(kernel)
+    plan = _PLANS.get((famp.eps_max, famp.layout, dt, times.tobytes()),
+                      lambda: _chirp_plan(famp, times, dt))
     if times[0] != 0.0:
         amp = amp * np.exp(-1j * famp.grid * times[0])
-    panels = amp.reshape(n_panels, order).T * np.conj(chirp[:n_panels])
-    conv = np.fft.ifft(np.fft.fft(panels, size, axis=1) * kernel, axis=1)[:, :n_times]
-    offsets = np.exp(-1j * np.outer(famp.grid[:order], times - times[0]))
-    return (offsets * conv).sum(axis=0) * np.conj(chirp[:n_times])
+    n_panels, n_times = famp.layout.n_panels, len(times)
+    panels = amp.reshape(n_panels, famp.layout.order).T * plan.conj_chirp[:n_panels]
+    conv = np.fft.ifft(np.fft.fft(panels, len(plan.kernel), axis=1) * plan.kernel,
+                       axis=1)[:, :n_times]
+    return (plan.offsets * conv).sum(axis=0) * plan.conj_chirp[:n_times]
 
 
 def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
@@ -598,8 +689,13 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
     by ~6e-6.
     """
     _check_window(t_max, coarse_dt)
-    # for_horizon floors the horizon at 1, so the floor is doubled as well
-    grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
+    # for_horizon floors the horizon at 1, so the floor is doubled as well;
+    # its refusal names that doubled horizon, so the message leads with t_max
+    try:
+        grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
+    except ValueError as exc:
+        raise ValueError(f"the free reference up to t_max = {t_max:g} has "
+                         f"quarter-period panels: {exc}") from None
     famp = spectral_amplitude(packet, BarrierSpec(eps_max, 0.0), grid)
     return arrival_time_of_max(famp, t_max, coarse_dt).t_arr
 

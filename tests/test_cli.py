@@ -290,6 +290,7 @@ class TestOptionValidation:
         err = capsys.readouterr().err
         assert code == 1
         assert "t_max = 2e+09 needs" in err and "Traceback" not in err
+        assert "the free reference up to t_max = 1e+09 " in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_count_must_be_whole(self, tmp_path, capsys):

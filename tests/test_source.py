@@ -39,3 +39,32 @@ def test_no_private_name_is_used_only_outside_the_package():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in private_definitions(tree) - used)
     assert unused == []
+
+
+def unbounded_caches(tree):
+    """Lines of functools.cache and lru_cache(maxsize=None) in a module."""
+    cache_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                   for alias in node.names if alias.name == "cache"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cache" and (
+                isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in cache_names:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            maxsize = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if name == "lru_cache" and any(
+                    isinstance(v, ast.Constant) and v.value is None for v in maxsize):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_cache_is_bounded():
+    # a module-level cache lives as long as the process, so each one needs
+    # a bound: functools.cache and lru_cache(maxsize=None) have none
+    found = {path.name: unbounded_caches(ast.parse(path.read_text())) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -11,6 +11,7 @@ from helpers import (
     direct_arrival_root,
     direct_synthesis,
     doubling_scan_arrival,
+    envelope_transform_array,
     initial_wavefunction,
     mp_overlap,
     spatial_profile,
@@ -111,14 +112,16 @@ class TestEnvelopeBranches:
                             np.linspace(-0.02, 0.02, 101),
                             np.linspace(0.98, 1.02, 101)])
         ref = envelope_all_branches(q, b)
-        got = envelope_transform(q, b)
+        got = envelope_transform_array(q, b)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
     def test_scalar_in_scalar_out(self):
+        # envelope_transform takes one real q; arrays go to the oracle
         assert isinstance(envelope_transform(0.3, 2.0), complex)
-        assert envelope_transform(np.array([0.3]), 2.0).shape == (1,)
-        assert isinstance(envelope_transform(np.array(0.3), 2.0), complex)
-        assert envelope_transform([0.3, 1.0], 2.0).shape == (2,)
+        assert isinstance(envelope_transform(np.float64(0.3), 2.0), complex)
+        assert isinstance(envelope_transform(1, 2.0), complex)
+        assert envelope_transform_array(np.array([0.3]), 2.0).shape == (1,)
+        assert envelope_transform_array([0.3, 1.0], 2.0).shape == (2,)
 
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
     def test_float_matches_one_element_array(self, b):
@@ -132,14 +135,14 @@ class TestEnvelopeBranches:
         qs += list(np.random.default_rng(11).uniform(-12.0, 12.0, 50))
         for q in qs:
             scalar = envelope_transform(float(q), b)
-            array = envelope_transform(np.array([q]), b)[0]
+            array = envelope_transform_array(np.array([q]), b)[0]
             assert type(scalar) is complex
             assert abs(scalar - array) <= 2e-15 * abs(array), q
         assert envelope_transform(np.float64(c), b) == envelope_transform(float(c), b)
 
 
 class TestOverlap:
-    """The one-exponential array path of _overlap against mpmath.
+    """The one-exponential overlaps of the energy basis against mpmath.
 
     The points sit on the removable points q = 0, c, -c of I(p - k) and
     I(p + k) (exactly, at p = c), on both sides of the branch switch
@@ -168,7 +171,8 @@ class TestOverlap:
             for s in (0.0, c, -c):
                 assert s in p - k and s in p + k
         R = np.random.default_rng(5).uniform(-0.7, 0.7, (len(k), 2)) @ [1.0, 1j]
-        got = wp._overlap(packet, k, R)
+        I_minus, I_plus = wp._envelope_pair(packet, k)
+        got = I_minus + np.conj(R) * I_plus
         ref = np.array([mp_overlap(packet, kk, rr) for kk, rr in zip(k, R)])
         # the generic form rounds the phases p pi b and k pi b apart, so
         # toward a removable point its error grows like ulp(p pi b) / theta,
@@ -455,17 +459,132 @@ class TestArrival:
         assert abs(a1.t_arr - a2.t_arr) < 1e-3
 
 
+def fresh_caches(monkeypatch):
+    """Empty basis and plan caches of the package's bounds, for this test only."""
+    for name in ("_BASES", "_PLANS"):
+        cache = getattr(wp, name)
+        monkeypatch.setattr(wp, name, wp._BoundedCache(cache.budget, cache.size))
+    return wp._BASES, wp._PLANS
+
+
+def assert_same_amplitude(a, b):
+    """Every field of two SpectralAmplitude records equal bit for bit."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "basis":
+            for name, u, v in zip(x._fields, x, y):
+                assert np.array_equal(u, v), name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
 class TestBlockedAmplitude:
     @pytest.mark.parametrize("n_panels", [64, 1000, 9596])
     def test_equals_one_block(self, monkeypatch, n_panels):
-        # 512, 8000 (a partial last block) and 76,768 nodes
+        # 512, 8000 (a partial last block) and 76,768 nodes; the cache is
+        # emptied in between, so the whole build forms its own overlaps
         grid = EnergyGridSpec(n_panels)
+        fresh_caches(monkeypatch)
         blocked = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
+        fresh_caches(monkeypatch)
         monkeypatch.setattr(wp, "_NODE_BLOCK", 10**9)
         whole = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
+        assert whole.basis is not blocked.basis
         assert blocked.captured_weight == whole.captured_weight
         for name in ("grid", "weights", "values", "T", "R", "C_l", "D"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+
+class TestBasisCache:
+    """The width-independent basis, built once per (packet, u0, layout)."""
+
+    @pytest.mark.parametrize("horizon", [30.0, 60.0, 120.0])
+    def test_warm_build_equals_cold(self, monkeypatch, horizon):
+        # the free reference and one width in each packet-opaque stratum, on
+        # the grids of the windows 30, 60 and 120
+        grid = EnergyGridSpec.for_horizon(U0, horizon)
+        barriers = [FREE] + [BarrierSpec(U0, l) for l in STRATUM_WIDTHS]
+        cold = []
+        for barrier in barriers:
+            fresh_caches(monkeypatch)
+            cold.append(spectral_amplitude(PACKET, barrier, grid))
+        bases, _ = fresh_caches(monkeypatch)
+        warm = [spectral_amplitude(PACKET, barrier, grid) for barrier in barriers]
+        assert len(bases.entries) == 1
+        assert all(famp.basis is warm[0].basis for famp in warm)
+        for a, b in zip(cold, warm):
+            assert a.basis is not b.basis
+            assert a.captured_weight == b.captured_weight
+            assert_same_amplitude(a, b)
+
+    def test_other_packet_u0_or_layout_misses(self, monkeypatch):
+        bases, _ = fresh_caches(monkeypatch)
+        first = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        assert spectral_amplitude(PACKET, FREE, EnergyGridSpec(64)).basis is first.basis
+        others = [(PacketSpec(p=3.0, b=2.0), BARRIER4, EnergyGridSpec(64)),
+                  (PacketSpec(p=3.6, b=2.5), BARRIER4, EnergyGridSpec(64)),
+                  (PACKET, BarrierSpec(30.0, 4.0), EnergyGridSpec(64)),
+                  (PACKET, BARRIER4, EnergyGridSpec(65)),
+                  (PACKET, BARRIER4, EnergyGridSpec(64, order=6))]
+        for n, args in enumerate(others, start=2):
+            assert spectral_amplitude(*args).basis is not first.basis
+            assert len(bases.entries) == n
+
+    def test_arrays_are_read_only(self, monkeypatch):
+        fresh_caches(monkeypatch)
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        assert np.shares_memory(famp.grid, famp.basis.nodes)
+        for array in (famp.grid, famp.weights, *famp.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_retained_nodes_stay_within_the_bound(self, monkeypatch):
+        bases, _ = fresh_caches(monkeypatch)
+        bound = wp._RETAINED_NODES
+        small = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        big = EnergyGridSpec(bound // 8 + 1)
+        famp = spectral_amplitude(PACKET, BARRIER4, big)
+        assert len(famp.grid) > bound and famp.captured_weight > 0.99
+        # used but not kept, and nothing evicted for it
+        assert bases.retained == 512 and list(bases.entries) == [(PACKET, U0, EnergyGridSpec(64))]
+        assert spectral_amplitude(PACKET, FREE, EnergyGridSpec(64)).basis is small.basis
+        # three grids of ~0.38 of the bound: the least recently used one goes
+        layouts = [EnergyGridSpec(bound * 3 // 64 + n) for n in range(3)]
+        for layout in layouts:
+            spectral_amplitude(PACKET, BARRIER4, layout)
+        assert bases.retained <= bound
+        assert [key[2] for key in bases.entries] == layouts[1:]
+
+
+class TestSynthesisPlan:
+    def test_plan_is_keyed_by_the_time_samples(self, monkeypatch):
+        # the same M and dt from t_0 = 0 and from t_0 = 2.5: two plans, and
+        # each synthesis matches the direct sum
+        _, plans = fresh_caches(monkeypatch)
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 20.0))
+        dt = 0.0625
+        grids = [t_0 + dt * np.arange(161) for t_0 in (0.0, 2.5)]
+        assert wp.uniform_step(grids[0]) == wp.uniform_step(grids[1]) == dt
+        for ts in grids + grids:
+            fast = synthesize_amplitude(famp, 4.0, ts)
+            slow = direct_synthesis(famp, 4.0, ts)
+            assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(slow))
+        assert len(plans.entries) == 2
+
+    def test_plan_is_shared_across_widths_and_read_only(self, monkeypatch):
+        _, plans = fresh_caches(monkeypatch)
+        grid = EnergyGridSpec.for_horizon(U0, 30.0)
+        for barrier in (FREE, BARRIER4, BarrierSpec(U0, 8.0)):
+            arrival_time_of_max(spectral_amplitude(PACKET, barrier, grid), 30.0,
+                                x=0.0 if barrier is FREE else None)
+        assert len(plans.entries) == 1
+        (plan, size), = plans.entries.values()
+        assert plans.retained == size
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def exit_integrand(packet, barrier, eps):
