@@ -9,12 +9,14 @@ coefficient at energy eps is
     I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx,
 
 with I available in closed form; on the energy grid I(p - k) and I(p + k)
-share one exponential e^{ik pi b} per node.  Synthesis evaluates
-psi(x, t) = int_0^{u0} f(eps) psi_eps(x) e^{-i eps t} d(eps) on a composite
-Gauss-Legendre energy grid whose panels span at most half a period of the
-fastest oscillation e^{-i eps t} requested, pi / t_max, where the 8-point
-rule still integrates it to ~1e-15, so a weighted sum reproduces the
-integral at any (x, t) pair.
+share one exponential e^{ik pi b} per node.  The packet is observed at the
+barrier exit x = l only (any other x raises ValueError), where the state is
+N X, X = T e^{ikl}.  Per width only X and R are formed (_exit_amplitudes);
+a SpectralAmplitude carries no T, C_l or D, which stationary.amplitudes
+forms.  Synthesis evaluates psi(l, t) = int_0^{u0} f(eps) N X e^{-i eps t}
+d(eps) on a composite Gauss-Legendre energy grid whose panels span at most
+half a period of the fastest oscillation e^{-i eps t} requested, pi / t_max,
+where the 8-point rule still integrates it to ~1e-15.
 
 The nodes of that grid are eps_pj = e_j + p W: panel p of width W and
 Gauss-Legendre offset e_j.  On a uniform time grid t_m = t_0 + m dt the sum
@@ -34,14 +36,15 @@ decaying artifact of the truncation, which the end-of-window test removes
 before it compares the density left at the end with the maximum.
 
 A width sweep repeats what does not depend on l, so that is built once: the
-energy basis (nodes, weights, k, chi, N, N A, I(p - k) and I(p + k)) per
-(packet, u0, grid layout), and the chirp-z plan (chirp, kernel FFT and
-offsets) per (u0, layout, exact time samples).  Each is kept in a
-least-recently-used cache of at most _RETAINED_NODES nodes or complex
-values, in read-only arrays that every SpectralAmplitude on them shares.
+energy basis (nodes, weights, the width-free factors of X and R, N A, the
+two overlaps and the panel powers) per (packet, u0, grid layout), and the
+chirp-z plan (chirp, kernel FFT and offsets) per (u0, layout, exact time
+samples).  Each is kept in a least-recently-used cache of at most
+_RETAINED_NODES nodes or complex values, in read-only arrays that every
+SpectralAmplitude on them shares.
 
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
-T = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
+X = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
 arrival at x = 0 is the reference t_in for the arrival at the barrier exit.
 """
 
@@ -141,7 +144,7 @@ def envelope_transform(q: float, b: float) -> complex:
 
 
 # Largest energy grid for_horizon builds; its amplitude record with its basis
-# takes ~0.7 GB (160 bytes per node).
+# takes ~0.6 GB (139 bytes per node).
 MAX_GRID_NODES = 2**22
 
 
@@ -184,16 +187,19 @@ class EnergyGridSpec:
 
 class _EnergyBasis(NamedTuple):
     """The width-independent half of a packet's energy grid, in read-only arrays:
-    nodes, weights and, per node, k, chi, N, N A, I(p - k) and I(p + k)."""
+    nodes, weights and, per node, chi, g, u0 / (2 k chi), N, N A, I(p - k) and
+    I(p + k); and the (3, P) panel powers p^0, p^1, p^2 of the P panels."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    k: np.ndarray
     chi: np.ndarray
+    g: np.ndarray
+    reflect_scale: np.ndarray  # u0 / (2 k chi)
     N: np.ndarray
     NA: np.ndarray
     I_minus: np.ndarray
     I_plus: np.ndarray
+    panel_powers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -203,11 +209,11 @@ class SpectralAmplitude:
     captured_weight is int_0^{eps_max} |f|^2 d(eps), the packet norm
     retained by the sub-barrier truncation at eps_max = u0.  layout is the
     composite Gauss-Legendre layout of grid: node j of panel p sits at
-    grid[p * layout.order + j].  T, R, C_l and D are the stationary
-    amplitudes at the grid nodes, C_l = C e^{chi l} the scaled interior one.
-    The free packet is the barrier of width 0, where T = 1 and R = 0.
-    basis is the width-independent half shared by every width of the same
-    (packet, u0, layout); grid and weights are its read-only arrays.
+    grid[p * layout.order + j].  R and the exit amplitude X = T e^{ikl} are
+    the stationary ones at the grid nodes; the free packet is the barrier of
+    width 0, where X = 1 and R = 0.  basis is the width-independent half
+    shared by every width of the same (packet, u0, layout); grid and weights
+    are its read-only arrays.
     """
 
     grid: np.ndarray
@@ -217,10 +223,8 @@ class SpectralAmplitude:
     packet: PacketSpec
     barrier: BarrierSpec
     layout: EnergyGridSpec
-    T: np.ndarray
     R: np.ndarray
-    C_l: np.ndarray
-    D: np.ndarray
+    X: np.ndarray
     basis: _EnergyBasis
 
     def __post_init__(self):
@@ -270,7 +274,7 @@ class _BoundedCache:
         return value
 
 
-# Energy nodes the basis cache keeps (80 bytes each, ~10 MB in all), and
+# Energy nodes the basis cache keeps (91 bytes each, ~12 MB in all), and
 # complex values the synthesis-plan cache keeps (~2 MB).
 _RETAINED_NODES = 1 << 17
 _BASES = _BoundedCache(_RETAINED_NODES, lambda basis: len(basis.nodes))
@@ -310,16 +314,40 @@ def _envelope_pair(packet: PacketSpec, k: np.ndarray):
 _NODE_BLOCK = 4096
 
 
+def _exit_terms(u0: float, nodes: np.ndarray):
+    """(k, chi, g, u0 / (2 k chi)) at the nodes, g = (k^2 - chi^2) / (2 k chi)."""
+    k, chi = np.sqrt(nodes), np.sqrt(u0 - nodes)
+    two_k_chi = 2.0 * k * chi
+    return k, chi, (k * k - chi * chi) / two_k_chi, u0 / two_k_chi
+
+
+def _exit_amplitudes(l: float, chi, g, reflect_scale):
+    """(X, R) at width l: the exit amplitude X = T e^{ikl} and the reflection.
+
+    With theta = chi l, e = e^{-theta}, m = -expm1(-2 theta) and
+    denom = (1 + e^2) - i g m: X = 2 e / denom, R = -i u0 m / (2 k chi denom).
+    These are stationary._thin_barrier's forms, free of cancellation for
+    every theta, so no branch is needed; X = 1 and R = 0 exactly at l = 0.
+    """
+    theta = chi * l
+    e = np.exp(-theta)
+    m = -np.expm1(-2.0 * theta)
+    inv = 1.0 / ((1.0 + e * e) - 1j * (g * m))
+    return (2.0 * e) * inv, (-1j * inv) * (reflect_scale * m)
+
+
 def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _EnergyBasis:
     nodes, weights = gauss_legendre_panels(0.0, u0, grid.n_panels, grid.order)
-    k = np.sqrt(nodes)
+    k, chi, g, reflect_scale = _exit_terms(u0, nodes)
     N = stationary.normalization(nodes)
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
         I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
-    basis = _EnergyBasis(nodes, weights, k, np.sqrt(u0 - nodes), N,
-                         N * packet.amplitude, I_minus, I_plus)
+    p = np.arange(grid.n_panels, dtype=float)
+    basis = _EnergyBasis(nodes, weights, chi, g, reflect_scale, N,
+                         N * packet.amplitude, I_minus, I_plus,
+                         np.stack([np.ones_like(p), p, p * p]))
     for array in basis:
         array.flags.writeable = False
     return basis
@@ -331,18 +359,18 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
 
     The width-independent _EnergyBasis is kept per (packet, u0, grid) in a
     cache of at most _RETAINED_NODES nodes (a larger grid is used, not
-    kept), so per width only the stationary amplitudes and
+    kept), so per width only R and X (_exit_amplitudes) and
     f = N A [I(p - k) + conj(R) I(p + k)] are formed.
     """
     if packet.p**2 >= barrier.u0:
         raise ValueError("sub-barrier study requires p^2 < u0")
     basis = _BASES.get((packet, barrier.u0, grid),
                        lambda: _build_basis(packet, barrier.u0, grid))
-    T, R, C_l, D, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(5))
+    R, X, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(3))
     for lo in range(0, len(basis.nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
-        T[part], R[part], C_l[part], D[part] = stationary.amplitudes(
-            barrier.u0, barrier.l, basis.nodes[part])
+        X[part], R[part] = _exit_amplitudes(
+            barrier.l, basis.chi[part], basis.g[part], basis.reflect_scale[part])
         # complex products take named operands: numpy would run one on a large
         # temporary in place, which rounds otherwise, and blocks would differ
         rc = np.conj(R[part])
@@ -352,19 +380,18 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     captured = float(np.sum(basis.weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=basis.nodes, values=f, weights=basis.weights, captured_weight=captured,
-        packet=packet, barrier=barrier, layout=grid, T=T, R=R, C_l=C_l, D=D,
-        basis=basis,
+        packet=packet, barrier=barrier, layout=grid, R=R, X=X, basis=basis,
     )
 
 
 def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     """h(u0), the integrand of psi(l, t) over energy at the barrier top.
 
-    With h(eps) = f(eps) N T e^{ikl}, cutting the energy integral at u0
+    With h(eps) = f(eps) N X, X = T e^{ikl}, cutting the energy integral at u0
     leaves the endpoint term (i/t) h(u0) e^{-i u0 t} (integration by parts;
     A. Erdelyi, Asymptotic Expansions, 1956, ch. 2), so once the pulse has
     passed the density at the barrier exit decays like |h(u0)|^2 / t^2.
-    As chi -> 0 the amplitudes tend to T e^{ikl} = 2/(2 - ikl) and
+    As chi -> 0 the amplitudes tend to X = 2/(2 - ikl) and
     R = -ikl/(2 - ikl), with k = sqrt(u0).
     """
     k = math.sqrt(barrier.u0)
@@ -374,14 +401,6 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
                + np.conj(R) * envelope_transform(packet.p + k, packet.b))
     return complex(stationary.normalization(barrier.u0) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
-
-
-def _basis(famp: SpectralAmplitude, xs: np.ndarray) -> np.ndarray:
-    """psi_eps(x) as a (len(xs), n_eps) matrix: one row per position."""
-    x = np.asarray(xs, dtype=float)
-    basis = famp.basis
-    return basis.N * stationary._three_region(x, famp.barrier.l, basis.k, basis.chi,
-                                              famp.T, famp.R, famp.C_l, famp.D)
 
 
 @dataclass(frozen=True)
@@ -483,27 +502,32 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
 
 
 def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
-    """amp = w f psi_eps(x) at each node, so psi(x, t) = sum amp e^{-i eps t}."""
-    return famp.weights * famp.values * _basis(famp, [x])[0]
+    """amp = w N f X at each node, so psi(l, t) = sum amp e^{-i eps t}; an
+    observation point x other than the barrier exit l raises ValueError."""
+    if x != famp.barrier.l:
+        raise ValueError("the packet is observed at the barrier exit "
+                         f"x = l = {famp.barrier.l!r} only, got x = {x!r}")
+    return famp.weights * famp.values * (famp.basis.N * famp.X)
 
 
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
-    """Complex psi(x, t) on a uniform time grid (quadrature-weighted spectral sum).
+    """Complex psi(x, t) at the barrier exit x = l on a uniform time grid.
 
     times must be a uniform grid t_0 + m dt of at least 3 points (see
     numerics.uniform_step), which the chirp z-transform sums; any other grid
-    raises ValueError.
+    raises ValueError, and so does any x but famp.barrier.l.
     """
+    amp = _weighted_state(famp, x)
     times = np.asarray(times, dtype=float)
     _check_resolution(famp, times)
     dt = uniform_step(times)
     if dt is None:
         raise ValueError("synthesis needs a uniform time grid of at least 3 points")
-    return _chirp_z_sum(famp, _weighted_state(famp, x), times, dt)
+    return _chirp_z_sum(famp, amp, times, dt)
 
 
 def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
-    """Density series |psi(x, t)|^2 at a fixed observation point."""
+    """Density series |psi(x, t)|^2 at the barrier exit x = l."""
     psi = synthesize_amplitude(famp, x, times)
     return TimeSeries(x=float(x), times=np.asarray(times, dtype=float),
                       density=np.abs(psi) ** 2)
@@ -532,13 +556,14 @@ def _panel_derivatives(famp: SpectralAmplitude, amp: np.ndarray, t: float):
     With eps_pj = e_j + p W, e^{-i eps_pj t} = e^{-i e_j t} (e^{-i W t})^p, and
     each time derivative brings down -i eps_pj, so the three sums take
     P + order exponentials and one contraction of the (P, order) weights with
-    the panel factors p^k (e^{-i W t})^p, k = 0, 1, 2.
+    the panel factors p^k (e^{-i W t})^p, k = 0, 1, 2; the powers p^k are
+    the basis's panel_powers.
     """
     width = famp.max_panel_width
     e = famp.grid[:famp.layout.order]
-    p = np.arange(famp.layout.n_panels, dtype=float)
-    z = np.exp(-1j * width * t * p)
-    s0, s1, s2 = np.stack([z, p * z, p * p * z]) @ amp.reshape(len(p), len(e))
+    powers = famp.basis.panel_powers
+    z = np.exp(-1j * width * t * powers[1])
+    s0, s1, s2 = (powers * z) @ amp.reshape(len(z), len(e))
     y = np.exp(-1j * e * t)
     psi = s0 @ y
     d1 = -1j * ((e * s0 + width * s1) @ y)
@@ -602,17 +627,17 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
                         coarse_dt: float = 0.05,
                         t_in: float | None = None,
                         x: float | None = None) -> ArrivalTime:
-    """Time at which D = |psi(x, t)|^2 attains its global maximum on [0, t_max].
+    """Time at which D = |psi(l, t)|^2 attains its global maximum on [0, t_max].
 
-    D is sampled every ~coarse_dt by one chirp z-synthesis.  The maximum
-    must be interior, and the window must not cut the pulse: the density
-    left at T = t_max must stay below EDGE_FRACTION of the maximum.
-    Otherwise WindowError asks the caller to extend the window; a maximum
-    at t = 0 is not extendable.  By default the observation point is the
-    barrier exit x = l.
+    D is sampled at the barrier exit every ~coarse_dt by one chirp
+    z-synthesis.  The maximum must be interior, and the window must not cut
+    the pulse: the density left at T = t_max must stay below EDGE_FRACTION
+    of the maximum.  Otherwise WindowError asks the caller to extend the
+    window; a maximum at t = 0 is not extendable.  x, if given, must be the
+    barrier exit l; any other raises ValueError.
 
-    Away from x = l the end density is the raw D(T).  At x = l the known
-    endpoint term of the cut energy integral is removed first.  Integrating
+    The known endpoint term of the cut energy integral is removed from the
+    end density first.  Integrating
     int_0^{u0} h(eps) e^{-i eps t} d(eps) by parts, with h(u0) from
     endpoint_amplitude, gives
 
@@ -638,12 +663,11 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     t_max or coarse_dt that is not finite and positive raises ValueError.
     """
     _check_window(t_max, coarse_dt)
-    if x is None:
-        x = famp.barrier.l
+    l = famp.barrier.l
+    amp = _weighted_state(famp, l if x is None else x)
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
     _check_resolution(famp, ts)
-    amp = _weighted_state(famp, x)
     psi = _chirp_z_sum(famp, amp, ts, t_max / (n - 1))
     d = np.abs(psi) ** 2
     i = int(np.argmax(d))
@@ -655,49 +679,47 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     if i == 0 or i == n - 1:
         raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})",
                           extendable=i > 0)
-    endpoint = None
+    endpoint = endpoint_amplitude(famp.packet, famp.barrier)
+    term = 1j / t_max * endpoint * cmath.exp(-1j * famp.eps_max * t_max)
+    remainder = abs(psi[-1] - term) ** 2
     end, which = d[-1], "end density"
-    if x == famp.barrier.l:
-        endpoint = endpoint_amplitude(famp.packet, famp.barrier)
-        term = 1j / t_max * endpoint * cmath.exp(-1j * famp.eps_max * t_max)
-        remainder = abs(psi[-1] - term) ** 2
-        if remainder < end:
-            end, which = remainder, "end density less the endpoint term"
+    if remainder < end:
+        end, which = remainder, "end density less the endpoint term"
     if end > EDGE_FRACTION * peak:
         raise WindowError(
             f"window [0, {t_max:g}] cuts the pulse: {which} {end:.3e} "
             f"is above {EDGE_FRACTION:.0%} of the maximum {peak:.3e}")
-    if endpoint is not None:
-        tail = abs(endpoint) ** 2 / t_max**2
-        if not tail < peak:
-            raise WindowError(
-                f"window [0, {t_max:g}] is too short: the endpoint density "
-                f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
-                f"maximum {peak:.3e}")
+    tail = abs(endpoint) ** 2 / t_max**2
+    if not tail < peak:
+        raise WindowError(
+            f"window [0, {t_max:g}] is too short: the endpoint density "
+            f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
+            f"maximum {peak:.3e}")
     t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
-    return ArrivalTime(x=float(x), t_arr=t_star, peak_density=v_star, t_in=t_in)
+    return ArrivalTime(x=float(l), t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 
 def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
-                      coarse_dt: float = 0.05) -> float:
+                      coarse_dt: float = 0.05, max_doublings: int = 4) -> float:
     """Arrival of the free packet maximum at x = 0 (the t_in reference).
 
     The free packet is the barrier BarrierSpec(eps_max, 0), which needs
-    p^2 < eps_max.  Its grid keeps quarter-period panels at t_max: its
-    integrand N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only like
-    the square root of the panel width, and half-period panels would move it
-    by ~6e-6.
+    p^2 < eps_max.  The window doubles as in scan_arrival, and each window's
+    grid has quarter-period panels: the free integrand N^2 f ~ eps^{-1/2} as
+    eps -> 0, so t_in converges only like the square root of the panel
+    width, and half-period panels would move it by ~6e-6.  Raises
+    WindowError and ValueError as scan_arrival does.
     """
-    _check_window(t_max, coarse_dt)
-    # for_horizon floors the horizon at 1, so the floor is doubled as well;
-    # its refusal names that doubled horizon, so the message leads with t_max
-    try:
-        grid = EnergyGridSpec.for_horizon(eps_max, 2.0 * max(t_max, 1.0))
-    except ValueError as exc:
-        raise ValueError(f"the free reference up to t_max = {t_max:g} has "
-                         f"quarter-period panels: {exc}") from None
-    famp = spectral_amplitude(packet, BarrierSpec(eps_max, 0.0), grid)
-    return arrival_time_of_max(famp, t_max, coarse_dt).t_arr
+    def quarter_period(horizon):
+        # for_horizon floors the horizon at 1, so the floor is doubled too
+        try:
+            return EnergyGridSpec.for_horizon(eps_max, 2.0 * max(horizon, 1.0))
+        except ValueError as exc:
+            raise ValueError(f"the free reference up to t_max = {horizon:g} has "
+                             f"quarter-period panels: {exc}") from None
+
+    return _doubling_scan(packet, BarrierSpec(eps_max, 0.0), quarter_period,
+                          t_max, coarse_dt, max_doublings)[0].t_arr
 
 
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
@@ -717,12 +739,21 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     coarse_dt are finite and positive and max_doublings is a nonnegative
     integer.
     """
+    return _doubling_scan(
+        packet, barrier, lambda horizon: EnergyGridSpec.for_horizon(barrier.u0, horizon),
+        t_max, coarse_dt, max_doublings, t_in)
+
+
+def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
+                   t_max: float, coarse_dt: float, max_doublings: int,
+                   t_in: float | None = None):
+    """(ArrivalTime, SpectralAmplitude) of the first window t_max 2^a that
+    passes, each window on the energy grid grid_for(t_max 2^a)."""
     _check_window(t_max, coarse_dt, max_doublings)
     last_error = None
     for attempt in range(max_doublings + 1):
         horizon = t_max * 2**attempt
-        grid = EnergyGridSpec.for_horizon(barrier.u0, horizon)
-        famp = spectral_amplitude(packet, barrier, grid)
+        famp = spectral_amplitude(packet, barrier, grid_for(horizon))
         try:
             return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
         except WindowError as exc:
@@ -768,13 +799,10 @@ def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
     per unit of ln t_cut.  If doubling the cutoff would move t_mean by more
     than MEAN_DRIFT_TOL of itself, S ln 2 > MEAN_DRIFT_TOL t_mean, raises
     TailMassError: the mean then measures the cutoff more than the pulse.
-    h(u0) is the endpoint term at x = l only, so any other x raises
+    The packet is observed at the exit only, so any other x raises
     ValueError, as does a t_cut or dt that is not finite and positive.
     """
     _check_window(t_cut, dt)
-    if x != famp.barrier.l:
-        raise ValueError("the mean crossing time needs the barrier basis at "
-                         f"its exit x = l, got x = {x!r}")
     n = max(int(round(t_cut / dt)), 64) + 1
     ts = np.linspace(0.0, t_cut, n)
     d = synthesize(famp, x, ts).density

@@ -150,21 +150,48 @@ def _block_rows(famp):
     return max(1, _BLOCK // len(famp.grid))
 
 
-def direct_synthesis(famp, x, times):
-    """Oracle for synthesize_amplitude: psi(x, t) on any time grid.
+def stationary_states(famp, xs):
+    """N psi_eps(x) at famp's energy nodes, as a (len(xs), n_eps) matrix.
 
-    psi(x, t) = sum_eps w f psi_eps(x) e^{-i eps t}, with one exponential per
-    node and time and no factorisation over the energy panels, built in
+    The general-x oracle for the exit state N X that wavepacket forms: the
+    three-region states of stationary.amplitudes and stationary._three_region,
+    valid at any position.
+    """
+    u0, l, eps = famp.barrier.u0, famp.barrier.l, famp.grid
+    T, R, C_l, D = stationary.amplitudes(u0, l, eps)
+    psi = stationary._three_region(np.asarray(xs, dtype=float), l, np.sqrt(eps),
+                                   np.sqrt(u0 - eps), T, R, C_l, D)
+    return stationary.normalization(eps) * psi
+
+
+def general_state(famp, x):
+    """amp = w f N psi_eps(x) at each node, at any position x."""
+    return famp.weights * famp.values * stationary_states(famp, [x])[0]
+
+
+def direct_synthesis(famp, x, times):
+    """Oracle for synthesize_amplitude: psi(x, t) on any time grid at any x.
+
+    psi(x, t) = sum_eps w f N psi_eps(x) e^{-i eps t}, with one exponential
+    per node and time and no factorisation over the energy panels, built in
     blocks of rows so that no (n_t, n_eps) matrix is formed.
     """
     times = np.asarray(times, dtype=float)
     wp._check_resolution(famp, times)
-    amp = wp._weighted_state(famp, x)
+    amp = general_state(famp, x)
     rows = _block_rows(famp)
     return np.concatenate([
         np.exp(-1j * np.outer(times[i:i + rows], famp.grid)) @ amp
         for i in range(0, len(times), rows)
     ])
+
+
+def synthesize_at(famp, x, times):
+    """psi(x, t) at any position x on a uniform time grid: the chirp z-sum of
+    the package applied to general_state, where the package takes x = l only."""
+    times = np.asarray(times, dtype=float)
+    wp._check_resolution(famp, times)
+    return wp._chirp_z_sum(famp, general_state(famp, x), times, wp.uniform_step(times))
 
 
 def spatial_profile(famp, xs, t):
@@ -174,7 +201,7 @@ def spatial_profile(famp, xs, t):
     coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
     rows = _block_rows(famp)
     return np.concatenate([
-        wp._basis(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
+        stationary_states(famp, xs[i:i + rows]) @ coeff for i in range(0, len(xs), rows)
     ])
 
 
@@ -206,9 +233,9 @@ def direct_arrival_root(famp, x, t_guess, half_width=1e-3):
     -i eps_n amp_n e^{-i eps_n t} summed over every node with its own
     exponential, with no factorisation over the energy panels.  The root is
     bracketed within half_width of t_guess and found by brentq; it fails if
-    dD/dt has no sign change there.
+    dD/dt has no sign change there.  x may be any position.
     """
-    amp = famp.weights * famp.values * wp._basis(famp, [x])[0]
+    amp = general_state(famp, x)
 
     def slope_and_density(t):
         terms = amp * np.exp(-1j * famp.grid * t)

@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import tunneltimes
+from tunneltimes import stationary, wavepacket
 
 SOURCES = sorted(Path(tunneltimes.__file__).parent.glob("*.py"))
 
@@ -68,3 +71,27 @@ def test_every_cache_is_bounded():
     # a bound: functools.cache and lru_cache(maxsize=None) have none
     found = {path.name: unbounded_caches(ast.parse(path.read_text())) for path in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def positional_names(fn):
+    """Names of the parameters fn takes by position, in order."""
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_calls_the_benchmark_makes():
+    # bench/ is versioned apart from the package and calls it as below; the
+    # layer tracer reads arguments by position (synthesize_amplitude's times
+    # as args[2], stationary.amplitudes' energies as args[2]), and the
+    # oracles read these SpectralAmplitude fields
+    assert positional_names(wavepacket.synthesize_amplitude)[:3] == ["famp", "x", "times"]
+    assert positional_names(stationary.amplitudes)[:3] == ["u0", "l", "eps"]
+    assert positional_names(wavepacket.mean_crossing_time)[:3] == ["famp", "x", "t_cut"]
+    calls = [(wavepacket.mean_crossing_time, ("famp", 8.0, 30.0), {"dt": 0.05}),
+             (wavepacket.free_arrival_time, ("packet", 31.4), {"t_max": 30.0}),
+             (wavepacket.scan_arrival, ("packet", "barrier"),
+              {"t_max": 30.0, "coarse_dt": 0.05, "t_in": 0.4})]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
+    fields = {field.name for field in dataclasses.fields(wavepacket.SpectralAmplitude)}
+    assert {"grid", "weights", "values", "captured_weight"} <= fields

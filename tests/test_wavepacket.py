@@ -15,6 +15,7 @@ from helpers import (
     initial_wavefunction,
     mp_overlap,
     spatial_profile,
+    synthesize_at,
     weighted_mean_time,
 )
 from tunneltimes import stationary
@@ -279,11 +280,12 @@ class TestSpectralAmplitude:
             dataclasses.replace(famp, grid=famp.grid + 1.0)
 
     def test_zero_width_is_the_free_basis(self):
-        # at l = 0, T = 1 and R = 0 exactly, so f is the plane-wave overlap
-        # N A I(p - k), here with I summed by mpmath at every node
+        # at l = 0, X = T e^{ikl} = 1 and R = 0 exactly, so f is the
+        # plane-wave overlap N A I(p - k), here with I summed by mpmath at
+        # every node
         pytest.importorskip("mpmath")
         famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
-        assert np.all(famp.T == 1.0) and np.all(famp.R == 0.0)
+        assert np.all(famp.X == 1.0) and np.all(famp.R == 0.0)
         overlap = np.array([mp_overlap(PACKET, k) for k in np.sqrt(famp.grid)])
         free = stationary.normalization(famp.grid) * PACKET.amplitude * overlap
         assert np.max(np.abs(famp.values - free)) <= 1e-13 * np.max(np.abs(free))
@@ -410,12 +412,32 @@ class TestArrival:
             free_arrival_time(PACKET, PACKET.p**2)
 
     def test_free_flight_to_detector(self):
-        # negligible barrier: peak travels from x0 = -pi at speed 2p
+        # negligible barrier: peak travels from x0 = -pi at speed 2p.  The
+        # package observes the exit x = l = 0 only, so x = 5 takes the
+        # general-x oracle: the largest sample, then the root of dD/dt
         grid = EnergyGridSpec.for_horizon(50.0, 10.0)
         famp = spectral_amplitude(PACKET, BarrierSpec(50.0, 0.0), grid)
-        arr = arrival_time_of_max(famp, 10.0, coarse_dt=0.02, x=5.0)
+        with pytest.raises(ValueError, match="exit"):
+            arrival_time_of_max(famp, 10.0, coarse_dt=0.02, x=5.0)
+        ts = np.linspace(0.0, 10.0, 501)
+        i = int(np.argmax(np.abs(synthesize_at(famp, 5.0, ts)) ** 2))
+        t_arr, _ = direct_arrival_root(famp, 5.0, ts[i], half_width=0.02)
         ballistic = (math.pi * PACKET.b / 2.0 + 5.0) / (2.0 * PACKET.p)
-        assert abs(arr.t_arr - ballistic) / ballistic <= 0.10
+        assert abs(t_arr - ballistic) / ballistic <= 0.10
+
+    @pytest.mark.parametrize("x", [3.9, 4.0 + 1e-12, 0.0, -1.0, 5.0])
+    def test_other_points_raise(self, x):
+        # the exit x = l = 4 only; every entry point that takes x says so
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 60.0))
+        ts = np.linspace(0.0, 30.0, 601)
+        calls = [lambda: synthesize_amplitude(famp, x, ts),
+                 lambda: synthesize(famp, x, ts),
+                 lambda: arrival_time_of_max(famp, 30.0, x=x),
+                 lambda: mean_crossing_time(famp, x, 60.0)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"exit x = l = 4\.0 only"):
+                call()
+        assert arrival_time_of_max(famp, 30.0, x=4.0) == arrival_time_of_max(famp, 30.0)
 
     def test_plateau_region(self, arrival_sweep):
         _, rows = arrival_sweep
@@ -480,6 +502,76 @@ def assert_same_amplitude(a, b):
             assert x == y, field.name
 
 
+def mp_exit_amplitudes(u0, l, eps, dps=40):
+    """Oracle for (X, R) = (T e^{ikl}, R) at one energy, by mpmath.
+
+    The textbook forms X = 1 / (cosh theta - i g sinh theta) and
+    R = -i u0 sinh theta / (2 k chi (cosh theta - i g sinh theta)),
+    theta = chi l, at dps digits from the exact values of the floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        u0, l, eps = mp.mpf(u0), mp.mpf(l), mp.mpf(eps)
+        k, chi = mp.sqrt(eps), mp.sqrt(u0 - eps)
+        g = (k * k - chi * chi) / (2 * k * chi)
+        denom = mp.cosh(chi * l) - 1j * g * mp.sinh(chi * l)
+        return (complex(1 / denom),
+                complex(-1j * u0 * mp.sinh(chi * l) / (2 * k * chi * denom)))
+
+
+class TestExitAmplitudes:
+    """The per-width exit amplitude X = T e^{ikl} and reflection R."""
+
+    THETAS = (1e-12, 1e-8, 1e-4, 0.05, stationary.THIN_THETA * (1.0 - 1e-9),
+              stationary.THIN_THETA * (1.0 + 1e-9), 1.0, 3.0, 10.0, 20.0, 40.0)
+
+    @pytest.mark.parametrize("u0", [0.5, 2.62, 31.4])
+    def test_against_mpmath(self, u0):
+        # theta across [0, 40] on both sides of THIN_THETA, at energies
+        # from 1e-9 to 1e-4 below the top
+        pytest.importorskip("mpmath")
+        eps = np.array([1e-9, 1e-6, 0.01 * u0, 0.3 * u0, 0.5 * u0, 0.9 * u0,
+                        u0 - 1e-3, u0 - 1e-4])
+        _, chi, g, reflect_scale = wp._exit_terms(u0, eps)
+        worst_x = worst_r = 0.0
+        for theta in self.THETAS:
+            for i, e in enumerate(eps):
+                l = theta / chi[i]
+                X, R = wp._exit_amplitudes(l, chi[i:i + 1], g[i:i + 1],
+                                           reflect_scale[i:i + 1])
+                X_ref, R_ref = mp_exit_amplitudes(u0, l, e)
+                worst_x = max(worst_x, abs(X[0] - X_ref) / abs(X_ref))
+                worst_r = max(worst_r, abs(R[0] - R_ref) / abs(R_ref))
+        assert worst_x <= 1e-13 and worst_r <= 1e-13, (worst_x, worst_r)
+
+    def test_zero_width_is_exact(self):
+        eps = np.linspace(1e-9, U0 - 1e-4, 101)
+        _, chi, g, reflect_scale = wp._exit_terms(U0, eps)
+        X, R = wp._exit_amplitudes(0.0, chi, g, reflect_scale)
+        assert np.all(X == 1.0) and np.all(R == 0.0)
+
+    def test_opaque_widths_underflow_cleanly(self):
+        # e^{-theta} underflows beyond theta ~ 745: X is 0, and R is the
+        # reflection of the half-infinite step, -i u0 / (2 k chi (1 - i g))
+        eps = np.array([1e-6, 0.5 * U0, U0 - 1e-4])
+        _, chi, g, reflect_scale = wp._exit_terms(U0, eps)
+        X, R = wp._exit_amplitudes(1e6, chi, g, reflect_scale)
+        assert np.all(X == 0.0)
+        step = -1j * reflect_scale / (1.0 - 1j * g)
+        assert np.max(np.abs(R - step)) <= 1e-15 and np.allclose(np.abs(R), 1.0)
+
+    @pytest.mark.parametrize("l", [0.0, 0.05, 1.0, 4.0, 12.2])
+    def test_matches_the_stationary_solution(self, l):
+        # the record's X and R against the three-region state of
+        # stationary.amplitudes on the same grid, thin forms below THIN_THETA
+        famp = spectral_amplitude(PACKET, BarrierSpec(U0, l), EnergyGridSpec(64))
+        T, R, _, _ = stationary.amplitudes(U0, l, famp.grid)
+        X = T * np.exp(1j * np.sqrt(famp.grid) * l)
+        assert np.max(np.abs(famp.X - X) / np.abs(X)) <= 1e-13
+        assert np.max(np.abs(famp.R - R)) <= 1e-14
+
+
 class TestBlockedAmplitude:
     @pytest.mark.parametrize("n_panels", [64, 1000, 9596])
     def test_equals_one_block(self, monkeypatch, n_panels):
@@ -493,7 +585,7 @@ class TestBlockedAmplitude:
         whole = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
         assert whole.basis is not blocked.basis
         assert blocked.captured_weight == whole.captured_weight
-        for name in ("grid", "weights", "values", "T", "R", "C_l", "D"):
+        for name in ("grid", "weights", "values", "R", "X"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
 
@@ -805,10 +897,14 @@ class TestWindowAcceptance:
             arrival_time_of_max(famp, 15.0)
 
     def test_other_points_take_the_raw_test(self, opaque120):
-        # the endpoint term belongs to x = l only; just past the exit the
-        # raw end density decides, and it still cuts the pulse at t = 120
-        with pytest.raises(WindowError, match=r"cuts the pulse: end density \d"):
-            arrival_time_of_max(opaque120, 120.0, x=12.2 + 0.01)
+        # the endpoint term belongs to x = l only, and the package observes
+        # nowhere else; just past the exit, by the general-x oracle, the raw
+        # end density still cuts the pulse at t = 120
+        x = 12.2 + 0.01
+        with pytest.raises(ValueError, match="exit"):
+            arrival_time_of_max(opaque120, 120.0, x=x)
+        density = np.abs(synthesize_at(opaque120, x, np.linspace(0.0, 120.0, 2401))) ** 2
+        assert density[-1] > wp.EDGE_FRACTION * np.max(density)
 
 
 class TestWindowArguments:
@@ -835,7 +931,8 @@ class TestWindowArguments:
         with pytest.raises(ValueError, match=name):
             arrival_time_of_max(famp4, **args)
 
-    @pytest.mark.parametrize("kwargs,name", BAD)
+    @pytest.mark.parametrize("kwargs,name", BAD + [({"max_doublings": -1}, "max_doublings"),
+                                                   ({"max_doublings": 1.5}, "max_doublings")])
     def test_free_arrival_time(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             free_arrival_time(PACKET, U0, **kwargs)
@@ -882,6 +979,22 @@ class TestNewtonPeak:
         # the half-period grid of the horizon 60
         t_in = free_arrival_time(PACKET, U0, t_max=30.0)
         famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
+        t_ref, _ = direct_arrival_root(famp, 0.0, t_in)
+        assert abs(t_in - t_ref) <= 1e-10
+
+    def test_free_arrival_doubles_its_window(self, monkeypatch):
+        # at u0 = 2.62, p = 0.79, b = 0.97 the window 30 cuts the free pulse
+        # and 60 passes, on the quarter-period grid of 60 (horizon 120)
+        packet, u0 = PacketSpec(p=0.79, b=0.97), 2.62
+        with pytest.raises(WindowError, match="up to t = 30: .*cuts the pulse"):
+            free_arrival_time(packet, u0, t_max=30.0, max_doublings=0)
+        tried = windows_tried(monkeypatch)
+        t_in = free_arrival_time(packet, u0, t_max=30.0)
+        assert tried == [30.0, 60.0]
+        monkeypatch.undo()
+        assert t_in == free_arrival_time(packet, u0, t_max=60.0, max_doublings=0)
+        famp = spectral_amplitude(packet, BarrierSpec(u0, 0.0),
+                                  EnergyGridSpec.for_horizon(u0, 120.0))
         t_ref, _ = direct_arrival_root(famp, 0.0, t_in)
         assert abs(t_in - t_ref) <= 1e-10
 
