@@ -36,12 +36,12 @@ decaying artifact of the truncation, which the end-of-window test removes
 before it compares the density left at the end with the maximum.
 
 A width sweep repeats what does not depend on l, so that is built once: the
-energy basis (nodes, weights, the width-free factors of X and R, N A, the
-two overlaps and the panel powers) per (packet, u0, grid layout), and the
-chirp-z plan (chirp, kernel FFT and offsets) per (u0, layout, exact time
-samples).  Each is kept in a least-recently-used cache of at most
-_RETAINED_NODES nodes or complex values, in read-only arrays that every
-SpectralAmplitude on them shares.
+energy basis (nodes, weights, the width-free factors k, chi and g of X and
+R, N A, the two overlaps and the panel powers) per (packet, u0, grid
+layout), and the chirp-z plan (chirp, kernel FFT and offsets) per (u0,
+layout, exact time samples).  Each is kept in a least-recently-used cache
+of at most _RETAINED_NODES nodes or complex values, in read-only arrays
+that every SpectralAmplitude on them shares.
 
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
 X = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
@@ -187,14 +187,15 @@ class EnergyGridSpec:
 
 class _EnergyBasis(NamedTuple):
     """The width-independent half of a packet's energy grid, in read-only arrays:
-    nodes, weights and, per node, chi, g, u0 / (2 k chi), N, N A, I(p - k) and
-    I(p + k); and the (3, P) panel powers p^0, p^1, p^2 of the P panels."""
+    nodes, weights and, per node, k, chi, g = (k^2 - chi^2) / (2 k chi), N,
+    N A, I(p - k) and I(p + k); and the (3, P) panel powers p^0, p^1, p^2 of
+    the P panels."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    k: np.ndarray
     chi: np.ndarray
     g: np.ndarray
-    reflect_scale: np.ndarray  # u0 / (2 k chi)
     N: np.ndarray
     NA: np.ndarray
     I_minus: np.ndarray
@@ -314,40 +315,33 @@ def _envelope_pair(packet: PacketSpec, k: np.ndarray):
 _NODE_BLOCK = 4096
 
 
-def _exit_terms(u0: float, nodes: np.ndarray):
-    """(k, chi, g, u0 / (2 k chi)) at the nodes, g = (k^2 - chi^2) / (2 k chi)."""
-    k, chi = np.sqrt(nodes), np.sqrt(u0 - nodes)
-    two_k_chi = 2.0 * k * chi
-    return k, chi, (k * k - chi * chi) / two_k_chi, u0 / two_k_chi
-
-
-def _exit_amplitudes(l: float, chi, g, reflect_scale):
+def _exit_amplitudes(u0: float, l: float, k, chi, g):
     """(X, R) at width l: the exit amplitude X = T e^{ikl} and the reflection.
 
-    With theta = chi l, e = e^{-theta}, m = -expm1(-2 theta) and
-    denom = (1 + e^2) - i g m: X = 2 e / denom, R = -i u0 m / (2 k chi denom).
-    These are stationary._thin_barrier's forms, free of cancellation for
-    every theta, so no branch is needed; X = 1 and R = 0 exactly at l = 0.
+    With theta = chi l, e = e^{-theta} and m = -expm1(-2 theta),
+    stationary._thin_barrier gives denom = (1 + e^2) - i g m and
+    R = -i u0 m / (2 k chi denom), and X = 2 e / denom.  These forms are free
+    of cancellation at every theta, not only below THIN_THETA, so no branch
+    is needed; X = 1 and R = 0 exactly at l = 0.
     """
     theta = chi * l
     e = np.exp(-theta)
-    m = -np.expm1(-2.0 * theta)
-    inv = 1.0 / ((1.0 + e * e) - 1j * (g * m))
-    return (2.0 * e) * inv, (-1j * inv) * (reflect_scale * m)
+    denom, R = stationary._thin_barrier(u0, k, chi, g, e * e, -np.expm1(-2.0 * theta))
+    return 2.0 * e / denom, R
 
 
 def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _EnergyBasis:
     nodes, weights = gauss_legendre_panels(0.0, u0, grid.n_panels, grid.order)
-    k, chi, g, reflect_scale = _exit_terms(u0, nodes)
+    k, chi = np.sqrt(nodes), np.sqrt(u0 - nodes)
     N = stationary.normalization(nodes)
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
         I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
     p = np.arange(grid.n_panels, dtype=float)
-    basis = _EnergyBasis(nodes, weights, chi, g, reflect_scale, N,
-                         N * packet.amplitude, I_minus, I_plus,
-                         np.stack([np.ones_like(p), p, p * p]))
+    g = (k * k - chi * chi) / (2.0 * k * chi)
+    basis = _EnergyBasis(nodes, weights, k, chi, g, N, N * packet.amplitude,
+                         I_minus, I_plus, np.stack([np.ones_like(p), p, p * p]))
     for array in basis:
         array.flags.writeable = False
     return basis
@@ -370,7 +364,7 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     for lo in range(0, len(basis.nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
         X[part], R[part] = _exit_amplitudes(
-            barrier.l, basis.chi[part], basis.g[part], basis.reflect_scale[part])
+            barrier.u0, barrier.l, basis.k[part], basis.chi[part], basis.g[part])
         # complex products take named operands: numpy would run one on a large
         # temporary in place, which rounds otherwise, and blocks would differ
         rc = np.conj(R[part])
@@ -535,9 +529,8 @@ def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
 
 @dataclass(frozen=True)
 class ArrivalTime:
-    """Arrival of the density maximum at an observation point."""
+    """Arrival of the density maximum at the barrier exit."""
 
-    x: float
     t_arr: float
     peak_density: float
     t_in: float | None = None
@@ -625,16 +618,14 @@ EDGE_FRACTION = 0.01
 
 def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
                         coarse_dt: float = 0.05,
-                        t_in: float | None = None,
-                        x: float | None = None) -> ArrivalTime:
+                        t_in: float | None = None) -> ArrivalTime:
     """Time at which D = |psi(l, t)|^2 attains its global maximum on [0, t_max].
 
     D is sampled at the barrier exit every ~coarse_dt by one chirp
     z-synthesis.  The maximum must be interior, and the window must not cut
     the pulse: the density left at T = t_max must stay below EDGE_FRACTION
     of the maximum.  Otherwise WindowError asks the caller to extend the
-    window; a maximum at t = 0 is not extendable.  x, if given, must be the
-    barrier exit l; any other raises ValueError.
+    window; a maximum at t = 0 is not extendable.
 
     The known endpoint term of the cut energy integral is removed from the
     end density first.  Integrating
@@ -663,8 +654,7 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     t_max or coarse_dt that is not finite and positive raises ValueError.
     """
     _check_window(t_max, coarse_dt)
-    l = famp.barrier.l
-    amp = _weighted_state(famp, l if x is None else x)
+    amp = _weighted_state(famp, famp.barrier.l)
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
     _check_resolution(famp, ts)
@@ -696,19 +686,20 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
             f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
             f"maximum {peak:.3e}")
     t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
-    return ArrivalTime(x=float(l), t_arr=t_star, peak_density=v_star, t_in=t_in)
+    return ArrivalTime(t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 
 def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
-                      coarse_dt: float = 0.05, max_doublings: int = 4) -> float:
+                      coarse_dt: float = 0.05) -> float:
     """Arrival of the free packet maximum at x = 0 (the t_in reference).
 
     The free packet is the barrier BarrierSpec(eps_max, 0), which needs
-    p^2 < eps_max.  The window doubles as in scan_arrival, and each window's
-    grid has quarter-period panels: the free integrand N^2 f ~ eps^{-1/2} as
-    eps -> 0, so t_in converges only like the square root of the panel
-    width, and half-period panels would move it by ~6e-6.  Raises
-    WindowError and ValueError as scan_arrival does.
+    p^2 < eps_max.  The window doubles as in scan_arrival, up to its default
+    of 4 doublings, and each window's grid has quarter-period panels: the
+    free integrand N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only
+    like the square root of the panel width, and is off by ~1.4e-5 at
+    u0 = 31.4, p = 3.6, b = 2 but by ~3.3e-3 at u0 = 2.62, p = 0.79,
+    b = 0.97.  Raises WindowError and ValueError as scan_arrival does.
     """
     def quarter_period(horizon):
         # for_horizon floors the horizon at 1, so the floor is doubled too
@@ -719,7 +710,7 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
                              f"quarter-period panels: {exc}") from None
 
     return _doubling_scan(packet, BarrierSpec(eps_max, 0.0), quarter_period,
-                          t_max, coarse_dt, max_doublings)[0].t_arr
+                          t_max, coarse_dt, 4)[0].t_arr
 
 
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
@@ -734,10 +725,10 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     p = 3.6, b = 2 and t_max = 30 the window doubles at l = 8.252, 10.228
     and 13.073, and t = 120 serves up to there.  Returns
     (ArrivalTime, SpectralAmplitude).  Raises WindowError if the largest
-    window still fails, and from the window at hand if its maximum sits at
-    t = 0, which no window moves.  Raises ValueError unless t_max and
-    coarse_dt are finite and positive and max_doublings is a nonnegative
-    integer.
+    window still fails or a later window's grid would exceed MAX_GRID_NODES,
+    and from the window at hand if its maximum sits at t = 0, which no
+    window moves.  Raises ValueError unless t_max and coarse_dt are finite
+    and positive and max_doublings is a nonnegative integer.
     """
     return _doubling_scan(
         packet, barrier, lambda horizon: EnergyGridSpec.for_horizon(barrier.u0, horizon),
@@ -748,12 +739,21 @@ def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
                    t_max: float, coarse_dt: float, max_doublings: int,
                    t_in: float | None = None):
     """(ArrivalTime, SpectralAmplitude) of the first window t_max 2^a that
-    passes, each window on the energy grid grid_for(t_max 2^a)."""
+    passes, each window on the energy grid grid_for(t_max 2^a).  A grid that
+    grid_for refuses ends the scan: with ValueError at t_max, and with the
+    last window's WindowError, which names the refusal, after it."""
     _check_window(t_max, coarse_dt, max_doublings)
     last_error = None
     for attempt in range(max_doublings + 1):
         horizon = t_max * 2**attempt
-        famp = spectral_amplitude(packet, barrier, grid_for(horizon))
+        try:
+            grid = grid_for(horizon)
+        except ValueError as exc:
+            if last_error is None:
+                raise
+            raise WindowError(f"no valid window up to t = {horizon / 2:g}: {last_error}; "
+                              f"the window {horizon:g} is not tried: {exc}") from None
+        famp = spectral_amplitude(packet, barrier, grid)
         try:
             return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
         except WindowError as exc:
