@@ -108,10 +108,9 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
 
     window_mass = w_plus + w_minus
     # asymptotics: |phi|^2 ~ (|psi(0)|^2 + |psi(l)|^2)/k^2 averaged over
-    # oscillations, so each side's tail integrates to ~ boundary/k_max
-    psi0 = stationary.wavefunction_at(sol, 0.0)
-    psil = stationary.wavefunction_at(sol, sol.barrier.l)
-    boundary = abs(psi0) ** 2 + abs(psil) ** 2
+    # oscillations, with psi(0) = N (1 + R) and psi(l) = N T e^{ikl}, so
+    # each side's tail integrates to ~ boundary/k_max
+    boundary = sol.N**2 * (abs(1.0 + sol.R) ** 2 + abs(sol.T) ** 2)
     tail = 2.0 * boundary / k_max
     flagged = tail > 0.01 * window_mass
 

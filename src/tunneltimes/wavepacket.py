@@ -65,7 +65,7 @@ from .numerics import gauss_legendre_panels, uniform_step
 
 
 class SynthesisResolutionError(RuntimeError):
-    """The energy grid cannot resolve e^{-i eps t} at the requested time."""
+    """The energy grid does not resolve e^{-i eps t} at a time, or f(eps) near 0."""
 
 
 class WindowError(RuntimeError):
@@ -237,9 +237,12 @@ class SpectralAmplitude:
         if self.grid[0] <= 0.0 or self.grid[-1] > self.eps_max * (1.0 + 1e-12):
             raise ValueError("energy grid must lie inside (0, eps_max]")
         if self.captured_weight > 1.0 + 1e-6:
-            raise ValueError(
-                f"captured weight {self.captured_weight} exceeds the packet norm"
-            )
+            # the packet norm bounds the exact weight; quadrature error at
+            # eps -> 0, largest for slow packets, can pass it
+            raise SynthesisResolutionError(
+                f"captured weight {self.captured_weight!r} exceeds the packet norm "
+                f"by more than 1e-6 on the grid {self.layout} over (0, "
+                f"{self.eps_max:g}]: f(eps) is not resolved near eps = 0")
 
     @property
     def eps_max(self) -> float:
@@ -316,18 +319,10 @@ _NODE_BLOCK = 4096
 
 
 def _exit_amplitudes(u0: float, l: float, k, chi, g):
-    """(X, R) at width l: the exit amplitude X = T e^{ikl} and the reflection.
-
-    With theta = chi l, e = e^{-theta} and m = -expm1(-2 theta),
-    stationary._thin_barrier gives denom = (1 + e^2) - i g m and
-    R = -i u0 m / (2 k chi denom), and X = 2 e / denom.  These forms are free
-    of cancellation at every theta, not only below THIN_THETA, so no branch
-    is needed; X = 1 and R = 0 exactly at l = 0.
-    """
-    theta = chi * l
-    e = np.exp(-theta)
-    denom, R = stationary._thin_barrier(u0, k, chi, g, e * e, -np.expm1(-2.0 * theta))
-    return 2.0 * e / denom, R
+    """(X, R) at width l, X = T e^{ikl} = 2 e^{-chi l} / denom, by
+    stationary._barrier_kernel; X = 1 and R = 0 exactly at l = 0."""
+    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g)
+    return 2.0 * decay / denom, R
 
 
 def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _EnergyBasis:
@@ -571,6 +566,10 @@ def _panel_derivatives(famp: SpectralAmplitude, amp: np.ndarray, t: float):
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-8
 
+# A window whose Newton refinement fails is sampled once more at a step
+# this many times finer before it counts as failed.
+_NEWTON_RETRY = 8
+
 
 def _newton_peak(famp: SpectralAmplitude, amp: np.ndarray, t: float,
                  lo: float, hi: float):
@@ -650,7 +649,10 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     From the largest sample, Newton's method on dD/dt, with psi, psi' and
     psi'' summed over the energy panels, finds the root between its two
     neighbours.  A non-concave density there, a step out of that bracket or
-    no convergence raises WindowError.  peak_density is D at the root.  A
+    no convergence starts it once more from the largest interior sample at
+    a _NEWTON_RETRY times finer step, since a pulse a few coarse steps long
+    can leave the coarse start outside Newton's basin; failing there too
+    raises WindowError.  peak_density is D at the root.  A
     t_max or coarse_dt that is not finite and positive raises ValueError.
     """
     _check_window(t_max, coarse_dt)
@@ -685,7 +687,13 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
             f"window [0, {t_max:g}] is too short: the endpoint density "
             f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
             f"maximum {peak:.3e}")
-    t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
+    try:
+        t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
+    except WindowError:
+        ts = np.linspace(0.0, t_max, (n - 1) * _NEWTON_RETRY + 1)
+        fine = np.abs(synthesize_amplitude(famp, famp.barrier.l, ts))
+        i = int(np.argmax(fine[1:-1])) + 1
+        t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
     return ArrivalTime(t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 

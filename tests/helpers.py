@@ -94,6 +94,60 @@ def transfer_matrix_solution(u0, l, eps):
     return R, C, D, T
 
 
+def three_region(x, l, k, chi, T, R, C_l, D, slope=False):
+    """Unnormalized psi_eps(x), or d(psi_eps)/dx when slope is set.
+
+    The oracle for the state at any position, from the amplitudes of
+    stationary.amplitudes.  The result has the shape of x followed by the
+    shape of k: k, chi and the amplitudes are scalars, or 1-d arrays over
+    energy that give each position one entry per energy.  Each region's form
+    is evaluated only at the positions inside it, so no exponential of a
+    far-away position is formed, and on the barrier both exponents
+    chi (x - l) and -chi x are <= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    col = flat.reshape((-1,) + (1,) * np.ndim(k))
+    left = flat < 0.0
+    right = flat > l
+    inside = ~(left | right)
+    out = np.empty(col.shape[:1] + np.shape(k), dtype=complex)
+    incoming = np.exp(1j * k * col[left])
+    transmitted = T * np.exp(1j * k * col[right])
+    grow = C_l * np.exp(chi * (col[inside] - l))
+    decay = D * np.exp(-chi * col[inside])
+    if slope:
+        out[left] = 1j * k * (incoming - R * np.conj(incoming))
+        out[right] = 1j * k * transmitted
+        out[inside] = chi * (grow - decay)
+    else:
+        out[left] = incoming + R * np.conj(incoming)
+        out[right] = transmitted
+        out[inside] = grow + decay
+    return out.reshape(x.shape + np.shape(k))
+
+
+def wavefunction_at(sol, x):
+    """Normalized stationary wave function N * psi_eps(x); vectorized over x."""
+    psi = sol.N * three_region(x, sol.barrier.l, sol.k, sol.chi, sol.T, sol.R,
+                               sol.C_l, sol.D)
+    return psi if psi.ndim else complex(psi)
+
+
+def current(sol, x):
+    """Probability current j = 2 Im(psi* dpsi/dx) of the full solution.
+
+    The convention makes a unit plane wave e^{ikx} carry j = 2k, matching the
+    dimensionless group velocity 2*sqrt(eps).  For a stationary solution j is
+    x-independent and equals 2 k N^2 |T|^2.
+    """
+    psi = wavefunction_at(sol, x)
+    dpsi = sol.N * three_region(x, sol.barrier.l, sol.k, sol.chi, sol.T, sol.R,
+                                sol.C_l, sol.D, slope=True)
+    j = 2.0 * np.imag(np.conj(psi) * dpsi)
+    return float(j) if np.ndim(j) == 0 else j
+
+
 class StencilError(ValueError):
     """The finite-difference stencil leaves the domain it was given."""
 
@@ -154,13 +208,13 @@ def stationary_states(famp, xs):
     """N psi_eps(x) at famp's energy nodes, as a (len(xs), n_eps) matrix.
 
     The general-x oracle for the exit state N X that wavepacket forms: the
-    three-region states of stationary.amplitudes and stationary._three_region,
-    valid at any position.
+    three-region states of stationary.amplitudes and three_region, valid at
+    any position.
     """
     u0, l, eps = famp.barrier.u0, famp.barrier.l, famp.grid
     T, R, C_l, D = stationary.amplitudes(u0, l, eps)
-    psi = stationary._three_region(np.asarray(xs, dtype=float), l, np.sqrt(eps),
-                                   np.sqrt(u0 - eps), T, R, C_l, D)
+    psi = three_region(np.asarray(xs, dtype=float), l, np.sqrt(eps),
+                       np.sqrt(u0 - eps), T, R, C_l, D)
     return stationary.normalization(eps) * psi
 
 

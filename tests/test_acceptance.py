@@ -23,6 +23,7 @@ from helpers import (
     find_plateau,
     initial_wavefunction,
     transfer_matrix_solution,
+    wavefunction_at,
 )
 from tunneltimes import numerics, spectral, stationary, times, wavepacket
 from tunneltimes.model import BarrierSpec, PacketSpec
@@ -213,10 +214,10 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
     for i in rng.choice(len(famp.grid), size=8, replace=False):
         eps = float(famp.grid[i])
         sol = stationary.solve(barrier, eps)
-        re, _ = quad(lambda x: (np.conj(stationary.wavefunction_at(sol, x))
+        re, _ = quad(lambda x: (np.conj(wavefunction_at(sol, x))
                                 * initial_wavefunction(PACKET, x)).real,
                      -math.pi * PACKET.b, 0.0, epsabs=1e-13, limit=300)
-        im, _ = quad(lambda x: (np.conj(stationary.wavefunction_at(sol, x))
+        im, _ = quad(lambda x: (np.conj(wavefunction_at(sol, x))
                                 * initial_wavefunction(PACKET, x)).imag,
                      -math.pi * PACKET.b, 0.0, epsabs=1e-13, limit=300)
         overlap_worst = max(overlap_worst, abs(famp.values[i] - (re + 1j * im)))
@@ -225,10 +226,10 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
     sol = stationary.solve(BarrierSpec(U0, 3.0), EPS)
     spec_worst = 0.0
     for k in rng.uniform(-25.0, 25.0, 8):
-        re, _ = quad(lambda x: (stationary.wavefunction_at(sol, x)
+        re, _ = quad(lambda x: (wavefunction_at(sol, x)
                                 * np.exp(-1j * k * x)).real, 0.0, 3.0,
                      epsabs=1e-13, limit=300)
-        im, _ = quad(lambda x: (stationary.wavefunction_at(sol, x)
+        im, _ = quad(lambda x: (wavefunction_at(sol, x)
                                 * np.exp(-1j * k * x)).imag, 0.0, 3.0,
                      epsabs=1e-13, limit=300)
         direct, _ = spectral.interior_window_transform(

@@ -171,6 +171,15 @@ class TestPacket:
         assert code == 2
         assert "(t = 0)" in capsys.readouterr().err
 
+    def test_weight_above_the_norm_exits_two(self, tmp_path, capsys):
+        # quadrature error, not bad input: a finer grid converges below 1
+        code = cli.main(["packet", "--u0", "24.399", "--p", "1.088", "--b", "1.971",
+                         "--l-min", "9.785", "--l-max", "9.785", "--steps", "1",
+                         "--out", str(tmp_path / "pkt")])
+        assert code == 2
+        assert "captured weight 1.00001" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_above_barrier_momentum_rejected(self, tmp_path):
         code = cli.main(["packet", "--u0", "10", "--p", "3.6",
                          "--l-min", "1", "--l-max", "2", "--steps", "2",

@@ -9,6 +9,7 @@ import tunneltimes
 from tunneltimes import stationary, wavepacket
 
 SOURCES = sorted(Path(tunneltimes.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
 def private_definitions(tree):
@@ -42,6 +43,30 @@ def test_no_private_name_is_used_only_outside_the_package():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in private_definitions(tree) - used)
     assert unused == []
+
+
+def test_no_definition_is_reachable_only_from_tests():
+    # a top-level function or class in src/ is exported, or read by src/ or
+    # bench/ outside its own body; one read only by definitions that drop
+    # out drops out too, until none does
+    definitions = {}        # "module:name" -> (name, node)
+    roots = set(tunneltimes.__all__).union(
+        *(loaded_names(ast.parse(path.read_text())) for path in BENCH))
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[f"{path.name}:{node.name}"] = node.name, node
+            else:
+                roots |= loaded_names(node)
+    alive = set(definitions)
+    while True:
+        used = roots.union(*(loaded_names(definitions[key][1]) - {definitions[key][0]}
+                             for key in alive))
+        dropped = {key for key in alive if definitions[key][0] not in used}
+        if not dropped:
+            break
+        alive -= dropped
+    assert sorted(set(definitions) - alive) == []
 
 
 def unbounded_caches(tree):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import wavefunction_at
 from tunneltimes import stationary
 from tunneltimes.model import BarrierSpec
 from tunneltimes.spectral import barrier_k_spectrum, interior_window_transform
@@ -26,7 +27,7 @@ class TestWindowTransform:
         spectrum = barrier_k_spectrum(sol, k_max=40.0, n_k=101)  # not used here
         for k in rng.uniform(-25.0, 25.0, 20):
             exact = quad_complex(
-                lambda x: stationary.wavefunction_at(sol, x) * np.exp(-1j * k * x),
+                lambda x: wavefunction_at(sol, x) * np.exp(-1j * k * x),
                 0.0, 3.0)
             direct, _ = interior_window_transform(sol.C_l, sol.D, CHI, 3.0, float(k))
             assert abs(sol.N * direct - exact) < 1e-10

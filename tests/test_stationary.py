@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import sub_barrier_domain, transfer_matrix_solution
+from helpers import current, sub_barrier_domain, transfer_matrix_solution, wavefunction_at
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec, Energy
 from tunneltimes.stationary import (
     amplitudes,
     barrier_probability,
-    current,
     incident_current,
     phase_shift,
     solve,
     transmitted_current,
-    wavefunction_at,
 )
 
 U0 = 12.0
@@ -92,7 +90,7 @@ class TestFloatPath:
 
     def test_float_matches_one_element_array(self):
         # math and numpy may round exp, expm1 and e^{-ikl} differently in
-        # the last bit; nothing in the scaled or the thin form amplifies it
+        # the last bit; nothing in the closed forms amplifies it
         for u0, l, eps in sub_barrier_domain(3000):
             scalar = amplitudes(u0, l, eps)
             array = amplitudes(u0, l, np.array([eps]))

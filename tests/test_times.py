@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import finite_difference_group_delay, sub_barrier_domain
+from helpers import finite_difference_group_delay, sub_barrier_domain, wavefunction_at
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
@@ -179,7 +179,7 @@ class TestDwellTimes:
     def test_against_quadrature(self, l):
         barrier = BarrierSpec(U0, l)
         sol = stationary.solve(barrier, EPS)
-        prob, _ = quad(lambda x: abs(stationary.wavefunction_at(sol, x)) ** 2,
+        prob, _ = quad(lambda x: abs(wavefunction_at(sol, x)) ** 2,
                        0.0, l, epsabs=1e-14, limit=200)
         expected = prob / stationary.incident_current(sol)
         assert dwell_time_incident(barrier, EPS) == pytest.approx(expected, abs=1e-9)
@@ -415,19 +415,23 @@ def high_precision_reference(u0, l, eps):
 
 
 def assert_matches_reference(u0, l, eps):
+    # tau_d_in and tau_g as compute_times forms them: its row also needs a
+    # finite tau_d_out, and |T|^2 ~ e^{-2 theta} underflows it towards
+    # theta ~ 340 when eps is near the top
     barrier = BarrierSpec(u0, l)
     sol = stationary.solve(barrier, eps)
-    report = compute_times(barrier, eps)
-    T_exit, R, tau_d_in, tau_g = high_precision_reference(u0, l, eps)
+    tau_d_in = stationary.barrier_probability(sol) / stationary.incident_current(sol)
+    tau_g = group_delay(barrier, eps)
+    T_exit, R, tau_d_in_ref, tau_g_ref = high_precision_reference(u0, l, eps)
     # T e^{ikl}: the phase kl of T itself carries the rounding of the product
     assert abs(sol.T * cmath.exp(1j * sol.k * l) - T_exit) <= 1e-12 * abs(T_exit)
     assert abs(sol.R - R) <= 1e-12 * abs(R)
     assert abs(abs(sol.T) ** 2 + abs(sol.R) ** 2 - 1.0) <= 1e-12
-    assert report.tau_d_in == pytest.approx(tau_d_in, rel=1e-12, abs=0.0)
-    assert report.tau_g == pytest.approx(tau_g, rel=1e-12, abs=0.0)
+    assert tau_d_in == pytest.approx(tau_d_in_ref, rel=1e-12, abs=0.0)
+    assert tau_g == pytest.approx(tau_g_ref, rel=1e-12, abs=0.0)
     self_interference = sol.R.imag / (2.0 * eps)
-    assert abs(report.tau_g - (report.tau_d_in - self_interference)) <= 1e-11 * (
-        abs(report.tau_d_in) + abs(self_interference))
+    assert abs(tau_g - (tau_d_in - self_interference)) <= 1e-11 * (
+        abs(tau_d_in) + abs(self_interference))
 
 
 class TestHighPrecision:
@@ -447,15 +451,30 @@ class TestHighPrecision:
     @given(u0=st.floats(0.1, 100.0),
            frac=st.one_of(st.floats(1e-6, 0.999), st.just(1.0 - 1e-12),
                           st.floats(-12.0, -3.0).map(lambda x: 1.0 - 10.0**x)),
-           log_theta=st.floats(-10.0, math.log10(50.0)))
+           log_theta=st.floats(-10.0, math.log10(340.0)))
     # theta -> 0: eps = u0 (1 - 1e-12) and l ~ 1e-6; then either side of the
-    # switch between the barrier-exit and the scaled form of the probability
+    # switch between the series and the direct form of the probability's
+    # Q(theta); then theta = 340 at the top, where tau_d_out overflows
     @example(u0=12.0, frac=1.0 - 1e-12, log_theta=math.log10(1e-6 * math.sqrt(12e-12)))
     @example(u0=12.0, frac=1.0 - 1e-9, log_theta=math.log10(stationary.THIN_THETA) - 1e-9)
     @example(u0=12.0, frac=1.0 - 1e-9, log_theta=math.log10(stationary.THIN_THETA) + 1e-9)
+    @example(u0=0.1, frac=1.0 - 1e-12, log_theta=math.log10(340.0))
     def test_domain(self, u0, frac, log_theta):
         eps = u0 * frac
         assert_matches_reference(u0, 10.0**log_theta / math.sqrt(u0 - eps), eps)
+
+    def test_array_across_thin_theta(self):
+        # one array call whose energies put theta = chi l on both sides of
+        # THIN_THETA (theta = 0.5 at eps = 11.5)
+        u0, l = 12.0, 0.5 / math.sqrt(0.5)
+        eps = np.linspace(11.0, 11.99, 34)
+        T, R, _, _ = stationary.amplitudes(u0, l, eps)
+        theta = np.sqrt(u0 - eps) * l
+        assert theta.min() < stationary.THIN_THETA < theta.max()
+        for e, t, r in zip(eps, T, R):
+            T_exit, R_ref, _, _ = high_precision_reference(u0, l, float(e))
+            assert abs(t * cmath.exp(1j * math.sqrt(e) * l) - T_exit) <= 1e-14 * abs(T_exit)
+            assert abs(r - R_ref) <= 1e-14 * abs(R_ref)
 
     @pytest.mark.parametrize("u0,frac,theta", [
         (0.198, 1.0 - 1e-12, 0.054),  # worst point of the former 0.05 switch

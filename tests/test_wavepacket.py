@@ -16,6 +16,7 @@ from helpers import (
     mp_overlap,
     spatial_profile,
     synthesize_at,
+    wavefunction_at,
     weighted_mean_time,
 )
 from tunneltimes import stationary
@@ -43,6 +44,8 @@ PACKET = PacketSpec(p=3.6, b=2.0)
 U0 = 31.4
 BARRIER4 = BarrierSpec(U0, 4.0)
 FREE = BarrierSpec(U0, 0.0)  # the free packet: a barrier of zero width
+# a slow packet whose energy grid overestimates the captured weight
+SLOW_PACKET = (PacketSpec(p=1.088, b=1.971), BarrierSpec(24.399, 9.785))
 
 
 def quad_complex(f, a, b):
@@ -242,7 +245,7 @@ class TestSpectralAmplitude:
             eps = float(famp.grid[i])
             sol = stationary.solve(BARRIER4, eps)
             overlap = quad_complex(
-                lambda x: np.conj(stationary.wavefunction_at(sol, x))
+                lambda x: np.conj(wavefunction_at(sol, x))
                 * initial_wavefunction(PACKET, x),
                 -math.pi * PACKET.b, 0.0)
             worst = max(worst, abs(famp.values[i] - overlap))
@@ -266,6 +269,18 @@ class TestSpectralAmplitude:
     def test_requires_sub_barrier_momentum(self):
         with pytest.raises(ValueError):
             spectral_amplitude(PACKET, BarrierSpec(9.0, 1.0), EnergyGridSpec(64))
+
+    def test_weight_above_the_norm_is_a_resolution_error(self):
+        # a slow packet: the half-period grid of the window 30 captures more
+        # than the norm, while 4 and 16 times its panels converge to 0.999992
+        packet, barrier = SLOW_PACKET
+        grid = EnergyGridSpec.for_horizon(barrier.u0, 30.0)
+        with pytest.raises(SynthesisResolutionError,
+                           match=r"captured weight 1\.00001.*n_panels=233, order=8"):
+            spectral_amplitude(packet, barrier, grid)
+        for m in (4, 16):
+            fine = spectral_amplitude(packet, barrier, EnergyGridSpec(m * grid.n_panels))
+            assert fine.captured_weight == pytest.approx(0.999992, abs=3e-6)
 
     def test_grid_must_match_panel_layout(self):
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
@@ -365,7 +380,7 @@ class TestSynthesize:
             onehot[i] = 1.0
             single = dataclasses.replace(famp, values=onehot, captured_weight=0.0)
             sol = stationary.solve(BARRIER4, float(famp.grid[i]))
-            expected = famp.weights[i] * stationary.wavefunction_at(sol, xs)
+            expected = famp.weights[i] * wavefunction_at(sol, xs)
             got = spatial_profile(single, xs, 0.0)
             assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
 
@@ -565,7 +580,7 @@ class TestExitAmplitudes:
     @pytest.mark.parametrize("l", [0.0, 0.05, 1.0, 4.0, 12.2])
     def test_matches_the_stationary_solution(self, l):
         # the record's X and R against the three-region state of
-        # stationary.amplitudes on the same grid, thin forms below THIN_THETA
+        # stationary.amplitudes on the same grid
         famp = spectral_amplitude(PACKET, BarrierSpec(U0, l), EnergyGridSpec(64))
         T, R, _, _ = stationary.amplitudes(U0, l, famp.grid)
         X = T * np.exp(1j * np.sqrt(famp.grid) * l)
@@ -1054,6 +1069,71 @@ class TestNewtonPeak:
         monkeypatch.setattr(wp, "_NEWTON_STEPS", 1)
         with pytest.raises(WindowError, match="did not converge"):
             arrival_time_of_max(famp4, 30.0)
+
+    @pytest.mark.parametrize("packet,barrier,message", [
+        # the density is not concave at the largest sample t = 0.45
+        (PacketSpec(p=9.488, b=5.191), BarrierSpec(195.542, 0.771), "not concave"),
+        # the free pulse is ~0.07 long: D is not concave at t = 0.05
+        (PacketSpec(p=12.132, b=0.34), BarrierSpec(180.835, 0.0), "not concave"),
+    ])
+    def test_short_pulse_is_sampled_again(self, monkeypatch, packet, barrier, message):
+        # Newton fails from the coarse step 0.05 and converges from 0.05 / 8
+        # to the direct sum's root, in the first window
+        tried = windows_tried(monkeypatch)
+        if barrier.l == 0.0:
+            t_arr = free_arrival_time(packet, barrier.u0)
+            famp = spectral_amplitude(packet, barrier,
+                                      EnergyGridSpec.for_horizon(barrier.u0, 60.0))
+        else:
+            t_arr, famp = scan_arrival(packet, barrier)
+            t_arr = t_arr.t_arr
+        assert tried == [30.0]
+        assert abs(t_arr - direct_arrival_root(famp, barrier.l, t_arr)[0]) <= 1e-10
+        monkeypatch.undo()
+        monkeypatch.setattr(wp, "_NEWTON_RETRY", 1)
+        with pytest.raises(WindowError, match=message):
+            arrival_time_of_max(famp, 30.0)
+
+
+class TestPacketDomain:
+    """The packet over u0 in [2, 200], p / sqrt(u0) in [0.2, 0.95], b in
+    [0.32, 10] and l in [0.01, 10], at t_max = 30 and coarse_dt = 0.05."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(log_u0=st.floats(math.log(2.0), math.log(200.0)),
+           speed=st.floats(0.2, 0.95),
+           log_b=st.floats(math.log(0.32), math.log(10.0)),
+           l=st.floats(0.01, 10.0))
+    # the Newton retry for t_in and for t_arr, a weight above the norm and
+    # a maximum at t = 0
+    @example(log_u0=math.log(180.835), speed=12.132 / math.sqrt(180.835),
+             log_b=math.log(0.34), l=1.0)
+    @example(log_u0=math.log(195.542), speed=9.488 / math.sqrt(195.542),
+             log_b=math.log(5.191), l=0.771)
+    @example(log_u0=math.log(24.399), speed=1.088 / math.sqrt(24.399),
+             log_b=math.log(1.971), l=9.785)
+    @example(log_u0=math.log(31.4), speed=3.58 / math.sqrt(31.4), log_b=math.log(2.0),
+             l=5.5)
+    def test_arrival_or_a_named_refusal(self, log_u0, speed, log_b, l):
+        # each point gives the direct sum's roots for t_in and t_arr, or the
+        # maximum at t = 0, or a captured weight above the norm
+        u0 = math.exp(log_u0)
+        packet = PacketSpec(p=speed * math.sqrt(u0), b=math.exp(log_b))
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                tried = windows_tried(patch)
+                t_in = free_arrival_time(packet, u0)
+            free = spectral_amplitude(packet, BarrierSpec(u0, 0.0),
+                                      EnergyGridSpec.for_horizon(u0, 2.0 * tried[-1]))
+            assert abs(t_in - direct_arrival_root(free, 0.0, t_in)[0]) <= 1e-10
+            arr, famp = scan_arrival(packet, BarrierSpec(u0, l), t_in=t_in)
+        except WindowError as exc:
+            assert not exc.extendable and "(t = 0)" in str(exc)
+            return
+        except SynthesisResolutionError as exc:
+            assert "captured weight" in str(exc)
+            return
+        assert abs(arr.t_arr - direct_arrival_root(famp, l, arr.t_arr)[0]) <= 1e-10
 
 
 class TestMeanCrossing:
