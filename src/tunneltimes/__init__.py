@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .model import (
     BarrierSpec,
-    Energy,
     PacketSpec,
     UnitScale,
     from_physical,
@@ -34,7 +33,6 @@ from .wavepacket import (
     EnergyGridSpec,
     MeanTime,
     SpectralAmplitude,
-    TimeSeries,
     arrival_time_of_max,
     free_arrival_time,
     mean_crossing_time,
@@ -49,13 +47,11 @@ __all__ = [
     "ArrivalTime",
     "BarrierSpec",
     "DirectionalSpectrum",
-    "Energy",
     "EnergyGridSpec",
     "MeanTime",
     "PacketSpec",
     "ScatteringSolution",
     "SpectralAmplitude",
-    "TimeSeries",
     "TimesReport",
     "UnitScale",
     "arrival_time_of_max",

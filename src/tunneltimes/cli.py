@@ -118,8 +118,6 @@ def cmd_times_energy(args) -> int:
 
 
 def cmd_packet(args) -> int:
-    if args.p**2 >= args.u0:
-        raise ValueError(f"need p^2 < u0, got p^2 = {args.p**2}, u0 = {args.u0}")
     if args.l_min <= 0.0 or args.l_max < args.l_min:
         raise ValueError("need 0 < l-min <= l-max")
     packet = PacketSpec(p=args.p, b=args.b)
@@ -146,8 +144,7 @@ def cmd_packet(args) -> int:
         if args.dump_series:
             n = int(round(args.t_max / args.dt)) + 1
             ts = np.linspace(0.0, args.t_max, n)
-            series = wavepacket.synthesize(famp, barrier.l, ts)
-            series_dumps.append((float(l), ts, series.density))
+            series_dumps.append((float(l), ts, wavepacket.synthesize(famp, barrier.l, ts)))
 
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     meta_common = dict(u0=args.u0, p=args.p, b=args.b, l_min=args.l_min,

@@ -98,27 +98,8 @@ class BarrierSpec:
             raise ValueError(f"barrier height u0 must be finite and >= 0, got {self.u0}")
         if not 0.0 <= self.l < math.inf:
             raise ValueError(f"barrier width l must be finite and >= 0, got {self.l}")
-
-
-@dataclass(frozen=True)
-class Energy:
-    """Dimensionless energy of a stationary state, eps = k^2 > 0."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("energy must be positive")
-
-    @property
-    def k(self) -> float:
-        """Propagating wavenumber k = sqrt(eps)."""
-        return math.sqrt(self.eps)
-
-    def chi(self, barrier: BarrierSpec) -> float:
-        """Evanescent decay constant chi = sqrt(u0 - eps); requires eps < u0."""
-        require_sub_barrier(barrier.u0, self.eps)
-        return math.sqrt(barrier.u0 - self.eps)
+        if self.l == 0.0:  # and -0.0, kept as +0.0: no time of l = 0 takes its sign
+            object.__setattr__(self, "l", 0.0)
 
 
 def packet_amplitude(b: float) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BarrierSpec, Energy, require_sub_barrier
+from .model import BarrierSpec, require_sub_barrier
 from .numerics import elementary
 
 # Below this theta = chi l barrier_probability takes (sinh 2theta - 2theta)
@@ -90,10 +90,10 @@ def normalization(eps):
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """One stationary sub-barrier scattering state."""
+    """One stationary sub-barrier scattering state at energy eps."""
 
     barrier: BarrierSpec
-    energy: Energy
+    eps: float
     R: complex
     T: complex
     C_l: complex  # C e^{chi l}
@@ -102,26 +102,26 @@ class ScatteringSolution:
 
     @property
     def k(self) -> float:
-        return self.energy.k
+        """Propagating wavenumber k = sqrt(eps)."""
+        return math.sqrt(self.eps)
 
     @property
     def chi(self) -> float:
-        return self.energy.chi(self.barrier)
+        """Evanescent decay constant chi = sqrt(u0 - eps)."""
+        return math.sqrt(self.barrier.u0 - self.eps)
 
 
-def solve(barrier: BarrierSpec, energy: Energy | float) -> ScatteringSolution:
+def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
     """Solve the matching problem for one sub-barrier energy."""
-    if not isinstance(energy, Energy):
-        energy = Energy(float(energy))
-    T, R, C_l, D = amplitudes(barrier.u0, barrier.l, energy.eps)
+    T, R, C_l, D = amplitudes(barrier.u0, barrier.l, eps)
     return ScatteringSolution(
         barrier=barrier,
-        energy=energy,
+        eps=eps,
         R=complex(R),
         T=complex(T),
         C_l=complex(C_l),
         D=complex(D),
-        N=normalization(energy.eps),
+        N=normalization(eps),
     )
 
 

@@ -154,16 +154,13 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     row is checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
     (H. G. Winful, PRL 91, 260401 (2003)), which ties the phase derivative to
     the barrier probability; a mismatch beyond WINFUL_TOL of
-    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.  Where |T|^2
-    underflows (opaque barriers, from chi l ~ 350) tau_d_out has no finite
-    value, and ValueError is raised.
+    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.  tau_d_out, the
+    probability over the transmitted current, grows like e^{2 chi l} / chi^3;
+    where that quotient overflows, ValueError is raised.  That is from
+    chi l ~ 357 at u0 = 8, eps = 4, and sooner as eps -> u0: from 335 at
+    u0 = 0.1, eps = 0.1 (1 - 1e-12), where |T|^2 is still a normal float.
+    At l = 0 every time is +0.
     """
-    if barrier.l == 0.0:
-        return TimesReport(
-            eps=eps, l=0.0, tau_g=0.0, tau_0=0.0, t_ph=0.0, t_free=0.0,
-            tau_d_in=0.0, tau_d_out=0.0,
-            hartman_limit=hartman_limit(barrier.u0, eps),
-        )
     sol = stationary.solve(barrier, eps)
     prob = stationary.barrier_probability(sol)
     tau_g = group_delay(barrier, eps)
@@ -178,8 +175,9 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     j_out = stationary.transmitted_current(sol)
     if not (j_out > 0.0 and math.isfinite(prob / j_out)):
         raise ValueError(
-            f"tau_d_out is not finite at l = {barrier.l}, eps = {eps}: |T|^2 "
-            f"underflows at chi l = {sol.chi * barrier.l:.6g}")
+            f"tau_d_out is not finite at l = {barrier.l}, eps = {eps}: the barrier "
+            f"probability {prob:.6g} over the transmitted current {j_out:.6g} "
+            f"overflows at chi l = {sol.chi * barrier.l:.6g}")
     return TimesReport(
         eps=eps,
         l=barrier.l,
@@ -193,12 +191,16 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     )
 
 
-def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float,
-                   n_scan: int = 400) -> float | None:
+# Energies at which delay_crossing samples d(alpha)/d(eps) for a sign change.
+CROSSING_SCAN = 400
+
+
+def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float | None:
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
-    Scans [eps_lo, eps_hi] for a sign change and bisects it to high accuracy;
-    a grid point whose scanned value is exactly 0 is returned as it is.
+    Scans [eps_lo, eps_hi] at CROSSING_SCAN energies for a sign change and
+    bisects it to high accuracy; a grid point whose scanned value is
+    exactly 0 is returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """
@@ -207,7 +209,7 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float,
     barrier = BarrierSpec(u0, l)
     if not (0.0 < eps_lo < eps_hi < u0):
         raise ValueError("need 0 < eps_lo < eps_hi < u0")
-    grid = np.linspace(eps_lo, eps_hi, n_scan)
+    grid = np.linspace(eps_lo, eps_hi, CROSSING_SCAN)
     vals = phase_shift_derivative(barrier, grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:

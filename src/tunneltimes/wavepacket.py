@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -150,17 +149,18 @@ MAX_GRID_NODES = 2**22
 
 @dataclass(frozen=True)
 class EnergyGridSpec:
-    """Composite Gauss-Legendre grid layout for the energy integral."""
+    """Composite Gauss-Legendre grid layout for the energy integral: n_panels
+    equal panels of the 8-point rule."""
 
     n_panels: int
-    order: int = 8
+    order: ClassVar[int] = 8
 
     def __post_init__(self):
-        if self.n_panels < 1 or self.order < 2:
-            raise ValueError("need n_panels >= 1 and order >= 2")
+        if self.n_panels < 1:
+            raise ValueError("need n_panels >= 1")
 
     @classmethod
-    def for_horizon(cls, eps_max: float, t_max: float, order: int = 8) -> "EnergyGridSpec":
+    def for_horizon(cls, eps_max: float, t_max: float) -> "EnergyGridSpec":
         """Panels no wider than half an oscillation period of e^{-i eps t_max}.
 
         That is the width _check_resolution accepts at t_max (or at 1, for
@@ -178,11 +178,11 @@ class EnergyGridSpec:
         n_panels = max(64, math.ceil(eps_max / width))
         while eps_max / n_panels > width:
             n_panels += 1
-        if n_panels * order > MAX_GRID_NODES:
+        if n_panels * cls.order > MAX_GRID_NODES:
             raise ValueError(
                 f"an energy grid for eps_max = {eps_max:g} up to t_max = {t_max:g} needs "
-                f"{n_panels * order:,} nodes, more than the {MAX_GRID_NODES:,} allowed")
-        return cls(n_panels=n_panels, order=order)
+                f"{n_panels * cls.order:,} nodes, more than the {MAX_GRID_NODES:,} allowed")
+        return cls(n_panels=n_panels)
 
 
 class _EnergyBasis(NamedTuple):
@@ -352,7 +352,7 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     f = N A [I(p - k) + conj(R) I(p + k)] are formed.
     """
     if packet.p**2 >= barrier.u0:
-        raise ValueError("sub-barrier study requires p^2 < u0")
+        raise ValueError(f"need p^2 < u0, got p^2 = {packet.p**2}, u0 = {barrier.u0}")
     basis = _BASES.get((packet, barrier.u0, grid),
                        lambda: _build_basis(packet, barrier.u0, grid))
     R, X, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(3))
@@ -390,21 +390,6 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
                + np.conj(R) * envelope_transform(packet.p + k, packet.b))
     return complex(stationary.normalization(barrier.u0) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """|psi(x, t)|^2 sampled at a fixed point over an ascending time grid."""
-
-    x: float
-    times: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.density < 0.0):
-            raise ValueError("density must be nonnegative")
 
 
 def _check_resolution(famp: SpectralAmplitude, times) -> None:
@@ -515,11 +500,9 @@ def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray
     return _chirp_z_sum(famp, amp, times, dt)
 
 
-def synthesize(famp: SpectralAmplitude, x: float, times) -> TimeSeries:
-    """Density series |psi(x, t)|^2 at the barrier exit x = l."""
-    psi = synthesize_amplitude(famp, x, times)
-    return TimeSeries(x=float(x), times=np.asarray(times, dtype=float),
-                      density=np.abs(psi) ** 2)
+def synthesize(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
+    """Density |psi(x, t)|^2 at the barrier exit x = l, at each of the times."""
+    return np.abs(synthesize_amplitude(famp, x, times)) ** 2
 
 
 @dataclass(frozen=True)
@@ -599,15 +582,11 @@ def _newton_peak(famp: SpectralAmplitude, amp: np.ndarray, t: float,
         f"steps (last step {step:.3e})")
 
 
-def _check_window(t_max: float, coarse_dt: float, max_doublings: int = 0) -> None:
-    """ValueError unless t_max and coarse_dt are finite and positive and
-    max_doublings is a nonnegative integer."""
+def _check_window(t_max: float, coarse_dt: float) -> None:
+    """ValueError unless t_max and coarse_dt are finite and positive."""
     for name, value in (("t_max", t_max), ("coarse_dt", coarse_dt)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not (isinstance(max_doublings, numbers.Integral) and max_doublings >= 0):
-        raise ValueError(
-            f"max_doublings must be a nonnegative integer, got {max_doublings!r}")
 
 
 # The window passes when the density left at its end is below this
@@ -697,13 +676,17 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     return ArrivalTime(t_arr=t_star, peak_density=v_star, t_in=t_in)
 
 
-def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
-                      coarse_dt: float = 0.05) -> float:
+# Doublings of the window that scan_arrival and free_arrival_time try
+# after the first: the last window is t_max 2^MAX_DOUBLINGS.
+MAX_DOUBLINGS = 4
+
+
+def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0) -> float:
     """Arrival of the free packet maximum at x = 0 (the t_in reference).
 
     The free packet is the barrier BarrierSpec(eps_max, 0), which needs
-    p^2 < eps_max.  The window doubles as in scan_arrival, up to its default
-    of 4 doublings, and each window's grid has quarter-period panels: the
+    p^2 < eps_max.  The window doubles as in scan_arrival, sampled every
+    ~0.05, and each window's grid has quarter-period panels: the
     free integrand N^2 f ~ eps^{-1/2} as eps -> 0, so t_in converges only
     like the square root of the panel width, and is off by ~1.4e-5 at
     u0 = 31.4, p = 3.6, b = 2 but by ~3.3e-3 at u0 = 2.62, p = 0.79,
@@ -718,13 +701,12 @@ def free_arrival_time(packet: PacketSpec, eps_max: float, t_max: float = 30.0,
                              f"quarter-period panels: {exc}") from None
 
     return _doubling_scan(packet, BarrierSpec(eps_max, 0.0), quarter_period,
-                          t_max, coarse_dt, 4)[0].t_arr
+                          t_max, 0.05)[0].t_arr
 
 
 def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
-                 coarse_dt: float = 0.05, max_doublings: int = 4,
-                 t_in: float | None = None):
-    """Arrival time in the first window t_max 2^a, a <= max_doublings, that passes.
+                 coarse_dt: float = 0.05, t_in: float | None = None):
+    """Arrival time in the first window t_max 2^a, a <= MAX_DOUBLINGS, that passes.
 
     Each window gets its own energy grid (wider windows need finer panels),
     and t_max doubles while arrival_time_of_max rejects the window.  The end
@@ -736,23 +718,22 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     window still fails or a later window's grid would exceed MAX_GRID_NODES,
     and from the window at hand if its maximum sits at t = 0, which no
     window moves.  Raises ValueError unless t_max and coarse_dt are finite
-    and positive and max_doublings is a nonnegative integer.
+    and positive.
     """
     return _doubling_scan(
         packet, barrier, lambda horizon: EnergyGridSpec.for_horizon(barrier.u0, horizon),
-        t_max, coarse_dt, max_doublings, t_in)
+        t_max, coarse_dt, t_in)
 
 
 def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
-                   t_max: float, coarse_dt: float, max_doublings: int,
-                   t_in: float | None = None):
+                   t_max: float, coarse_dt: float, t_in: float | None = None):
     """(ArrivalTime, SpectralAmplitude) of the first window t_max 2^a that
     passes, each window on the energy grid grid_for(t_max 2^a).  A grid that
     grid_for refuses ends the scan: with ValueError at t_max, and with the
     last window's WindowError, which names the refusal, after it."""
-    _check_window(t_max, coarse_dt, max_doublings)
+    _check_window(t_max, coarse_dt)
     last_error = None
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
         horizon = t_max * 2**attempt
         try:
             grid = grid_for(horizon)
@@ -772,7 +753,7 @@ def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
             last_error = str(exc)
         del famp
     raise WindowError(
-        f"no valid window up to t = {t_max * 2**max_doublings:g}: {last_error}"
+        f"no valid window up to t = {t_max * 2**MAX_DOUBLINGS:g}: {last_error}"
     )
 
 
@@ -813,7 +794,7 @@ def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
     _check_window(t_cut, dt)
     n = max(int(round(t_cut / dt)), 64) + 1
     ts = np.linspace(0.0, t_cut, n)
-    d = synthesize(famp, x, ts).density
+    d = synthesize(famp, x, ts)
     den = float(np.trapezoid(d, ts))
     if den <= 0.0:
         raise ValueError("density has no mass on the window")

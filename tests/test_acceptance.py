@@ -238,13 +238,13 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
 
     # packet observables stable under grid halving
     g1 = EnergyGridSpec.for_horizon(PKT_U0, 30.0)
-    g2 = EnergyGridSpec(2 * g1.n_panels, g1.order)
+    g2 = EnergyGridSpec(2 * g1.n_panels)
     f1 = wavepacket.spectral_amplitude(PACKET, BarrierSpec(PKT_U0, 2.0), g1)
     f2 = wavepacket.spectral_amplitude(PACKET, BarrierSpec(PKT_U0, 2.0), g2)
     a1 = wavepacket.arrival_time_of_max(f1, 30.0, coarse_dt=0.05)
     a2 = wavepacket.arrival_time_of_max(f2, 30.0, coarse_dt=0.025)
     gm1 = EnergyGridSpec.for_horizon(PKT_U0, 60.0)
-    gm2 = EnergyGridSpec(2 * gm1.n_panels, gm1.order)
+    gm2 = EnergyGridSpec(2 * gm1.n_panels)
     m1 = wavepacket.mean_crossing_time(
         wavepacket.spectral_amplitude(PACKET, BarrierSpec(PKT_U0, 2.0), gm1),
         2.0, 60.0, dt=0.02)

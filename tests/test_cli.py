@@ -48,6 +48,15 @@ class TestTimesWidth:
         mid = [float(v) for v in rows[100]]
         assert mid[2] == pytest.approx(last[2] / 2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("eps", ["3", "11.8"])
+    def test_zero_width_row_prints_plus_zero(self, tmp_path, eps):
+        # at eps < u0/2 the transmission phase's g is negative, yet no
+        # time of the l = 0 row is written as -0
+        out = tmp_path / "width.csv"
+        assert cli.main(["times-width", "--u0", "12", "--eps", eps, "--l-max", "2",
+                         "--steps", "5", "--out", str(out)]) == 0
+        assert read_csv(out)[2][0][:7] == ["0"] * 7
+
     def test_deterministic_rerun(self, tmp_path):
         args = ["times-width", "--u0", "12", "--eps", "11.8",
                 "--l-min", "0", "--l-max", "3", "--steps", "7"]
@@ -128,6 +137,14 @@ class TestPacket:
         _, header_m, rows_m = read_csv(tmp_path / "pkt_mean.csv")
         assert header_m == ["l", "t_mean", "endpoint_share"]
         assert len(rows_m) == 3
+
+    def test_momentum_above_the_barrier_exits_one(self, tmp_path, capsys):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "6", "--l-min", "1",
+                         "--l-max", "3", "--out", str(tmp_path / "pkt")])
+        assert code == 1
+        assert ("invalid configuration: need p^2 < u0, got p^2 = 36.0, u0 = 31.4"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_mean_reported_below_the_edge(self, tmp_path):
         code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",

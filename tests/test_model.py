@@ -8,11 +8,11 @@ from helpers import initial_wavefunction, packet_center, packet_support
 from tunneltimes.model import (
     HBAR,
     BarrierSpec,
-    Energy,
     PacketSpec,
     UnitScale,
     from_physical,
     packet_amplitude,
+    require_sub_barrier,
     to_physical,
 )
 
@@ -48,28 +48,23 @@ class TestUnitScale:
 
 
 class TestEnergy:
-    def test_wavenumber(self):
-        assert Energy(4.0).k == 2.0
-
-    def test_chi_and_pythagoras(self):
-        barrier = BarrierSpec(12.0, 1.0)
-        rng = np.random.default_rng(11)
-        for eps in rng.uniform(0.1, 11.9, 50):
-            e = Energy(eps)
-            chi = e.chi(barrier)
-            assert chi**2 + e.k**2 == pytest.approx(12.0, abs=12.0 * 5e-16)
-
     def test_chi_requires_sub_barrier(self):
         with pytest.raises(ValueError):
-            Energy(13.0).chi(BarrierSpec(12.0, 1.0))
+            require_sub_barrier(12.0, 13.0)
         with pytest.raises(ValueError):
-            Energy(12.0).chi(BarrierSpec(12.0, 1.0))
+            require_sub_barrier(12.0, 12.0)
+        with pytest.raises(ValueError):
+            require_sub_barrier(12.0, np.array([6.0, 12.0]))
+        require_sub_barrier(12.0, 11.9)
+        require_sub_barrier(12.0, np.array([0.1, 6.0, 11.9]))
 
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError):
-            Energy(0.0)
+            require_sub_barrier(12.0, 0.0)
         with pytest.raises(ValueError):
-            Energy(-1.0)
+            require_sub_barrier(12.0, -1.0)
+        with pytest.raises(ValueError):
+            require_sub_barrier(12.0, np.array([0.0, 6.0]))
 
 
 class TestBarrierSpec:

@@ -3,10 +3,11 @@
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import tunneltimes
-from tunneltimes import stationary, wavepacket
+from tunneltimes import spectral, stationary, times, wavepacket
 
 SOURCES = sorted(Path(tunneltimes.__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
@@ -69,6 +70,72 @@ def test_no_definition_is_reachable_only_from_tests():
     assert sorted(set(definitions) - alive) == []
 
 
+def defaulted_parameters(tree):
+    """(qualified name, call name, parameter, position) of every parameter
+    with a default on a top-level function or method.
+
+    The call name is what a call site spells: a method's own name, or its
+    class's for __init__.  position is the index a positional argument
+    takes at such a call (a method's self is bound already), or None for a
+    keyword-only parameter.
+    """
+    found = []
+    units = [(None, node) for node in tree.body]
+    units += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+              for item in node.body]
+    for owner, node in units:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        call_name = owner if node.name == "__init__" else node.name
+        qualified = node.name if owner is None else f"{owner}.{node.name}"
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            found.append((qualified, call_name, positional[i].arg, i - bound))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((qualified, call_name, arg.arg, None))
+    return found
+
+
+def passed_arguments(trees):
+    """Per name called: (most positional arguments, keywords) over the calls
+    in trees.
+
+    A call with *args counts as passing every position, and one with
+    **kwargs every keyword (its keyword is None).
+    """
+    passed = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        most, keywords = passed.get(name, (0, set()))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        passed[name] = (max(most, math.inf if starred else len(node.args)),
+                        keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def test_no_parameter_is_set_only_by_tests():
+    # an option whose default every caller in src/ and bench/ keeps is one
+    # that only the tests set: a parameter with a default must be passed,
+    # by position or by keyword, somewhere in the package or the benchmark
+    passed = passed_arguments(ast.parse(path.read_text()) for path in SOURCES + BENCH)
+    unused = []
+    for path in SOURCES:
+        for qualified, call_name, param, position in defaulted_parameters(
+                ast.parse(path.read_text())):
+            most, keywords = passed.get(call_name, (0, set()))
+            by_position = position is not None and most > position
+            if not (by_position or param in keywords or None in keywords):
+                unused.append(f"{qualified}:{param}")
+    assert sorted(unused) == []
+
+
 def unbounded_caches(tree):
     """Lines of functools.cache and lru_cache(maxsize=None) in a module."""
     cache_names = {alias.asname or alias.name for node in ast.walk(tree)
@@ -104,19 +171,37 @@ def positional_names(fn):
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
 
 
+def attributes(cls):
+    """Dataclass fields and properties of cls."""
+    return ({field.name for field in dataclasses.fields(cls)}
+            | {name for name, value in vars(cls).items() if isinstance(value, property)})
+
+
 def test_calls_the_benchmark_makes():
     # bench/ is versioned apart from the package and calls it as below; the
     # layer tracer reads arguments by position (synthesize_amplitude's times
-    # as args[2], stationary.amplitudes' energies as args[2]), and the
-    # oracles read these SpectralAmplitude fields
+    # as args[2], stationary.amplitudes' energies as args[2]), and its rows
+    # and oracles read these fields of the records returned
     assert positional_names(wavepacket.synthesize_amplitude)[:3] == ["famp", "x", "times"]
     assert positional_names(stationary.amplitudes)[:3] == ["u0", "l", "eps"]
     assert positional_names(wavepacket.mean_crossing_time)[:3] == ["famp", "x", "t_cut"]
     calls = [(wavepacket.mean_crossing_time, ("famp", 8.0, 30.0), {"dt": 0.05}),
              (wavepacket.free_arrival_time, ("packet", 31.4), {"t_max": 30.0}),
              (wavepacket.scan_arrival, ("packet", "barrier"),
-              {"t_max": 30.0, "coarse_dt": 0.05, "t_in": 0.4})]
+              {"t_max": 30.0, "coarse_dt": 0.05, "t_in": 0.4}),
+             (wavepacket.scan_arrival, ("packet", "barrier"), {"t_max": 30.0, "t_in": 0.4}),
+             (stationary.solve, ("barrier", 11.8), {}),
+             (spectral.barrier_k_spectrum, ("sol", 400.0, 12001), {}),
+             (times.compute_times, ("barrier", 11.8), {}),
+             (times.delay_crossing, (8.0, 6.32, 4.0, 7.99), {})]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
-    fields = {field.name for field in dataclasses.fields(wavepacket.SpectralAmplitude)}
-    assert {"grid", "weights", "values", "captured_weight"} <= fields
+    read = {wavepacket.SpectralAmplitude: {"grid", "weights", "values", "captured_weight"},
+            stationary.ScatteringSolution: {"T", "R"},
+            spectral.DirectionalSpectrum: {"w_plus", "w_minus", "ratio", "parseval_rel_err",
+                                           "k_max_too_small", "k"},
+            times.TimesReport: {"tau_g", "tau_0", "t_ph", "t_free", "tau_d_in",
+                                "tau_d_out", "hartman_limit"},
+            wavepacket.ArrivalTime: {"t_arr", "t_offset", "peak_density"}}
+    for cls, names in read.items():
+        assert names <= attributes(cls), cls.__name__

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from helpers import current, sub_barrier_domain, transfer_matrix_solution, wavefunction_at
 from tunneltimes import stationary, times
-from tunneltimes.model import BarrierSpec, Energy
+from tunneltimes.model import BarrierSpec
 from tunneltimes.stationary import (
     amplitudes,
     barrier_probability,
@@ -47,6 +47,17 @@ class TestSolve:
         assert abs(sol.D - D) < 1e-12
         assert abs(sol.T) == pytest.approx(0.484516415017, rel=1e-10)
 
+    def test_wavenumber(self):
+        sol = solve(BarrierSpec(U0, 1.0), 4.0)
+        assert sol.eps == 4.0 and sol.k == 2.0
+
+    def test_chi_and_pythagoras(self):
+        barrier = BarrierSpec(U0, 1.0)
+        rng = np.random.default_rng(11)
+        for eps in rng.uniform(0.1, 11.9, 50):
+            sol = solve(barrier, float(eps))
+            assert sol.chi**2 + sol.k**2 == pytest.approx(U0, abs=U0 * 5e-16)
+
     def test_normalization_constant(self):
         sol = solve(BarrierSpec(U0, 1.0), 9.0)
         assert sol.N == pytest.approx((4.0 * math.pi * 3.0) ** -0.5, rel=1e-14, abs=0.0)
@@ -70,6 +81,8 @@ class TestSolve:
             solve(barrier, 12.0)
         with pytest.raises(ValueError):
             solve(barrier, 12.5)
+        with pytest.raises(ValueError):
+            solve(barrier, 0.0)
         with pytest.raises(ValueError):
             solve(barrier, -1.0)
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -231,6 +232,16 @@ class TestReport:
                 report.tau_d_in, report.tau_d_out) == (0, 0, 0, 0, 0, 0)
         assert report.hartman_limit == pytest.approx(0.650944554904, abs=1e-11)
 
+    @pytest.mark.parametrize("l", [0.0, -0.0])
+    @pytest.mark.parametrize("eps", [0.05 * U0, 0.25 * U0, 0.5 * U0, EPS, U0 * (1.0 - 1e-12)])
+    def test_zero_width_times_are_plus_zero(self, eps, l):
+        # the general path at l = 0, also where g = (k^2 - chi^2)/(2 k chi)
+        # is negative (eps < u0/2) or the width is -0: no time comes out as -0
+        report = compute_times(BarrierSpec(U0, l), eps)
+        for name in ("tau_g", "tau_0", "t_ph", "t_free", "tau_d_in", "tau_d_out"):
+            value = getattr(report, name)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
+
     def test_all_fields_finite_and_consistent(self):
         report = compute_times(BarrierSpec(U0, 3.0), EPS)
         assert report.tau_0 == pytest.approx(3.0 / (2.0 * math.sqrt(EPS)), rel=1e-14, abs=0.0)
@@ -301,9 +312,7 @@ class TestOneStatePerRow:
 
         for name in calls:
             monkeypatch.setattr(stationary, name, counted(name))
-        compute_times(BarrierSpec(U0, 0.0), EPS)
-        assert calls == {"solve": 0, "barrier_probability": 0}
-        for l in (0.1, 3.0, 40.0):
+        for l in (0.0, 0.1, 3.0, 40.0):
             calls.update(solve=0, barrier_probability=0)
             compute_times(BarrierSpec(U0, l), EPS)
             assert calls == {"solve": 1, "barrier_probability": 1}
@@ -416,8 +425,8 @@ def high_precision_reference(u0, l, eps):
 
 def assert_matches_reference(u0, l, eps):
     # tau_d_in and tau_g as compute_times forms them: its row also needs a
-    # finite tau_d_out, and |T|^2 ~ e^{-2 theta} underflows it towards
-    # theta ~ 340 when eps is near the top
+    # finite tau_d_out, the probability over the transmitted current, which
+    # overflows from theta ~ 335 when eps is near the top
     barrier = BarrierSpec(u0, l)
     sol = stationary.solve(barrier, eps)
     tau_d_in = stationary.barrier_probability(sol) / stationary.incident_current(sol)
@@ -462,6 +471,18 @@ class TestHighPrecision:
     def test_domain(self, u0, frac, log_theta):
         eps = u0 * frac
         assert_matches_reference(u0, 10.0**log_theta / math.sqrt(u0 - eps), eps)
+
+    def test_overflowing_tau_d_out_is_named(self):
+        # at theta = 340 by the top |T|^2 is still a normal float; it is the
+        # quotient tau_d_out = prob / j_out that overflows
+        u0 = 0.1
+        eps = u0 * (1.0 - 1e-12)
+        barrier = BarrierSpec(u0, 340.0 / math.sqrt(u0 - eps))
+        assert abs(stationary.solve(barrier, eps).T) ** 2 >= sys.float_info.min
+        with pytest.raises(ValueError, match=r"tau_d_out is not finite at l = .*: the barrier "
+                           r"probability .* over the transmitted current .* overflows "
+                           r"at chi l = 340$"):
+            compute_times(barrier, eps)
 
     def test_array_across_thin_theta(self):
         # one array call whose energies put theta = chi l on both sides of
