@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, require_sub_barrier
-from .numerics import elementary
+from .numerics import brent_root, elementary
 
 
 class CrossCheckError(RuntimeError):
@@ -199,13 +199,14 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
     Scans [eps_lo, eps_hi] at CROSSING_SCAN energies for a sign change and
-    bisects it to high accuracy; a grid point whose scanned value is
-    exactly 0 is returned as it is.
+    finds the root in the first bracket by Brent's method
+    (numerics.brent_root) to xtol = 1e-13 and rtol = 1e-14.  The float call
+    may round the last bit differently from the array call, so the method
+    starts from the scanned values at the bracket ends: a grid point whose
+    scanned value is exactly 0 is returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """
-    from scipy.optimize import brentq
-
     barrier = BarrierSpec(u0, l)
     if not (0.0 < eps_lo < eps_hi < u0):
         raise ValueError("need 0 < eps_lo < eps_hi < u0")
@@ -215,9 +216,6 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
     if len(sign_change) == 0:
         return None
     i = int(sign_change[0])
-    # the float call may round the last bit differently from the array call,
-    # so brentq is handed the scanned values at the bracket ends (and returns
-    # an end whose scanned value is exactly 0)
-    ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
-    f = lambda e: ends[e] if e in ends else phase_shift_derivative(barrier, e)
-    return float(brentq(f, *ends, xtol=1e-13, rtol=1e-14))
+    return brent_root(lambda e: phase_shift_derivative(barrier, e),
+                      float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
+                      xtol=1e-13, rtol=1e-14)

@@ -777,7 +777,7 @@ class MeanTime:
 
 
 def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
-                       dt: float = 0.02) -> MeanTime:
+                       dt: float) -> MeanTime:
     """Quantum-average crossing time of the barrier exit x = l over [0, t_cut].
 
     t_mean = int t D dt / int D dt with D = |psi(l, t)|^2, both integrals by

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +344,36 @@ class TestCrossCheck:
                          "--l-max", "2", "--steps", "3", "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+
+# A fresh interpreter runs one command and names every scipy module loaded.
+COLD_RUN = """
+import sys
+from tunneltimes import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["times-width", "--u0", "12", "--eps", "11.8", "--l-max", "10", "--steps", "11"],
+    ["times-energy", "--u0", "8", "--l", "6.32", "--eps-min", "4", "--eps-max", "7.99",
+     "--steps", "11"],
+    ["packet", "--u0", "31.4", "--p", "3.6", "--b", "2", "--l-min", "1", "--l-max", "2",
+     "--steps", "2", "--t-max", "30", "--dt", "0.05"],
+    ["spectrum", "--u0", "12", "--eps", "11.8", "--l", "1,2", "--k-max", "400",
+     "--n-k", "1201"],
+], ids=lambda argv: argv[0])
+def test_cold_command_loads_no_scipy(tmp_path, argv):
+    # the package needs numpy alone at run time: a fresh process running
+    # one command ends without any scipy module loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, *argv,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["0", "[]"]
 
 
 class TestConfig:

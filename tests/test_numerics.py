@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from helpers import StencilError, richardson_derivative
 from tunneltimes import numerics, stationary, times
 from tunneltimes.model import BarrierSpec
-from tunneltimes.numerics import gauss_legendre_panels, uniform_step
+from tunneltimes.numerics import brent_root, gauss_legendre_panels, uniform_step
 
 
 class TestDifferentiate:
@@ -99,3 +102,69 @@ class TestUniformStep:
     def test_rejects_non_increasing(self):
         assert uniform_step(np.linspace(1.0, 0.0, 11)) is None
         assert uniform_step(np.zeros(5)) is None
+
+
+# Shapes of root for the Brent tests, each with its root at x = 0.
+ROOT_SHAPES = {
+    "cube": lambda x: x**3,
+    "fifth": lambda x: x**5,
+    "seventh": lambda x: x**7,
+    "tanh": math.tanh,
+    "expm1": math.expm1,
+    "gauss": lambda x: x * math.exp(-x * x),
+}
+
+# brentq refuses rtol below four machine epsilons.
+MIN_RTOL = 4.0 * np.finfo(float).eps
+
+
+def root_or_error(solver, *args, **kwargs):
+    """The root solver returns, or RuntimeError when it does not converge."""
+    try:
+        return solver(*args, **kwargs)
+    except RuntimeError:
+        return RuntimeError
+
+
+class TestBrentRoot:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(sorted(ROOT_SHAPES)),
+           root=st.floats(-2.0, 2.0),
+           sign=st.sampled_from([1.0, -1.0]),
+           left=st.floats(1e-3, 3.0),
+           right=st.floats(1e-3, 3.0),
+           log_xtol=st.floats(-15.0, -2.0),
+           log_rtol=st.floats(math.log10(MIN_RTOL), -3.0))
+    def test_equals_brentq(self, shape, root, sign, left, right, log_xtol, log_rtol):
+        # the port keeps brentq's operations in their order, so the two
+        # agree bit for bit, not to a tolerance; a flat root near x = 0 may
+        # take both past the iteration limit, which both report alike
+        g = ROOT_SHAPES[shape]
+
+        def f(x):
+            return sign * g(x - root)
+        a, b = root - left, root + right
+        xtol, rtol = 10.0**log_xtol, max(10.0**log_rtol, MIN_RTOL)
+        assert root_or_error(brent_root, f, a, b, f(a), f(b), xtol, rtol) == (
+            root_or_error(brentq, f, a, b, xtol=xtol, rtol=rtol))
+
+    @pytest.mark.parametrize("fa, fb, end", [(0.0, 1.0, 1.5), (-0.0, 1.0, 1.5),
+                                             (-1.0, 0.0, 2.5), (0.0, 0.0, 1.5)])
+    def test_zero_end_is_returned_as_it_is(self, fa, fb, end):
+        # the caller's end values decide, and f is never called
+        def f(x):
+            raise AssertionError("f called")
+        assert brent_root(f, 1.5, 2.5, fa, fb, 1e-13, 1e-14) == end
+
+    @pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -3.0), (1e-300, math.inf)])
+    def test_same_sign_ends_raise(self, fa, fb):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(math.tanh, 1.0, 2.0, fa, fb, 1e-13, 1e-14)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        f = ROOT_SHAPES["seventh"]
+        with pytest.raises(RuntimeError):
+            brentq(f, -1.0, 3.0, xtol=1e-13, rtol=1e-14, maxiter=1)
+        monkeypatch.setattr(numerics, "BRENT_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+            brent_root(f, -1.0, 3.0, f(-1.0), f(3.0), 1e-13, 1e-14)

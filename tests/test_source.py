@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import tunneltimes
@@ -134,6 +135,28 @@ def test_no_parameter_is_set_only_by_tests():
             if not (by_position or param in keywords or None in keywords):
                 unused.append(f"{qualified}:{param}")
     assert sorted(unused) == []
+
+
+def imported_modules(tree):
+    """(line, module) of every import in tree, at any depth; a relative
+    import names the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "tunneltimes" if node.level else node.module))
+    return found
+
+
+def test_src_imports_only_numpy_and_stdlib():
+    # the package needs numpy alone at run time (scipy is the tests' and the
+    # benchmark's), including imports deferred into a function body
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tunneltimes"}
+    found = [f"{path.name}:{line}: {name}" for path in SOURCES
+             for line, name in imported_modules(ast.parse(path.read_text()))
+             if name.partition(".")[0] not in allowed]
+    assert found == []
 
 
 def unbounded_caches(tree):

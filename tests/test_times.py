@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from helpers import finite_difference_group_delay, sub_barrier_domain, wavefunction_at
 from tunneltimes import stationary, times
@@ -367,7 +368,7 @@ class TestDelayCrossing:
     def test_zero_on_a_grid_point(self, monkeypatch):
         # the scan finds an exact zero at a grid point, and the float call
         # rounds the same point to the other side of zero: the grid point is
-        # the answer, and no bracket without a sign change reaches brentq
+        # the answer, and no bracket without a sign change reaches Brent's method
         root = float(np.linspace(4.0, 7.9, 400)[137])
 
         def derivative(barrier, eps):
@@ -379,8 +380,8 @@ class TestDelayCrossing:
 
     def test_float_call_flips_a_bracket_end(self, monkeypatch):
         # the scan changes sign between two grid points, and the float call
-        # puts the right end on the left end's side: brentq still gets the
-        # scanned bracket and returns a point inside it
+        # puts the right end on the left end's side: Brent's method still
+        # gets the scanned bracket and returns a point inside it
         grid = np.linspace(4.0, 7.9, 400)
         a, b = float(grid[136]), float(grid[137])
         root = 0.5 * (a + b)
@@ -391,6 +392,24 @@ class TestDelayCrossing:
             return (eps - root) - 2.0 * (b - root)
         monkeypatch.setattr(times, "phase_shift_derivative", derivative)
         assert a <= delay_crossing(8.0, 6.32, 4.0, 7.9) <= b
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(u0=st.floats(0.5, 200.0), l=st.floats(0.05, 12.0),
+           lo=st.floats(0.01, 0.5), gap=st.floats(-9.0, -1.0))
+    def test_equals_brentq_on_the_scanned_bracket(self, u0, l, lo, gap):
+        # the oracle is scipy's brentq on the first scanned sign change,
+        # handed the scanned end values; the port agrees bit for bit
+        eps_lo, eps_hi = u0 * lo, u0 * (1.0 - 10.0**gap)
+        barrier = BarrierSpec(u0, l)
+        grid = np.linspace(eps_lo, eps_hi, times.CROSSING_SCAN)
+        vals = phase_shift_derivative(barrier, grid)
+        changes = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+        assume(len(changes) > 0)
+        i = int(changes[0])
+        ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
+        expected = brentq(lambda e: ends[e] if e in ends else phase_shift_derivative(barrier, e),
+                          *ends, xtol=1e-13, rtol=1e-14)
+        assert delay_crossing(u0, l, eps_lo, eps_hi) == expected
 
 
 def high_precision_reference(u0, l, eps):

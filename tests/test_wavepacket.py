@@ -445,7 +445,7 @@ class TestArrival:
         ts = np.linspace(0.0, 30.0, 601)
         calls = [lambda: synthesize_amplitude(famp, x, ts),
                  lambda: synthesize(famp, x, ts),
-                 lambda: mean_crossing_time(famp, x, 60.0)]
+                 lambda: mean_crossing_time(famp, x, 60.0, dt=0.02)]
         for call in calls:
             with pytest.raises(ValueError, match=r"exit x = l = 4\.0 only"):
                 call()
@@ -1178,10 +1178,10 @@ class TestMeanCrossing:
         grid = EnergyGridSpec.for_horizon(U0, 60.0)
         famp = spectral_amplitude(PACKET, BarrierSpec(U0, 2.0), grid)
         with pytest.raises(ValueError, match="exit"):
-            mean_crossing_time(famp, 0.0, 60.0)
+            mean_crossing_time(famp, 0.0, 60.0, dt=0.02)
         free = spectral_amplitude(PACKET, FREE, grid)
         with pytest.raises(ValueError, match="exit"):
-            mean_crossing_time(free, 2.0, 60.0)
+            mean_crossing_time(free, 2.0, 60.0, dt=0.02)
 
     def test_verdict_does_not_depend_on_the_cutoff(self):
         # S is a property of the packet and the barrier, not of t_cut: a
