@@ -4,19 +4,14 @@ Computes and compares the group delay, phase time, two dwell times and
 wave-packet crossing times (peak arrival and quantum mean) of sub-barrier
 scattering, together with the directional wavenumber decomposition of the
 barrier-region stationary solution.  Everything is dimensionless in recoil
-units; see model.UnitScale for SI conversion.
+units (see model).  The stationary quantities (model, stationary, times)
+take one float energy and compute in Python scalars; numpy serves the
+packet's energy grids and the wavenumber spectrum.
 """
 
 __version__ = "0.1.0"
 
-from .model import (
-    BarrierSpec,
-    PacketSpec,
-    UnitScale,
-    from_physical,
-    packet_amplitude,
-    to_physical,
-)
+from .model import BarrierSpec, PacketSpec, packet_amplitude
 from .stationary import ScatteringSolution, solve, phase_shift
 from .times import (
     TimesReport,
@@ -53,7 +48,6 @@ __all__ = [
     "ScatteringSolution",
     "SpectralAmplitude",
     "TimesReport",
-    "UnitScale",
     "arrival_time_of_max",
     "barrier_k_spectrum",
     "compute_times",
@@ -61,7 +55,6 @@ __all__ = [
     "free_arrival_time",
     "free_group_time",
     "free_phase_time",
-    "from_physical",
     "group_delay",
     "hartman_limit",
     "mean_crossing_time",
@@ -72,5 +65,4 @@ __all__ = [
     "solve",
     "spectral_amplitude",
     "synthesize",
-    "to_physical",
 ]

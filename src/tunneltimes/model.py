@@ -3,8 +3,7 @@
 All computation in this package is dimensionless: lengths in units of a
 reference length L, energies in units of the recoil energy eps_r = hbar*w_r
 with w_r = hbar/(2 m L^2), times in units of 1/w_r.  In these units the free
-dispersion is eps = k^2 and the group velocity is 2*sqrt(eps).  ``UnitScale``
-converts results to SI for presentation only.
+dispersion is eps = k^2 and the group velocity is 2*sqrt(eps).
 """
 
 from __future__ import annotations
@@ -12,77 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 
-HBAR = 1.054571817e-34  # J s
-
-_SCALE_KINDS = ("length", "time", "energy")
-
-
-@dataclass(frozen=True)
-class UnitScale:
-    """SI scale factors for one choice of reference length and particle mass."""
-
-    l_ref: float  # meters
-    mass: float   # kg
-
-    def __post_init__(self):
-        if not (self.l_ref > 0.0 and self.mass > 0.0):
-            raise ValueError("l_ref and mass must be positive")
-
-    @property
-    def recoil_frequency(self) -> float:
-        """w_r = hbar / (2 m L^2), in rad/s."""
-        return HBAR / (2.0 * self.mass * self.l_ref**2)
-
-    @property
-    def recoil_energy(self) -> float:
-        """eps_r = hbar * w_r, in joules."""
-        return HBAR * self.recoil_frequency
-
-
-def to_physical(value: float, kind: str, scale: UnitScale) -> float:
-    """Convert a dimensionless value to SI units.
-
-    kind is one of 'length' (-> meters), 'time' (-> seconds) or
-    'energy' (-> joules).
-    """
-    if kind == "length":
-        return value * scale.l_ref
-    if kind == "time":
-        return value / scale.recoil_frequency
-    if kind == "energy":
-        return value * scale.recoil_energy
-    raise ValueError(f"unknown quantity kind {kind!r}, expected one of {_SCALE_KINDS}")
-
-
-def from_physical(value: float, kind: str, scale: UnitScale) -> float:
-    """Inverse of :func:`to_physical`."""
-    if kind == "length":
-        return value / scale.l_ref
-    if kind == "time":
-        return value * scale.recoil_frequency
-    if kind == "energy":
-        return value / scale.recoil_energy
-    raise ValueError(f"unknown quantity kind {kind!r}, expected one of {_SCALE_KINDS}")
-
-
-def require_sub_barrier(u0: float, eps) -> None:
-    """Raise ValueError unless 0 < eps < u0, at every entry of an array eps.
+def require_sub_barrier(u0: float, eps: float) -> None:
+    """Raise ValueError unless 0 < eps < u0.
 
     NaN is rejected, as every comparison with it is false.
     """
-    if isinstance(eps, np.ndarray):
-        outside = ~((eps > 0.0) & (eps < u0))
-        if not outside.any():
-            return
-        eps = eps[outside][0]
-    elif 0.0 < eps < u0:
-        return
-    raise ValueError(
-        f"eps = {eps} is not inside (0, u0 = {u0}); only sub-barrier "
-        "energies are supported"
-    )
+    if not 0.0 < eps < u0:
+        raise ValueError(
+            f"eps = {eps} is not inside (0, u0 = {u0}); only sub-barrier "
+            "energies are supported"
+        )
 
 
 @dataclass(frozen=True)

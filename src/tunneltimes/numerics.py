@@ -7,7 +7,6 @@ of a scalar function.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Callable, NamedTuple
@@ -21,20 +20,20 @@ class Elementary(NamedTuple):
     sqrt: Callable
     exp: Callable
     expm1: Callable
-    tanh: Callable
-    cexp: Callable  # complex exponential
 
 
-# One value runs on Python floats through math and cmath, which cost a
-# fraction of numpy's per-call dispatch on a scalar; an array runs through
-# numpy.  sqrt rounds correctly in both, so only the transcendental
-# functions may differ in the last bit between the two.
-_SCALAR = Elementary(math.sqrt, math.exp, math.expm1, math.tanh, cmath.exp)
-_ARRAY = Elementary(np.sqrt, np.exp, np.expm1, np.tanh, np.exp)
+# The closed forms that stationary evaluates at one energy and wavepacket
+# on its energy nodes: one value runs on Python floats through math, which
+# costs a fraction of numpy's per-call dispatch on a scalar; an array runs
+# through numpy.  sqrt rounds correctly in both, so only exp and expm1 may
+# differ in the last bit between the two.
+_SCALAR = Elementary(math.sqrt, math.exp, math.expm1)
+_ARRAY = Elementary(np.sqrt, np.exp, np.expm1)
 
 
 def elementary(x) -> Elementary:
-    """numpy's functions for an array x of one or more dimensions, else math's."""
+    """numpy's functions for an array x of one or more dimensions (the energy
+    nodes of wavepacket), else math's (one energy)."""
     return _ARRAY if isinstance(x, np.ndarray) and x.ndim else _SCALAR
 
 

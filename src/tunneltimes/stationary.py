@@ -27,6 +27,7 @@ divided by d(eps)/dk = 2k.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,22 +44,20 @@ _SINH_EXCESS = tuple(2.0 ** (2 * n + 1) / math.factorial(2 * n + 1)
                      for n in range(1, 10))
 
 
-def amplitudes(u0: float, l: float, eps):
+def amplitudes(u0: float, l: float, eps: float):
     """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
 
-    C_l = C e^{chi l} is the scaled growing-wave coefficient.  Vectorized
-    over eps; a float gives Python complex numbers, computed with math and
-    cmath (see numerics.elementary).  denom and R come from _barrier_kernel,
-    in the forms above, at every theta.
+    C_l = C e^{chi l} is the scaled growing-wave coefficient.  The float
+    energy gives Python complex numbers, computed with math and cmath.
+    denom and R come from _barrier_kernel, in the forms above, at every theta.
     """
     require_sub_barrier(u0, eps)
-    fn = elementary(eps)
-    k = fn.sqrt(eps)
-    chi = fn.sqrt(u0 - eps)
+    k = math.sqrt(eps)
+    chi = math.sqrt(u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     decay, denom, R = _barrier_kernel(u0, l, k, chi, g)
     ik_chi = 1j * k / chi
-    T = 2.0 * fn.cexp(-1j * k * l) * decay / denom
+    T = 2.0 * cmath.exp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
     D = (1.0 - ik_chi) / denom
     return T, R, C_l, D
@@ -69,7 +68,8 @@ def _barrier_kernel(u0: float, l: float, k, chi, g):
 
     With q = e^{-2 theta} and 1 - q = -expm1(-2 theta), denom = (1 + q) -
     i g (1 - q) and R = -i (1 - q) u0 / (2 k chi denom): no term of either
-    cancels at any theta.  chi is a float or an array (numerics.elementary).
+    cancels at any theta.  chi is a float (amplitudes) or an array over the
+    packet's energy nodes (wavepacket); see numerics.elementary.
     """
     fn = elementary(chi)
     theta = chi * l
@@ -82,7 +82,8 @@ def _barrier_kernel(u0: float, l: float, k, chi, g):
 def normalization(eps):
     """Energy-delta normalization constant N = (4 pi sqrt(eps))^(-1/2).
 
-    Vectorized over eps; a float gives a Python float, computed with math.
+    A float gives a Python float, computed with math; wavepacket passes an
+    array of energy nodes.
     """
     fn = elementary(eps)
     return 1.0 / fn.sqrt(4.0 * math.pi * fn.sqrt(eps))
@@ -114,15 +115,8 @@ class ScatteringSolution:
 def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
     """Solve the matching problem for one sub-barrier energy."""
     T, R, C_l, D = amplitudes(barrier.u0, barrier.l, eps)
-    return ScatteringSolution(
-        barrier=barrier,
-        eps=eps,
-        R=complex(R),
-        T=complex(T),
-        C_l=complex(C_l),
-        D=complex(D),
-        N=normalization(eps),
-    )
+    return ScatteringSolution(barrier=barrier, eps=eps, R=R, T=T, C_l=C_l, D=D,
+                              N=normalization(eps))
 
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:

@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import stationary
 from .model import BarrierSpec, require_sub_barrier
-from .numerics import brent_root, elementary
+from .numerics import brent_root
 
 
 class CrossCheckError(RuntimeError):
@@ -61,21 +59,18 @@ _TANH_SERIES = (-1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0,
                 6404582.0 / 10854718875.0, -443861162.0 / 1856156927625.0)
 
 
-def _tanh_minus_theta(theta):
+def _tanh_minus_theta(theta: float) -> float:
     """tanh(theta) - theta without cancellation for small theta.
 
     Below |theta| = TANH_SERIES_THETA its Taylor series, above it the direct
-    difference; a float evaluates only the one it needs, an array both.
+    difference.
     """
-    if isinstance(theta, np.ndarray):
-        return np.where(np.abs(theta) < TANH_SERIES_THETA,
-                        _tanh_minus_theta_series(theta), np.tanh(theta) - theta)
     if abs(theta) < TANH_SERIES_THETA:
         return _tanh_minus_theta_series(theta)
     return math.tanh(theta) - theta
 
 
-def _tanh_minus_theta_series(theta):
+def _tanh_minus_theta_series(theta: float) -> float:
     """Taylor series of tanh(theta) - theta through theta^19."""
     t2 = theta * theta
     total = 0.0
@@ -84,7 +79,7 @@ def _tanh_minus_theta_series(theta):
     return theta * t2 * total
 
 
-def phase_shift_derivative(barrier: BarrierSpec, eps):
+def phase_shift_derivative(barrier: BarrierSpec, eps: float) -> float:
     """d(alpha)/d(eps), analytic and stable over the whole sub-barrier range.
 
     Writing theta = chi l, the derivative of G = g tanh(theta) is
@@ -94,16 +89,14 @@ def phase_shift_derivative(barrier: BarrierSpec, eps):
 
     a grouping in which the three numerator terms are individually O(chi^3),
     so nothing is lost to cancellation as eps -> u0.  Then
-    d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2).  Vectorized over eps;
-    a float is computed with math (see numerics.elementary).
+    d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2), computed with math.
     """
     u0, l = barrier.u0, barrier.l
     require_sub_barrier(u0, eps)
-    fn = elementary(eps)
-    k = fn.sqrt(eps)
-    chi = fn.sqrt(u0 - eps)
+    k = math.sqrt(eps)
+    chi = math.sqrt(u0 - eps)
     theta = chi * l
-    tanh = fn.tanh(theta)
+    tanh = math.tanh(theta)
     G = (k * k - chi * chi) / (2.0 * k * chi) * tanh
     num = (
         u0 * u0 * _tanh_minus_theta(theta)
@@ -195,27 +188,33 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
 CROSSING_SCAN = 400
 
 
+def _sign(x: float) -> float:
+    """numpy.sign of a float: -1, 0 or 1, and NaN for NaN."""
+    return (x > 0.0) - (x < 0.0) if x == x else x
+
+
 def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float | None:
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
-    Scans [eps_lo, eps_hi] at CROSSING_SCAN energies for a sign change and
-    finds the root in the first bracket by Brent's method
-    (numerics.brent_root) to xtol = 1e-13 and rtol = 1e-14.  The float call
-    may round the last bit differently from the array call, so the method
-    starts from the scanned values at the bracket ends: a grid point whose
-    scanned value is exactly 0 is returned as it is.
+    Scans [eps_lo, eps_hi] at CROSSING_SCAN energies, spaced as
+    numpy.linspace spaces them, for the first change of sign, in which 0
+    counts as a sign of its own, and finds the root in that bracket by
+    Brent's method (numerics.brent_root) to xtol = 1e-13 and rtol = 1e-14,
+    from the scanned values at its ends: a grid point whose value is exactly
+    0 is returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """
     barrier = BarrierSpec(u0, l)
     if not (0.0 < eps_lo < eps_hi < u0):
         raise ValueError("need 0 < eps_lo < eps_hi < u0")
-    grid = np.linspace(eps_lo, eps_hi, CROSSING_SCAN)
-    vals = phase_shift_derivative(barrier, grid)
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        return None
-    i = int(sign_change[0])
-    return brent_root(lambda e: phase_shift_derivative(barrier, e),
-                      float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
-                      xtol=1e-13, rtol=1e-14)
+    step = (eps_hi - eps_lo) / (CROSSING_SCAN - 1)
+    grid = [eps_lo + i * step for i in range(CROSSING_SCAN - 1)] + [eps_hi]
+    a, fa = eps_lo, phase_shift_derivative(barrier, eps_lo)
+    for b in grid[1:]:
+        fb = phase_shift_derivative(barrier, b)
+        if _sign(fb) != _sign(fa):
+            return brent_root(lambda e: phase_shift_derivative(barrier, e),
+                              a, b, fa, fb, xtol=1e-13, rtol=1e-14)
+        a, fa = b, fb
+    return None

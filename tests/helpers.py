@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from tunneltimes import stationary, times
+from tunneltimes import stationary
 from tunneltimes import wavepacket as wp
 
 
@@ -25,27 +25,6 @@ def find_plateau(values, rel_tol=0.05, min_len=3):
                 if best is None or (j - i) > (best[1] - best[0]):
                     best = (i, j)
     return best
-
-
-def sub_barrier_domain(n, seed=0):
-    """(u0, l, eps) over the sub-barrier domain, for float against array checks.
-
-    u0 is log-uniform on [0.1, 100]; eps/u0 is uniform on [1e-6, 0.999] for
-    half the points and 1 - 10^(-3 ... -12) for the rest; theta = chi l is
-    log-uniform on [1e-10, 50].  Points 1e-9 either side of THIN_THETA, of
-    times.TANH_SERIES_THETA (the switch of the tanh(theta) - theta series)
-    and of 0.05, where that switch sat before, are appended.
-    """
-    rng = np.random.default_rng(seed)
-    u0 = 10.0 ** rng.uniform(-1.0, 2.0, n)
-    frac = np.concatenate([rng.uniform(1e-6, 0.999, n // 2),
-                           1.0 - 10.0 ** rng.uniform(-12.0, -3.0, n - n // 2)])
-    theta = 10.0 ** rng.uniform(-10.0, math.log10(50.0), n)
-    points = [(float(a), float(f), float(t)) for a, f, t in zip(u0, frac, theta)]
-    points += [(12.0, f, switch * (1.0 + side))
-               for switch in (stationary.THIN_THETA, times.TANH_SERIES_THETA, 0.05)
-               for side in (-1e-9, 1e-9) for f in (0.5, 1.0 - 1e-12)]
-    return [(a, t / math.sqrt(a - a * f), a * f) for a, f, t in points]
 
 
 def packet_support(packet):
@@ -98,12 +77,12 @@ def three_region(x, l, k, chi, T, R, C_l, D, slope=False):
     """Unnormalized psi_eps(x), or d(psi_eps)/dx when slope is set.
 
     The oracle for the state at any position, from the amplitudes of
-    stationary.amplitudes.  The result has the shape of x followed by the
-    shape of k: k, chi and the amplitudes are scalars, or 1-d arrays over
-    energy that give each position one entry per energy.  Each region's form
-    is evaluated only at the positions inside it, so no exponential of a
-    far-away position is formed, and on the barrier both exponents
-    chi (x - l) and -chi x are <= 0.
+    stationary.amplitudes or array_amplitudes.  The result has the shape of
+    x followed by the shape of k: k, chi and the amplitudes are scalars, or
+    1-d arrays over energy that give each position one entry per energy.
+    Each region's form is evaluated only at the positions inside it, so no
+    exponential of a far-away position is formed, and on the barrier both
+    exponents chi (x - l) and -chi x are <= 0.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -204,15 +183,29 @@ def _block_rows(famp):
     return max(1, _BLOCK // len(famp.grid))
 
 
+def array_amplitudes(u0, l, eps):
+    """(T, R, C_l, D) of stationary.amplitudes at an array of energies.
+
+    The same closed forms in numpy, on stationary._barrier_kernel, for the
+    oracles that need the state at every node of a large energy grid.
+    """
+    k, chi = np.sqrt(eps), np.sqrt(u0 - eps)
+    g = (k * k - chi * chi) / (2.0 * k * chi)
+    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g)
+    ik_chi = 1j * k / chi
+    T = 2.0 * np.exp(-1j * k * l) * decay / denom
+    return T, R, decay * (1.0 + ik_chi) / denom, (1.0 - ik_chi) / denom
+
+
 def stationary_states(famp, xs):
     """N psi_eps(x) at famp's energy nodes, as a (len(xs), n_eps) matrix.
 
     The general-x oracle for the exit state N X that wavepacket forms: the
-    three-region states of stationary.amplitudes and three_region, valid at
-    any position.
+    three-region states of array_amplitudes and three_region, valid at any
+    position.
     """
     u0, l, eps = famp.barrier.u0, famp.barrier.l, famp.grid
-    T, R, C_l, D = stationary.amplitudes(u0, l, eps)
+    T, R, C_l, D = array_amplitudes(u0, l, eps)
     psi = three_region(np.asarray(xs, dtype=float), l, np.sqrt(eps),
                        np.sqrt(u0 - eps), T, R, C_l, D)
     return stationary.normalization(eps) * psi

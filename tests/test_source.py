@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,6 +158,44 @@ def test_src_imports_only_numpy_and_stdlib():
              for line, name in imported_modules(ast.parse(path.read_text()))
              if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+# Modules that evaluate one float energy at a time, in math and cmath alone.
+FLOAT_MODULES = ("model.py", "stationary.py", "times.py")
+
+
+def test_float_modules_hold_no_array_path():
+    # no numpy import, at any depth, and no branch on numpy.ndarray
+    found = []
+    for path in SOURCES:
+        if path.name not in FLOAT_MODULES:
+            continue
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {name}" for line, name in imported_modules(tree)
+                  if name.partition(".")[0] == "numpy"]
+        if "ndarray" in loaded_names(tree):
+            found.append(f"{path.name}: ndarray")
+    assert found == []
+
+
+# Imports tunneltimes.model in a package stub, since the package's __init__
+# gathers every module, wavepacket's numpy included; prints the numpy
+# modules loaded then.
+MODEL_IMPORT = """
+import sys, types
+package = types.ModuleType("tunneltimes")
+package.__path__ = [sys.argv[1]]
+sys.modules["tunneltimes"] = package
+import tunneltimes.model
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
+"""
+
+
+def test_model_loads_no_numpy():
+    package = str(Path(tunneltimes.__file__).parent)
+    done = subprocess.run([sys.executable, "-c", MODEL_IMPORT, package],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 def unbounded_caches(tree):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from helpers import finite_difference_group_delay, sub_barrier_domain, wavefunction_at
+from helpers import finite_difference_group_delay, wavefunction_at
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
@@ -104,13 +104,13 @@ class TestGroupDelay:
         # agree with them.  The direct branch loses ~eps theta /
         # |tanh theta - theta| to cancellation (~75 ulp at the switch,
         # TANH_SERIES_THETA = 0.2); the series must be good to the last digits.
-        rel = 1e-15 if theta < 0.05 else 1e-12
+        rel = 1e-15 if theta < times.TANH_SERIES_THETA else 1e-12
         assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("theta", [1e-3, 0.02, 0.049])
     def test_tanh_series_to_the_last_digits(self, theta):
-        # the series carries terms through theta^13, so its truncation stays
-        # below 1e-17 up to the switchover at 0.05
+        # the series carries terms through theta^19, so its truncation stays
+        # below 1e-16 of the sum up to the switch at TANH_SERIES_THETA = 0.2
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             expected = float(mp.tanh(theta) - theta)
@@ -123,9 +123,7 @@ class TestGroupDelay:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             expected = float(mp.tanh(theta) - theta)
-        for value in (times._tanh_minus_theta(theta),
-                      times._tanh_minus_theta(np.array([theta]))[0]):
-            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert times._tanh_minus_theta(theta) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestFreeTimes:
@@ -326,28 +324,6 @@ class TestOneStatePerRow:
         for field in dataclasses.fields(report):
             assert type(getattr(report, field.name)) is float, field.name
 
-    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
-    def test_array_in_array_out(self, shape):
-        barrier = BarrierSpec(U0, 3.0)
-        eps = np.linspace(0.1 * U0, 0.99 * U0, math.prod(shape)).reshape(shape)
-        out = phase_shift_derivative(barrier, eps)
-        assert isinstance(out, np.ndarray) and out.shape == shape
-        # vectorised tanh and sqrt may round the last bit differently
-        expected = [phase_shift_derivative(barrier, float(e)) for e in eps.ravel()]
-        np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=0.0)
-
-    def test_float_matches_one_element_array(self):
-        # just above TANH_SERIES_THETA the direct tanh(theta) - theta cancels
-        # to theta^3/3, so one ulp of tanh there is ~3/theta^2 = 75 ulp of
-        # the difference: ~1e-14 of the scale of d(alpha)/d(eps)
-        for u0, l, eps in sub_barrier_domain(3000):
-            barrier = BarrierSpec(u0, l)
-            array = phase_shift_derivative(barrier, np.array([eps]))[0]
-            tau_0 = free_group_time(eps, l)
-            scale = max(abs(tau_0 + array), tau_0)
-            assert abs(phase_shift_derivative(barrier, eps) - array) <= 2e-13 * scale, (
-                u0, l, eps)
-
 
 class TestDelayCrossing:
     def test_crossing_location(self):
@@ -365,50 +341,45 @@ class TestDelayCrossing:
     def test_no_crossing_returns_none(self):
         assert delay_crossing(8.0, 6.32, 4.0, 6.0) is None
 
+    def test_scans_the_linspace_grid(self, monkeypatch):
+        # the scan visits numpy.linspace's energies, each once and in order
+        seen = []
+
+        def derivative(barrier, eps):
+            seen.append(eps)
+            return 1.0
+        monkeypatch.setattr(times, "phase_shift_derivative", derivative)
+        # at [0.3, 0.9] the last point must be set: 0.3 + 399 step is not 0.9
+        for eps_lo, eps_hi in ((4.0, 7.9), (0.3, 0.9), (1e-6, 1.0 - 1e-12), (2.5, 2.5 + 1e-9)):
+            seen.clear()
+            assert delay_crossing(12.0, 1.0, eps_lo, eps_hi) is None
+            assert seen == np.linspace(eps_lo, eps_hi, times.CROSSING_SCAN).tolist()
+
     def test_zero_on_a_grid_point(self, monkeypatch):
-        # the scan finds an exact zero at a grid point, and the float call
-        # rounds the same point to the other side of zero: the grid point is
-        # the answer, and no bracket without a sign change reaches Brent's method
+        # the scan meets an exact zero at a grid point: 0 is a sign of its
+        # own, so the bracket ends there and the grid point is the answer,
+        # also where the derivative only touches zero
         root = float(np.linspace(4.0, 7.9, 400)[137])
-
-        def derivative(barrier, eps):
-            if isinstance(eps, np.ndarray):
-                return eps - root
-            return (eps - root) - 1e-18
-        monkeypatch.setattr(times, "phase_shift_derivative", derivative)
-        assert delay_crossing(8.0, 6.32, 4.0, 7.9) == root
-
-    def test_float_call_flips_a_bracket_end(self, monkeypatch):
-        # the scan changes sign between two grid points, and the float call
-        # puts the right end on the left end's side: Brent's method still
-        # gets the scanned bracket and returns a point inside it
-        grid = np.linspace(4.0, 7.9, 400)
-        a, b = float(grid[136]), float(grid[137])
-        root = 0.5 * (a + b)
-
-        def derivative(barrier, eps):
-            if isinstance(eps, np.ndarray):
-                return eps - root
-            return (eps - root) - 2.0 * (b - root)
-        monkeypatch.setattr(times, "phase_shift_derivative", derivative)
-        assert a <= delay_crossing(8.0, 6.32, 4.0, 7.9) <= b
+        for derivative in (lambda barrier, eps: eps - root,
+                           lambda barrier, eps: -(eps - root) ** 2):
+            monkeypatch.setattr(times, "phase_shift_derivative", derivative)
+            assert delay_crossing(8.0, 6.32, 4.0, 7.9) == root
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(u0=st.floats(0.5, 200.0), l=st.floats(0.05, 12.0),
            lo=st.floats(0.01, 0.5), gap=st.floats(-9.0, -1.0))
     def test_equals_brentq_on_the_scanned_bracket(self, u0, l, lo, gap):
-        # the oracle is scipy's brentq on the first scanned sign change,
-        # handed the scanned end values; the port agrees bit for bit
+        # the oracle is scipy's brentq on the first sign change of the
+        # derivative at numpy.linspace's energies; the port agrees bit for bit
         eps_lo, eps_hi = u0 * lo, u0 * (1.0 - 10.0**gap)
         barrier = BarrierSpec(u0, l)
-        grid = np.linspace(eps_lo, eps_hi, times.CROSSING_SCAN)
-        vals = phase_shift_derivative(barrier, grid)
+        grid = np.linspace(eps_lo, eps_hi, times.CROSSING_SCAN).tolist()
+        vals = [phase_shift_derivative(barrier, e) for e in grid]
         changes = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         assume(len(changes) > 0)
         i = int(changes[0])
-        ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
-        expected = brentq(lambda e: ends[e] if e in ends else phase_shift_derivative(barrier, e),
-                          *ends, xtol=1e-13, rtol=1e-14)
+        expected = brentq(lambda e: phase_shift_derivative(barrier, e), grid[i], grid[i + 1],
+                          xtol=1e-13, rtol=1e-14)
         assert delay_crossing(u0, l, eps_lo, eps_hi) == expected
 
 
@@ -504,15 +475,15 @@ class TestHighPrecision:
             compute_times(barrier, eps)
 
     def test_array_across_thin_theta(self):
-        # one array call whose energies put theta = chi l on both sides of
-        # THIN_THETA (theta = 0.5 at eps = 11.5)
+        # an array of energies that puts theta = chi l on both sides of
+        # THIN_THETA (theta = 0.5 at eps = 11.5), one amplitudes call each
         u0, l = 12.0, 0.5 / math.sqrt(0.5)
         eps = np.linspace(11.0, 11.99, 34)
-        T, R, _, _ = stationary.amplitudes(u0, l, eps)
         theta = np.sqrt(u0 - eps) * l
         assert theta.min() < stationary.THIN_THETA < theta.max()
-        for e, t, r in zip(eps, T, R):
-            T_exit, R_ref, _, _ = high_precision_reference(u0, l, float(e))
+        for e in eps.tolist():
+            t, r, _, _ = stationary.amplitudes(u0, l, e)
+            T_exit, R_ref, _, _ = high_precision_reference(u0, l, e)
             assert abs(t * cmath.exp(1j * math.sqrt(e) * l) - T_exit) <= 1e-14 * abs(T_exit)
             assert abs(r - R_ref) <= 1e-14 * abs(R_ref)
 
@@ -523,16 +494,12 @@ class TestHighPrecision:
           for side in (-1e-9, 1e-9)],
     ])
     def test_either_side_of_the_tanh_series_switch(self, u0, frac, theta):
-        # float, one-element array and 60-digit tau_g agree to 2e-14 of
-        # max(|tau_g|, tau_0)
+        # the float and the 60-digit tau_g agree to 2e-14 of max(|tau_g|, tau_0)
         eps = u0 * frac
         l = theta / math.sqrt(u0 - eps)
         barrier = BarrierSpec(u0, l)
         tau_0 = free_group_time(eps, l)
         tau_g = high_precision_reference(u0, l, eps)[3]
         scale = max(abs(tau_g), tau_0)
-        scalar = phase_shift_derivative(barrier, eps)
-        array = phase_shift_derivative(barrier, np.array([eps]))[0]
-        assert abs(scalar - array) <= 2e-14 * scale
-        for dalpha in (scalar, array):
-            assert abs(tau_0 + dalpha - tau_g) <= 2e-14 * scale
+        dalpha = phase_shift_derivative(barrier, eps)
+        assert abs(tau_0 + dalpha - tau_g) <= 2e-14 * scale
