@@ -23,6 +23,11 @@ that the interior field C_l e^{chi (x - l)} + D e^{-chi x} has exponents
 <= 0 on the barrier.  States are normalized to a delta function in
 energy via N = (4 pi k)^(-1/2), i.e. plane-wave delta(k - k') normalization
 divided by d(eps)/dk = 2k.
+
+This module evaluates one float energy at a time, in math and cmath, and
+imports no numpy.  _barrier_kernel and normalization take their library
+from the caller, so wavepacket runs the same forms through numpy on its
+energy nodes.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 from .model import BarrierSpec, require_sub_barrier
-from .numerics import elementary
 
 # Below this theta = chi l barrier_probability takes (sinh 2theta - 2theta)
 # from its Taylor series, since its direct form cancels there.
@@ -55,7 +59,7 @@ def amplitudes(u0: float, l: float, eps: float):
     k = math.sqrt(eps)
     chi = math.sqrt(u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    decay, denom, R = _barrier_kernel(u0, l, k, chi, g)
+    decay, denom, R = _barrier_kernel(u0, l, k, chi, g, math)
     ik_chi = 1j * k / chi
     T = 2.0 * cmath.exp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
@@ -63,30 +67,29 @@ def amplitudes(u0: float, l: float, eps: float):
     return T, R, C_l, D
 
 
-def _barrier_kernel(u0: float, l: float, k, chi, g):
+def _barrier_kernel(u0: float, l: float, k, chi, g, lib):
     """(e^{-theta}, denom, R) at theta = chi l.
 
     With q = e^{-2 theta} and 1 - q = -expm1(-2 theta), denom = (1 + q) -
     i g (1 - q) and R = -i (1 - q) u0 / (2 k chi denom): no term of either
-    cancels at any theta.  chi is a float (amplitudes) or an array over the
-    packet's energy nodes (wavepacket); see numerics.elementary.
+    cancels at any theta.  lib supplies exp and expm1: math for one float
+    energy (amplitudes), numpy for the packet's energy nodes (wavepacket);
+    the two may differ in the last bit.
     """
-    fn = elementary(chi)
     theta = chi * l
-    decay = fn.exp(-theta)
-    one_minus_q = -fn.expm1(-2.0 * theta)
+    decay = lib.exp(-theta)
+    one_minus_q = -lib.expm1(-2.0 * theta)
     denom = (1.0 + decay * decay) - 1j * g * one_minus_q
     return decay, denom, -1j * one_minus_q * u0 / (2.0 * k * chi * denom)
 
 
-def normalization(eps):
+def normalization(eps, lib):
     """Energy-delta normalization constant N = (4 pi sqrt(eps))^(-1/2).
 
-    A float gives a Python float, computed with math; wavepacket passes an
-    array of energy nodes.
+    lib supplies sqrt: math for one float energy, numpy for wavepacket's
+    array of energy nodes.  sqrt rounds correctly in both.
     """
-    fn = elementary(eps)
-    return 1.0 / fn.sqrt(4.0 * math.pi * fn.sqrt(eps))
+    return 1.0 / lib.sqrt(4.0 * math.pi * lib.sqrt(eps))
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
     """Solve the matching problem for one sub-barrier energy."""
     T, R, C_l, D = amplitudes(barrier.u0, barrier.l, eps)
     return ScatteringSolution(barrier=barrier, eps=eps, R=R, T=T, C_l=C_l, D=D,
-                              N=normalization(eps))
+                              N=normalization(eps, math))
 
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:

@@ -12,36 +12,37 @@ with I available in closed form; on the energy grid I(p - k) and I(p + k)
 share one exponential e^{ik pi b} per node.  The packet is observed at the
 barrier exit x = l only (any other x raises ValueError), where the state is
 N X, X = T e^{ikl}.  Per width only X and R are formed (_exit_amplitudes);
-a SpectralAmplitude carries no T, C_l or D, which stationary.amplitudes
-forms.  Synthesis evaluates psi(l, t) = int_0^{u0} f(eps) N X e^{-i eps t}
+a SpectralAmplitude keeps X alone, and T, C_l, D and R come from
+stationary.amplitudes.  Synthesis evaluates psi(l, t) = int_0^{u0} f(eps) N X e^{-i eps t}
 d(eps) on a composite Gauss-Legendre energy grid whose panels span at most
 half a period of the fastest oscillation e^{-i eps t} requested, pi / t_max,
 where the 8-point rule still integrates it to ~1e-15.
 
 The nodes of that grid are eps_pj = e_j + p W: panel p of width W and
-Gauss-Legendre offset e_j.  On a uniform time grid t_m = t_0 + m dt the sum
-over the panels is therefore, for each offset, a chirp z-transform in
-w = e^{-i W dt} (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249
-(1969)), evaluated for P panels and M times as one FFT convolution of
-length >= P + M - 1 by Bluestein's identity pm = (p^2 + m^2 - (m - p)^2)/2
-(IEEE Trans. Audio Electroacoust. 18, 451 (1970)): order convolutions, run
-as one batched FFT pair, replace the M sums of P * order terms, so
-synthesis takes uniform time grids only.  At a single time the same
-factorisation gives psi and its first two time derivatives from P + order
-exponentials; Newton's method refines the arrival maximum on those from the
-largest sample.  The maximum is searched in windows [0, t_max 2^a] that
-double until one contains the whole pulse.  At the barrier exit the cut
-energy integral leaves the endpoint term (i/t) h(u0) e^{-i u0 t}, a slowly
-decaying artifact of the truncation, which the end-of-window test removes
-before it compares the density left at the end with the maximum.
+Gauss-Legendre offset e_j.  On the window [0, T] sampled at t_m = m dt,
+dt = T / (M - 1), the sum over the panels is therefore, for each offset, a
+chirp z-transform in w = e^{-i W dt} (Rabiner, Schafer and Rader, Bell
+Syst. Tech. J. 48, 1249 (1969)), evaluated for P panels and M times as one
+FFT convolution of length >= P + M - 1 by Bluestein's identity
+pm = (p^2 + m^2 - (m - p)^2)/2 (IEEE Trans. Audio Electroacoust. 18, 451
+(1970)): order convolutions, run as one batched FFT pair, replace the M
+sums of P * order terms, so synthesis takes the times linspace(0, T, M)
+only.  At a single time the same factorisation gives psi and its first two
+time derivatives from P + order exponentials; Newton's method refines the
+arrival maximum on those from the largest sample.  The maximum is searched
+in windows [0, t_max 2^a] that double until one contains the whole pulse.
+At the barrier exit the cut energy integral leaves the endpoint term
+(i/t) h(u0) e^{-i u0 t}, a slowly decaying artifact of the truncation,
+which the end-of-window test removes before it compares the density left
+at the end with the maximum.
 
 A width sweep repeats what does not depend on l, so that is built once: the
 energy basis (nodes, weights, the width-free factors k, chi and g of X and
 R, N A, the two overlaps and the panel powers) per (packet, u0, grid
 layout), and the chirp-z plan (chirp, kernel FFT and offsets) per (u0,
-layout, exact time samples).  Each is kept in a least-recently-used cache
-of at most _RETAINED_NODES nodes or complex values, in read-only arrays
-that every SpectralAmplitude on them shares.
+layout, window end T, sample count M).  Each is kept in a
+least-recently-used cache of at most _RETAINED_NODES nodes or complex
+values, in read-only arrays that every SpectralAmplitude on them shares.
 
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
 X = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
@@ -51,6 +52,7 @@ arrival at x = 0 is the reference t_in for the arrival at the barrier exit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -60,7 +62,6 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, PacketSpec
-from .numerics import gauss_legendre_panels, uniform_step
 
 
 class SynthesisResolutionError(RuntimeError):
@@ -210,9 +211,9 @@ class SpectralAmplitude:
     captured_weight is int_0^{eps_max} |f|^2 d(eps), the packet norm
     retained by the sub-barrier truncation at eps_max = u0.  layout is the
     composite Gauss-Legendre layout of grid: node j of panel p sits at
-    grid[p * layout.order + j].  R and the exit amplitude X = T e^{ikl} are
-    the stationary ones at the grid nodes; the free packet is the barrier of
-    width 0, where X = 1 and R = 0.  basis is the width-independent half
+    grid[p * layout.order + j].  The exit amplitude X = T e^{ikl} is the
+    stationary one at the grid nodes; the free packet is the barrier of
+    width 0, where X = 1.  basis is the width-independent half
     shared by every width of the same (packet, u0, layout); grid and weights
     are its read-only arrays.
     """
@@ -224,7 +225,6 @@ class SpectralAmplitude:
     packet: PacketSpec
     barrier: BarrierSpec
     layout: EnergyGridSpec
-    R: np.ndarray
     X: np.ndarray
     basis: _EnergyBasis
 
@@ -321,14 +321,33 @@ _NODE_BLOCK = 4096
 def _exit_amplitudes(u0: float, l: float, k, chi, g):
     """(X, R) at width l, X = T e^{ikl} = 2 e^{-chi l} / denom, by
     stationary._barrier_kernel; X = 1 and R = 0 exactly at l = 0."""
-    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g)
+    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g, np)
     return 2.0 * decay / denom, R
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _EnergyBasis:
-    nodes, weights = gauss_legendre_panels(0.0, u0, grid.n_panels, grid.order)
+    """The basis on n_panels equal panels of [0, u0], each with the
+    order-point Gauss-Legendre rule; the nodes lie strictly inside."""
+    xs, ws = _legendre_rule(grid.order)
+    edges = np.linspace(0.0, u0, grid.n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
+    weights = (half[:, None] * ws[None, :]).ravel()
     k, chi = np.sqrt(nodes), np.sqrt(u0 - nodes)
-    N = stationary.normalization(nodes)
+    N = stationary.normalization(nodes, np)
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
@@ -348,28 +367,28 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
 
     The width-independent _EnergyBasis is kept per (packet, u0, grid) in a
     cache of at most _RETAINED_NODES nodes (a larger grid is used, not
-    kept), so per width only R and X (_exit_amplitudes) and
-    f = N A [I(p - k) + conj(R) I(p + k)] are formed.
+    kept), so per width only X and R (_exit_amplitudes) and
+    f = N A [I(p - k) + conj(R) I(p + k)] are formed; R is not kept.
     """
     if packet.p**2 >= barrier.u0:
         raise ValueError(f"need p^2 < u0, got p^2 = {packet.p**2}, u0 = {barrier.u0}")
     basis = _BASES.get((packet, barrier.u0, grid),
                        lambda: _build_basis(packet, barrier.u0, grid))
-    R, X, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(3))
+    X, f = (np.empty(basis.nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(basis.nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
-        X[part], R[part] = _exit_amplitudes(
+        X[part], R = _exit_amplitudes(
             barrier.u0, barrier.l, basis.k[part], basis.chi[part], basis.g[part])
         # complex products take named operands: numpy would run one on a large
         # temporary in place, which rounds otherwise, and blocks would differ
-        rc = np.conj(R[part])
+        rc = np.conj(R)
         reflected = rc * basis.I_plus[part]
         overlap = basis.I_minus[part] + reflected
         f[part] = basis.NA[part] * overlap
     captured = float(np.sum(basis.weights * np.abs(f) ** 2))
     return SpectralAmplitude(
         grid=basis.nodes, values=f, weights=basis.weights, captured_weight=captured,
-        packet=packet, barrier=barrier, layout=grid, R=R, X=X, basis=basis,
+        packet=packet, barrier=barrier, layout=grid, X=X, basis=basis,
     )
 
 
@@ -388,17 +407,17 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     R = -ikl / (2.0 - ikl)
     overlap = (envelope_transform(packet.p - k, packet.b)
                + np.conj(R) * envelope_transform(packet.p + k, packet.b))
-    return complex(stationary.normalization(barrier.u0) ** 2 * packet.amplitude
+    return complex(stationary.normalization(barrier.u0, math) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
 
 
-def _check_resolution(famp: SpectralAmplitude, times) -> None:
-    t_extreme = float(np.max(np.abs(times)))
-    if famp.max_panel_width > math.pi / max(t_extreme, 1e-300):
+def _check_resolution(famp: SpectralAmplitude, t_max: float) -> None:
+    """SynthesisResolutionError unless the panels resolve e^{-i eps t} up to t_max."""
+    if famp.max_panel_width > math.pi / t_max:
         raise SynthesisResolutionError(
             f"energy panels of width {famp.max_panel_width:.4g} cannot resolve "
-            f"the oscillation at t = {t_extreme:.4g}; rebuild the grid with "
-            f"EnergyGridSpec.for_horizon(eps_max, {t_extreme:.4g})"
+            f"the oscillation at t = {t_max:.4g}; rebuild the grid with "
+            f"EnergyGridSpec.for_horizon(eps_max, {t_max:.4g})"
         )
 
 
@@ -423,13 +442,12 @@ class _ChirpPlan(NamedTuple):
 
     conj_chirp: np.ndarray  # w^{n^2/2}, n < max(P, M)
     kernel: np.ndarray      # FFT of the Bluestein kernel
-    offsets: np.ndarray     # e^{-i e_j (t_m - t_0)}, (order, M)
+    offsets: np.ndarray     # e^{-i e_j t_m}, (order, M)
 
 
-def _chirp_plan(famp: SpectralAmplitude, times: np.ndarray, dt: float) -> _ChirpPlan:
+def _chirp_plan(famp: SpectralAmplitude, t_max: float, n_times: int) -> _ChirpPlan:
     n_panels, order = famp.layout.n_panels, famp.layout.order
-    n_times = len(times)
-    theta = famp.max_panel_width * dt
+    theta = famp.max_panel_width * (t_max / (n_times - 1))
     n = np.arange(max(n_panels, n_times), dtype=float)
     # n*n is an exact integer in float64; w**(n**2/2) would round the power
     chirp = np.exp(0.5j * theta * (n * n))
@@ -438,7 +456,8 @@ def _chirp_plan(famp: SpectralAmplitude, times: np.ndarray, dt: float) -> _Chirp
     kernel[:n_times] = chirp[:n_times]
     kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
     plan = _ChirpPlan(np.conj(chirp), np.fft.fft(kernel),
-                      np.exp(-1j * np.outer(famp.grid[:order], times - times[0])))
+                      np.exp(-1j * np.outer(famp.grid[:order],
+                                            np.linspace(0.0, t_max, n_times))))
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -447,28 +466,27 @@ def _chirp_plan(famp: SpectralAmplitude, times: np.ndarray, dt: float) -> _Chirp
 _PLANS = _BoundedCache(_RETAINED_NODES, lambda plan: sum(a.size for a in plan))
 
 
-def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, times: np.ndarray,
-                 dt: float) -> np.ndarray:
-    """sum_eps amp e^{-i eps t} on a uniform grid t_m = t_0 + m dt, by chirp z.
+def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
+                 n_times: int) -> np.ndarray:
+    """sum_eps amp e^{-i eps t} on t = linspace(0, t_max, n_times), by chirp z.
 
-    Node j of panel p is eps_pj = e_j + p W, with W the panel width and e_j
-    the nodes of panel 0, so with w = e^{-i W dt}
+    The times are t_m = m dt, dt = t_max / (n_times - 1).  Node j of panel p
+    is eps_pj = e_j + p W, with W the panel width and e_j the nodes of panel
+    0, so with w = e^{-i W dt}
 
-        psi(t_m) = sum_j e^{-i e_j (t_m - t_0)} sum_p [amp_pj e^{-i eps_pj t_0}] w^{pm},
+        psi(t_m) = sum_j e^{-i e_j t_m} sum_p amp_pj w^{pm},
 
     and each inner sum is one Bluestein convolution, via
     pm = (p^2 + m^2 - (m - p)^2) / 2, of length >= P + M - 1 for P panels
     and M times.  The order convolutions run as one batched FFT pair over
     the rows of the (order, P) matrix of pre-chirped panel sums.  The chirp,
     the kernel's FFT and the offsets form a _ChirpPlan, kept per (u0, layout,
-    dt, exact time samples) in a cache of at most _RETAINED_NODES complex
-    values, so a call forms only the panel FFT pair and the contraction.
+    t_max, n_times) in a cache of at most _RETAINED_NODES complex values, so
+    a call forms only the panel FFT pair and the contraction.
     """
-    plan = _PLANS.get((famp.eps_max, famp.layout, dt, times.tobytes()),
-                      lambda: _chirp_plan(famp, times, dt))
-    if times[0] != 0.0:
-        amp = amp * np.exp(-1j * famp.grid * times[0])
-    n_panels, n_times = famp.layout.n_panels, len(times)
+    plan = _PLANS.get((famp.eps_max, famp.layout, t_max, n_times),
+                      lambda: _chirp_plan(famp, t_max, n_times))
+    n_panels = famp.layout.n_panels
     panels = amp.reshape(n_panels, famp.layout.order).T * plan.conj_chirp[:n_panels]
     conv = np.fft.ifft(np.fft.fft(panels, len(plan.kernel), axis=1) * plan.kernel,
                        axis=1)[:, :n_times]
@@ -485,19 +503,21 @@ def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
 
 
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
-    """Complex psi(x, t) at the barrier exit x = l on a uniform time grid.
+    """Complex psi(x, t) at the barrier exit x = l on the window [0, T].
 
-    times must be a uniform grid t_0 + m dt of at least 3 points (see
-    numerics.uniform_step), which the chirp z-transform sums; any other grid
-    raises ValueError, and so does any x but famp.barrier.l.
+    times must equal np.linspace(0.0, T, n) exactly, with n >= 3 and a
+    finite T > 0: the uniform grid the chirp z-transform sums.  Any other
+    times raise ValueError, and so does any x but famp.barrier.l.
     """
     amp = _weighted_state(famp, x)
     times = np.asarray(times, dtype=float)
-    _check_resolution(famp, times)
-    dt = uniform_step(times)
-    if dt is None:
-        raise ValueError("synthesis needs a uniform time grid of at least 3 points")
-    return _chirp_z_sum(famp, amp, times, dt)
+    if not (times.ndim == 1 and len(times) >= 3 and 0.0 < times[-1] < math.inf
+            and np.array_equal(times, np.linspace(0.0, times[-1], len(times)))):
+        raise ValueError("synthesis needs the uniform time grid linspace(0, T, n) "
+                         "with n >= 3 and a finite T > 0")
+    t_max = float(times[-1])
+    _check_resolution(famp, t_max)
+    return _chirp_z_sum(famp, amp, t_max, len(times))
 
 
 def synthesize(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
@@ -638,8 +658,8 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     amp = _weighted_state(famp, famp.barrier.l)
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
-    _check_resolution(famp, ts)
-    psi = _chirp_z_sum(famp, amp, ts, t_max / (n - 1))
+    _check_resolution(famp, t_max)
+    psi = _chirp_z_sum(famp, amp, t_max, n)
     d = np.abs(psi) ** 2
     i = int(np.argmax(d))
     peak = d[i]
@@ -770,7 +790,6 @@ class MeanTime:
     d t_mean / d ln t_cut that the endpoint term of the energy cutoff causes.
     """
 
-    x: float
     t_mean: float
     t_cut: float
     endpoint_share: float
@@ -808,5 +827,4 @@ def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
             f"S ln 2, {100 * drift / t_mean:.3g}%; tolerance is "
             f"{100 * MEAN_DRIFT_TOL:g}%"
         )
-    return MeanTime(x=float(x), t_mean=t_mean, t_cut=float(t_cut),
-                    endpoint_share=float(share))
+    return MeanTime(t_mean=t_mean, t_cut=float(t_cut), endpoint_share=float(share))

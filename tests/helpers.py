@@ -191,7 +191,7 @@ def array_amplitudes(u0, l, eps):
     """
     k, chi = np.sqrt(eps), np.sqrt(u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g)
+    decay, denom, R = stationary._barrier_kernel(u0, l, k, chi, g, np)
     ik_chi = 1j * k / chi
     T = 2.0 * np.exp(-1j * k * l) * decay / denom
     return T, R, decay * (1.0 + ik_chi) / denom, (1.0 - ik_chi) / denom
@@ -208,7 +208,7 @@ def stationary_states(famp, xs):
     T, R, C_l, D = array_amplitudes(u0, l, eps)
     psi = three_region(np.asarray(xs, dtype=float), l, np.sqrt(eps),
                        np.sqrt(u0 - eps), T, R, C_l, D)
-    return stationary.normalization(eps) * psi
+    return stationary.normalization(eps, np) * psi
 
 
 def general_state(famp, x):
@@ -224,7 +224,7 @@ def direct_synthesis(famp, x, times):
     blocks of rows so that no (n_t, n_eps) matrix is formed.
     """
     times = np.asarray(times, dtype=float)
-    wp._check_resolution(famp, times)
+    wp._check_resolution(famp, float(np.max(np.abs(times))))
     amp = general_state(famp, x)
     rows = _block_rows(famp)
     return np.concatenate([
@@ -234,17 +234,20 @@ def direct_synthesis(famp, x, times):
 
 
 def synthesize_at(famp, x, times):
-    """psi(x, t) at any position x on a uniform time grid: the chirp z-sum of
-    the package applied to general_state, where the package takes x = l only."""
-    times = np.asarray(times, dtype=float)
-    wp._check_resolution(famp, times)
-    return wp._chirp_z_sum(famp, general_state(famp, x), times, wp.uniform_step(times))
+    """psi(x, t) at any position x on times = linspace(0, T, n): the chirp
+    z-sum of the package applied to general_state, where the package takes
+    x = l only."""
+    t_max, n = float(times[-1]), len(times)
+    assert np.array_equal(times, np.linspace(0.0, t_max, n))
+    wp._check_resolution(famp, t_max)
+    return wp._chirp_z_sum(famp, general_state(famp, x), t_max, n)
 
 
 def spatial_profile(famp, xs, t):
     """Complex psi(x, t) over an array of positions at one instant."""
     xs = np.asarray(xs, dtype=float)
-    wp._check_resolution(famp, [t])
+    if t != 0.0:
+        wp._check_resolution(famp, abs(t))
     coeff = famp.weights * famp.values * np.exp(-1j * famp.grid * t)
     rows = _block_rows(famp)
     return np.concatenate([

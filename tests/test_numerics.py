@@ -8,8 +8,10 @@ from scipy.optimize import brentq
 
 from helpers import StencilError, richardson_derivative
 from tunneltimes import numerics, stationary, times
-from tunneltimes.model import BarrierSpec
-from tunneltimes.numerics import brent_root, gauss_legendre_panels, uniform_step
+from tunneltimes import wavepacket as wp
+from tunneltimes.model import BarrierSpec, PacketSpec
+from tunneltimes.numerics import brent_root
+from tunneltimes.wavepacket import EnergyGridSpec
 
 
 class TestDifferentiate:
@@ -55,53 +57,35 @@ class TestContinuousPhase:
 
 
 class TestGrids:
-    def test_panel_weights_integrate_polynomial_exactly(self):
-        nodes, weights = gauss_legendre_panels(-1.0, 3.0, 7, order=6)
-        assert np.sum(weights) == pytest.approx(4.0, rel=1e-14, abs=0.0)
-        # order-6 Gauss is exact through degree 11
-        value = np.sum(weights * nodes**9)
-        assert value == pytest.approx((3.0**10 - 1.0) / 10.0, rel=1e-13)
+    """The nodes and weights of the packet's energy basis: n_panels equal
+    panels of [0, u0], each with the 8-point Gauss-Legendre rule."""
 
-    @pytest.mark.parametrize("order", [2, 8])
+    def test_panel_weights_integrate_polynomial_exactly(self):
+        basis = wp._build_basis(PacketSpec(p=1.0, b=2.0), 3.0, EnergyGridSpec(7))
+        nodes, weights = basis.nodes, basis.weights
+        assert len(nodes) == 7 * EnergyGridSpec.order
+        assert 0.0 < nodes[0] and nodes[-1] < 3.0 and np.all(np.diff(nodes) > 0.0)
+        assert np.sum(weights) == pytest.approx(3.0, rel=1e-14, abs=0.0)
+        # the 8-point rule is exact through degree 15 on every panel
+        value = np.sum(weights * nodes**15)
+        assert value == pytest.approx(3.0**16 / 16.0, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [EnergyGridSpec.order])
     def test_reference_rule_built_once_and_read_only(self, order):
         xs, ws = np.polynomial.legendre.leggauss(order)
-        nodes, weights = gauss_legendre_panels(0.0, 31.4, 64, order)
-        rule = numerics._legendre_rule(order)
-        assert numerics._legendre_rule(order) is rule
+        rule = wp._legendre_rule(order)
+        assert wp._legendre_rule(order) is rule
         assert np.array_equal(rule[0], xs) and np.array_equal(rule[1], ws)
         for arr in rule:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        # the panels are those of a freshly built rule, bit for bit, and the
-        # caller's to modify
+        # the basis on 64 panels of [0, 31.4] has the panels of a freshly
+        # built rule, bit for bit
+        basis = wp._build_basis(PacketSpec(p=3.6, b=2.0), 31.4, EnergyGridSpec(64))
         edges = np.linspace(0.0, 31.4, 65)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * xs).ravel())
-        assert np.array_equal(weights, (half[:, None] * ws).ravel())
-        nodes[0] = -1.0
-        assert numerics._legendre_rule(order)[0][0] == xs[0]
-
-
-class TestUniformStep:
-    @pytest.mark.parametrize("lo, hi, n", [(0.0, 480.0, 9601), (7.5, 7.7, 257)])
-    def test_accepts_linspace(self, lo, hi, n):
-        # a short grid away from t = 0, whose rounded steps differ by ~1e-12
-        # relative: only the sample positions are compared
-        ts = np.linspace(lo, hi, n)
-        assert uniform_step(ts) == pytest.approx((hi - lo) / (n - 1), rel=1e-14, abs=0.0)
-
-    def test_rejects_one_moved_point(self):
-        ts = np.linspace(7.5, 7.7, 257)
-        ts[100] += 1e-9
-        assert uniform_step(ts) is None
-
-    @pytest.mark.parametrize("ts", [[], [1.0], [0.0, 1.0]])
-    def test_rejects_two_points_or_fewer(self, ts):
-        assert uniform_step(ts) is None
-
-    def test_rejects_non_increasing(self):
-        assert uniform_step(np.linspace(1.0, 0.0, 11)) is None
-        assert uniform_step(np.zeros(5)) is None
+        assert np.array_equal(basis.nodes, (mid[:, None] + half[:, None] * xs).ravel())
+        assert np.array_equal(basis.weights, (half[:, None] * ws).ravel())
 
 
 # Shapes of root for the Brent tests, each with its root at x = 0.

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tunneltimes
 from tunneltimes import spectral, stationary, times, wavepacket
 
@@ -160,8 +162,8 @@ def test_src_imports_only_numpy_and_stdlib():
     assert found == []
 
 
-# Modules that evaluate one float energy at a time, in math and cmath alone.
-FLOAT_MODULES = ("model.py", "stationary.py", "times.py")
+# Modules that compute in Python floats, in math and cmath alone.
+FLOAT_MODULES = ("model.py", "numerics.py", "stationary.py", "times.py")
 
 
 def test_float_modules_hold_no_array_path():
@@ -178,22 +180,24 @@ def test_float_modules_hold_no_array_path():
     assert found == []
 
 
-# Imports tunneltimes.model in a package stub, since the package's __init__
-# gathers every module, wavepacket's numpy included; prints the numpy
-# modules loaded then.
-MODEL_IMPORT = """
-import sys, types
+# Imports the module tunneltimes.<argv[2]> in a package stub, since the
+# package's __init__ gathers every module, wavepacket's numpy included;
+# prints the numpy modules loaded then.
+MODULE_IMPORT = """
+import importlib, sys, types
 package = types.ModuleType("tunneltimes")
 package.__path__ = [sys.argv[1]]
 sys.modules["tunneltimes"] = package
-import tunneltimes.model
+importlib.import_module("tunneltimes." + sys.argv[2])
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
 """
 
 
-def test_model_loads_no_numpy():
+@pytest.mark.parametrize("module", [name.removesuffix(".py") for name in FLOAT_MODULES])
+def test_model_loads_no_numpy(module):
+    # each float module in a fresh process, with what it imports of the package
     package = str(Path(tunneltimes.__file__).parent)
-    done = subprocess.run([sys.executable, "-c", MODEL_IMPORT, package],
+    done = subprocess.run([sys.executable, "-c", MODULE_IMPORT, package, module],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["[]"]
 

@@ -98,8 +98,8 @@ class TestSolve:
 
 
 class TestFloatPath:
-    """A float energy runs on Python scalars; normalization also takes the
-    packet's energy nodes as an array."""
+    """A float energy runs on Python scalars; normalization also takes numpy
+    and the packet's energy nodes as an array."""
 
     @pytest.mark.parametrize("eps", [EPS, np.float64(EPS), 0.01, U0 * (1.0 - 1e-12)],
                              ids=["float", "float64", "low", "top"])
@@ -111,10 +111,10 @@ class TestFloatPath:
     def test_normalization_float_matches_array(self):
         # sqrt rounds correctly in math and numpy alike, so bit for bit
         eps = 10.0 ** np.linspace(-12.0, 3.0, 301)
-        array = stationary.normalization(eps)
+        array = stationary.normalization(eps, np)
         for e, a in zip(eps, array):
-            for scalar in (stationary.normalization(float(e)),
-                           stationary.normalization(np.float64(e))):
+            for scalar in (stationary.normalization(float(e), math),
+                           stationary.normalization(np.float64(e), math)):
                 assert type(scalar) is float and scalar == a, e
 
 

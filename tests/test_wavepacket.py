@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
+    array_amplitudes,
     direct_arrival_root,
     direct_synthesis,
     doubling_scan_arrival,
@@ -201,7 +202,7 @@ class TestEnergyGrid:
                                   EnergyGridSpec.for_horizon(u0, t))
         assert famp.layout.n_panels == 6196
         assert famp.max_panel_width <= math.pi / t
-        wp._check_resolution(famp, [t])
+        wp._check_resolution(famp, t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(u0=st.floats(0.1, 100.0), periods=st.integers(65, 40000),
@@ -299,9 +300,9 @@ class TestSpectralAmplitude:
         # every node
         pytest.importorskip("mpmath")
         famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
-        assert np.all(famp.X == 1.0) and np.all(famp.R == 0.0)
+        assert np.all(famp.X == 1.0) and np.all(array_amplitudes(U0, 0.0, famp.grid)[1] == 0.0)
         overlap = np.array([mp_overlap(PACKET, k) for k in np.sqrt(famp.grid)])
-        free = stationary.normalization(famp.grid) * PACKET.amplitude * overlap
+        free = stationary.normalization(famp.grid, np) * PACKET.amplitude * overlap
         assert np.max(np.abs(famp.values - free)) <= 1e-13 * np.max(np.abs(free))
         assert famp.eps_max == U0
 
@@ -359,15 +360,29 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="uniform"):
             synthesize_amplitude(famp, 4.0, ts)
 
-    @pytest.mark.parametrize("ts", [np.linspace(0.0, 480.0, 9601),
-                                    np.linspace(7.5, 7.7, 257)],
+    def test_only_linspace_from_zero_accepted(self):
+        # a window that does not start at t = 0, an arange grid uniform to
+        # the last bit but not np.linspace's samples, and a window of zero
+        # length
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 10.0))
+        steps = np.arange(0.0, 10.0, 0.025)
+        assert not np.array_equal(steps, np.linspace(0.0, steps[-1], len(steps)))
+        for ts in (np.linspace(7.5, 7.7, 257), steps, np.linspace(0.0, 0.0, 5)):
+            with pytest.raises(ValueError, match=r"linspace\(0, T, n\)"):
+                synthesize_amplitude(famp, 4.0, ts)
+
+    @pytest.mark.parametrize("t_max, n, m", [(480.0, 9601, 9601), (7.7, 9857, 257)],
                              ids=["horizon", "offset-grid"])
-    def test_chirp_z_matches_direct_sum_on_opaque_grid(self, opaque_famp, ts):
+    def test_chirp_z_matches_direct_sum_on_opaque_grid(self, opaque_famp, t_max, n, m):
+        # the last m samples of the window [0, t_max]: the whole horizon, or
+        # the 257 samples of the short stretch [7.5, 7.7] far from t = 0
+        ts = np.linspace(0.0, t_max, n)
         fast = synthesize_amplitude(opaque_famp, 12.0, ts)
+        stretch = np.arange(n - m, n)
         rng = np.random.default_rng(480)
-        idx = np.sort(rng.choice(len(ts), size=200, replace=False))
+        idx = np.sort(rng.choice(stretch, size=200, replace=False))
         direct = direct_synthesis(opaque_famp, 12.0, ts[idx])
-        assert np.max(np.abs(fast[idx] - direct)) <= 1e-12 * np.max(np.abs(fast))
+        assert np.max(np.abs(fast[idx] - direct)) <= 1e-12 * np.max(np.abs(fast[stretch]))
 
     def test_spatial_profile_matches_stationary_states(self):
         # one node at a time: the profile is w_i f_i psi_eps_i(x) in all
@@ -579,13 +594,20 @@ class TestExitAmplitudes:
 
     @pytest.mark.parametrize("l", [0.0, 0.05, 1.0, 4.0, 12.2])
     def test_matches_the_stationary_solution(self, l):
-        # the record's X and R against the three-region state of
-        # stationary.amplitudes, one energy of the same grid at a time
+        # the record's X against the three-region state of
+        # stationary.amplitudes, one energy of the same grid at a time; R,
+        # which the record does not keep, from helpers.array_amplitudes, the
+        # same kernel on the grid, and f formed from that R bit for bit
         famp = spectral_amplitude(PACKET, BarrierSpec(U0, l), EnergyGridSpec(64))
         T, R = np.array([stationary.amplitudes(U0, l, e)[:2] for e in famp.grid.tolist()]).T
         X = T * np.exp(1j * np.sqrt(famp.grid) * l)
         assert np.max(np.abs(famp.X - X) / np.abs(X)) <= 1e-13
-        assert np.max(np.abs(famp.R - R)) <= 1e-14
+        R_grid = array_amplitudes(U0, l, famp.grid)[1]
+        assert np.max(np.abs(R_grid - R)) <= 1e-14
+        basis = famp.basis
+        reflected = np.conj(R_grid) * basis.I_plus
+        overlap = basis.I_minus + reflected
+        assert np.array_equal(famp.values, basis.NA * overlap)
 
 
 class TestBlockedAmplitude:
@@ -601,7 +623,7 @@ class TestBlockedAmplitude:
         whole = spectral_amplitude(PACKET, BarrierSpec(U0, 12.0), grid)
         assert whole.basis is not blocked.basis
         assert blocked.captured_weight == whole.captured_weight
-        for name in ("grid", "weights", "values", "R", "X"):
+        for name in ("grid", "weights", "values", "X"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
 
@@ -667,18 +689,16 @@ class TestBasisCache:
 
 class TestSynthesisPlan:
     def test_plan_is_keyed_by_the_time_samples(self, monkeypatch):
-        # the same M and dt from t_0 = 0 and from t_0 = 2.5: two plans, and
-        # each synthesis matches the direct sum
+        # the same M on the windows [0, 10] and [0, 12.5]: two plans, each
+        # used twice, and each synthesis matches the direct sum
         _, plans = fresh_caches(monkeypatch)
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 20.0))
-        dt = 0.0625
-        grids = [t_0 + dt * np.arange(161) for t_0 in (0.0, 2.5)]
-        assert wp.uniform_step(grids[0]) == wp.uniform_step(grids[1]) == dt
+        grids = [np.linspace(0.0, t_max, 161) for t_max in (10.0, 12.5)]
         for ts in grids + grids:
             fast = synthesize_amplitude(famp, 4.0, ts)
             slow = direct_synthesis(famp, 4.0, ts)
             assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(slow))
-        assert len(plans.entries) == 2
+        assert [key[2:] for key in plans.entries] == [(10.0, 161), (12.5, 161)]
 
     def test_plan_is_shared_across_widths_and_read_only(self, monkeypatch):
         _, plans = fresh_caches(monkeypatch)
@@ -697,7 +717,7 @@ def exit_integrand(packet, barrier, eps):
     """h(eps) = f(eps) N T e^{ikl} from the stationary amplitudes at eps < u0."""
     k = math.sqrt(eps)
     T, R, _, _ = stationary.amplitudes(barrier.u0, barrier.l, eps)
-    N = stationary.normalization(eps)
+    N = stationary.normalization(eps, math)
     f = N * packet.amplitude * (envelope_transform(packet.p - k, packet.b)
                                 + np.conj(R) * envelope_transform(packet.p + k, packet.b))
     return complex(f * N * T * np.exp(1j * k * barrier.l))
@@ -718,9 +738,10 @@ class TestEndpoint:
         # the endpoint term (i/t) h(u0) e^{-i u0 t} dominates psi(l, t) late
         barrier = BarrierSpec(U0, l)
         famp = spectral_amplitude(PACKET, barrier, EnergyGridSpec.for_horizon(U0, 480.0))
-        ts = np.linspace(440.0, 480.0, 401)
+        ts = np.linspace(0.0, 480.0, 4801)
+        late = slice(4400, None)  # the 401 samples of [440, 480]
         h = endpoint_amplitude(PACKET, barrier)
-        ratio = ts**2 * synthesize(famp, l, ts) / abs(h) ** 2
+        ratio = ts[late] ** 2 * synthesize(famp, l, ts)[late] / abs(h) ** 2
         assert np.all(np.abs(ratio - 1.0) < 0.02)
 
 
