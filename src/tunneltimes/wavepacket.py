@@ -8,8 +8,8 @@ coefficient at energy eps is
     f(eps) = N A [ I(p - k) + conj(R) I(p + k) ],
     I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx,
 
-with I available in closed form; on the energy grid I(p - k) and I(p + k)
-share one exponential e^{ik pi b} per node.  The packet is observed at the
+with I in closed form (envelope_transform), formed once per energy node
+when the grid's basis is built.  The packet is observed at the
 barrier exit x = l only (any other x raises ValueError), where the state is
 N X, X = T e^{ikl}.  Per width only X and R are formed (_exit_amplitudes);
 a SpectralAmplitude keeps X alone, and T, C_l, D and R come from
@@ -97,17 +97,12 @@ def _one_minus_exp_series(theta):
     return series
 
 
-def _one_minus_exp_over(theta):
+def _one_minus_exp_over(theta: np.ndarray) -> np.ndarray:
     """(1 - exp(-i theta)) / theta, stable for small theta (entire function).
 
     The Taylor series is evaluated only where |theta| < _SERIES_THETA and the
-    direct form only elsewhere.  An array runs through numpy, one value
-    through cmath.
+    direct form only elsewhere.
     """
-    if not isinstance(theta, np.ndarray):
-        if abs(theta) < _SERIES_THETA:
-            return _one_minus_exp_series(theta)
-        return (1.0 - cmath.exp(-1j * theta)) / theta
     out = np.empty(theta.shape, dtype=complex)
     small = np.abs(theta) < _SERIES_THETA
     out[small] = _one_minus_exp_series(theta[small])
@@ -116,31 +111,27 @@ def _one_minus_exp_over(theta):
     return out
 
 
-def _envelope_branch(q, i: int, b: float):
-    """I(q) in the form regular at q = (0, c, -c)[i]: of the denominator's
-    factors (q, q - c, q + c), the one that vanishes there moves into h."""
-    c = 2.0 / b
-    pb = math.pi * b
-    factors = (q, q - c, q + c)
-    return (1j * pb * c * c * _one_minus_exp_over(factors[i] * pb)
-            / (factors[i - 2] * factors[i - 1]))
-
-
-def envelope_transform(q: float, b: float) -> complex:
-    """Closed form of I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx at a real q.
+def envelope_transform(q, b: float) -> np.ndarray:
+    """Closed form of I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx at real q.
 
     The generic expression i pi b c^2 h(q pi b) / ((q-c)(q+c)), c = 2/b and
     h(theta) = (1 - e^{-i theta})/theta, has removable singularities at
-    q = +-c where the numerator is rewritten around the nearby zero; the
+    q = +-c, where the vanishing factor q -+ c moves into h instead; the
     q = 0 point is already regular in this form (I(0) = pi b, I(+-c) = -pi b/2).
-    q is evaluated in its one _envelope_branch only, in Python scalars.
+    q is a float or an array, the result is complex of q's shape, and each
+    entry is evaluated in the one form that is regular there only.
     """
-    c = 2.0 / b
-    pb = math.pi * b
-    q = float(q)
-    near_p = abs(q - c) * pb < _SERIES_THETA
-    near_m = abs(q + c) * pb < _SERIES_THETA
-    return _envelope_branch(q, 1 if near_p else 2 if near_m else 0, b)
+    c, pb = 2.0 / b, math.pi * b
+    q = np.asarray(q, dtype=float)
+    factors = (q, q - c, q + c)
+    # the generic form 0, or 1 or 2 where q - c or q + c vanishes (q pi b
+    # cannot be near both, 2 c pi b = 4 pi apart)
+    form = ((np.abs(factors[1]) * pb < _SERIES_THETA)
+            + 2 * (np.abs(factors[2]) * pb < _SERIES_THETA))
+    theta = np.choose(form, factors) * pb
+    others = np.choose(form, (factors[1] * factors[2], factors[2] * factors[0],
+                              factors[0] * factors[1]))
+    return 1j * pb * c * c * _one_minus_exp_over(theta) / others
 
 
 # Largest energy grid for_horizon builds; its amplitude record with its basis
@@ -229,13 +220,6 @@ class SpectralAmplitude:
     basis: _EnergyBasis
 
     def __post_init__(self):
-        if len(self.grid) != self.layout.n_panels * self.layout.order:
-            raise ValueError(
-                f"energy grid has {len(self.grid)} nodes, not n_panels * order = "
-                f"{self.layout.n_panels} * {self.layout.order}"
-            )
-        if self.grid[0] <= 0.0 or self.grid[-1] > self.eps_max * (1.0 + 1e-12):
-            raise ValueError("energy grid must lie inside (0, eps_max]")
         if self.captured_weight > 1.0 + 1e-6:
             # the packet norm bounds the exact weight; quadrature error at
             # eps -> 0, largest for slow packets, can pass it
@@ -284,35 +268,6 @@ _RETAINED_NODES = 1 << 17
 _BASES = _BoundedCache(_RETAINED_NODES, lambda basis: len(basis.nodes))
 
 
-def _envelope_pair(packet: PacketSpec, k: np.ndarray):
-    """(I(p - k), I(p + k)) over an ascending array k.
-
-    One exponential z = e^{ik pi b} per node serves both: with
-    E = e^{-ip pi b}, c = 2/b and d(q) = q (q^2 - c^2) / (i c^2),
-    I(p - k) = (1 - E z) / d(p - k) and I(p + k) = (1 - E conj(z)) / d(p + k).
-    The few nodes within _SERIES_THETA / (pi b) of a removable point q = 0,
-    c or -c, found by bisection, take envelope_transform's branch about
-    that point instead.
-    """
-    p, b = packet.p, packet.b
-    c, pb = 2.0 / b, math.pi * b
-    ie = 1j * cmath.exp(-1j * p * pb)
-    z = np.exp(1j * pb * k)
-    # the k about p - k = 0, c, -c; p + k is there on their mirror image
-    half = _SERIES_THETA / pb
-    windows = np.subtract.outer(p - np.array([0.0, c, -c]), [half, -half])
-    transforms = []
-    for q, zq, sign in ((p - k, z, 1.0), (p + k, np.conj(z), -1.0)):
-        num = 1j - ie * zq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = c * c / (q * (q - c) * (q + c))
-            transforms.append(num * scale)
-        for i, (lo, hi) in enumerate(np.searchsorted(k, np.sort(sign * windows))):
-            if hi > lo:
-                transforms[-1][lo:hi] = _envelope_branch(q[lo:hi], i, b)
-    return transforms
-
-
 # Energy nodes per block of the basis and of spectral_amplitude: their
 # temporaries stay at 64 KiB of complex128; only the kept arrays span the grid.
 _NODE_BLOCK = 4096
@@ -351,7 +306,8 @@ def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _Energy
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
-        I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
+        I_minus[part] = envelope_transform(packet.p - k[part], packet.b)
+        I_plus[part] = envelope_transform(packet.p + k[part], packet.b)
     p = np.arange(grid.n_panels, dtype=float)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     basis = _EnergyBasis(nodes, weights, k, chi, g, N, N * packet.amplitude,
@@ -405,8 +361,8 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     k = math.sqrt(barrier.u0)
     ikl = 1j * k * barrier.l
     R = -ikl / (2.0 - ikl)
-    overlap = (envelope_transform(packet.p - k, packet.b)
-               + np.conj(R) * envelope_transform(packet.p + k, packet.b))
+    I_minus, I_plus = envelope_transform(packet.p - np.array([k, -k]), packet.b)
+    overlap = I_minus + R.conjugate() * I_plus
     return complex(stationary.normalization(barrier.u0, math) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
 
@@ -655,11 +611,9 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     t_max or coarse_dt that is not finite and positive raises ValueError.
     """
     _check_window(t_max, coarse_dt)
-    amp = _weighted_state(famp, famp.barrier.l)
     n = max(int(round(t_max / coarse_dt)), 16) + 1
     ts = np.linspace(0.0, t_max, n)
-    _check_resolution(famp, t_max)
-    psi = _chirp_z_sum(famp, amp, t_max, n)
+    psi = synthesize_amplitude(famp, famp.barrier.l, ts)
     d = np.abs(psi) ** 2
     i = int(np.argmax(d))
     peak = d[i]
@@ -686,6 +640,7 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
             f"window [0, {t_max:g}] is too short: the endpoint density "
             f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
             f"maximum {peak:.3e}")
+    amp = _weighted_state(famp, famp.barrier.l)
     try:
         t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
     except WindowError:

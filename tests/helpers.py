@@ -299,22 +299,6 @@ def direct_arrival_root(famp, x, t_guess, half_width=1e-3):
     return t_star, slope_and_density(t_star)[1]
 
 
-def envelope_transform_array(q, b):
-    """Oracle: wavepacket.envelope_transform over an array of q.
-
-    Every entry is evaluated in its one wavepacket._envelope_branch, chosen
-    by mask, so the array path checks the scalar one branch by branch.
-    """
-    c, pb = 2.0 / b, math.pi * b
-    q = np.asarray(q, dtype=float)
-    near_p = np.abs(q - c) * pb < wp._SERIES_THETA
-    near_m = np.abs(q + c) * pb < wp._SERIES_THETA
-    out = np.empty(q.shape, dtype=complex)
-    for i, where in enumerate((~(near_p | near_m), near_p, near_m)):
-        out[where] = wp._envelope_branch(q[where], i, b)
-    return out
-
-
 def mp_overlap(packet, k, R=0.0, dps=40):
     """Oracle for f / (N A) = I(p - k) + conj(R) I(p + k) at one k, by mpmath.
 

@@ -180,6 +180,21 @@ def test_float_modules_hold_no_array_path():
     assert found == []
 
 
+def ndarray_branches(tree):
+    """Lines of the isinstance calls in tree whose classes name ndarray."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and "ndarray" in loaded_names(node.args[1])]
+
+
+def test_no_branch_on_ndarray():
+    # a function takes a float and an array through one numpy path, or a
+    # float alone through math and cmath, never both by type
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in ndarray_branches(ast.parse(path.read_text()))]
+    assert found == []
+
+
 # Imports the module tunneltimes.<argv[2]> in a package stub, since the
 # package's __init__ gathers every module, wavepacket's numpy included;
 # prints the numpy modules loaded then.

@@ -12,7 +12,6 @@ from helpers import (
     direct_arrival_root,
     direct_synthesis,
     doubling_scan_arrival,
-    envelope_transform_array,
     initial_wavefunction,
     mp_overlap,
     spatial_profile,
@@ -116,37 +115,35 @@ class TestEnvelopeBranches:
                             np.linspace(-0.02, 0.02, 101),
                             np.linspace(0.98, 1.02, 101)])
         ref = envelope_all_branches(q, b)
-        got = envelope_transform_array(q, b)
+        got = envelope_transform(q, b)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
-    def test_scalar_in_scalar_out(self):
-        # envelope_transform takes one real q; arrays go to the oracle
-        assert isinstance(envelope_transform(0.3, 2.0), complex)
-        assert isinstance(envelope_transform(np.float64(0.3), 2.0), complex)
-        assert isinstance(envelope_transform(1, 2.0), complex)
-        assert envelope_transform_array(np.array([0.3]), 2.0).shape == (1,)
-        assert envelope_transform_array([0.3, 1.0], 2.0).shape == (2,)
+    def test_array_of_q_shape(self):
+        assert envelope_transform(0.3, 2.0).shape == ()
+        assert envelope_transform(1, 2.0).dtype == complex
+        assert envelope_transform(np.array([0.3]), 2.0).shape == (1,)
+        assert envelope_transform([0.3, 1.0], 2.0).shape == (2,)
+        assert envelope_transform(np.zeros((2, 3)), 2.0).shape == (2, 3)
 
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
     def test_float_matches_one_element_array(self, b):
         # q = 0 and q = +-c, and either side of |theta| = 0.05, where the
         # series of (1 - e^{-i theta}) / theta hands over to the direct form,
         # in the generic branch (theta = q pi b) and the two near-c branches
-        # (theta = (q -+ c) pi b)
+        # (theta = (q -+ c) pi b): a float picks its branch by the same mask
+        # as the entries of an array
         c, pb = 2.0 / b, math.pi * b
         offsets = [s * f * 0.05 / pb for s in (-1.0, 1.0) for f in (0.3, 0.999, 1.001, 3.0)]
         qs = [q0 + dq for q0 in (0.0, c, -c) for dq in [0.0] + offsets]
         qs += list(np.random.default_rng(11).uniform(-12.0, 12.0, 50))
-        for q in qs:
-            scalar = envelope_transform(float(q), b)
-            array = envelope_transform_array(np.array([q]), b)[0]
-            assert type(scalar) is complex
-            assert abs(scalar - array) <= 2e-15 * abs(array), q
+        array = envelope_transform(np.array(qs), b)
+        for q, entry in zip(qs, array):
+            assert envelope_transform(float(q), b) == entry, q
         assert envelope_transform(np.float64(c), b) == envelope_transform(float(c), b)
 
 
 class TestOverlap:
-    """The one-exponential overlaps of the energy basis against mpmath.
+    """The overlaps I(p - k) + conj(R) I(p + k) against mpmath.
 
     The points sit on the removable points q = 0, c, -c of I(p - k) and
     I(p + k) (exactly, at p = c), on both sides of the branch switch
@@ -175,15 +172,24 @@ class TestOverlap:
             for s in (0.0, c, -c):
                 assert s in p - k and s in p + k
         R = np.random.default_rng(5).uniform(-0.7, 0.7, (len(k), 2)) @ [1.0, 1j]
-        I_minus, I_plus = wp._envelope_pair(packet, k)
-        got = I_minus + np.conj(R) * I_plus
+        got = envelope_transform(p - k, b) + np.conj(R) * envelope_transform(p + k, b)
         ref = np.array([mp_overlap(packet, kk, rr) for kk, rr in zip(k, R)])
-        # the generic form rounds the phases p pi b and k pi b apart, so
-        # toward a removable point its error grows like ulp(p pi b) / theta,
-        # to ~2e-14 of I(0) = pi b at the switch; with the generic form
-        # inside the switch the error at theta = 1e-3 would be ~1e-11
+        # just inside the branch switch, |theta| < 0.05, the seven-term
+        # series of h(theta) = (1 - e^{-i theta}) / theta is off by about its
+        # first omitted term, theta^7 / 8! = 1.9e-14 at theta = 0.05, in units
+        # of I(0) = pi b (1.7e-14 seen here); with the generic form inside
+        # the switch the error at theta = 1e-3 about q = +-c would be ~2e-13
         err = np.abs(got - ref) / (pb * (1.0 + np.abs(R)))
-        assert np.max(err) <= 1e-13, k[np.argmax(err)]
+        assert np.max(err) <= 2e-14, k[np.argmax(err)]
+
+    def test_basis_holds_the_closed_form(self):
+        # the basis's overlaps, formed in blocks of _NODE_BLOCK nodes, are
+        # envelope_transform's on the whole grid, bit for bit
+        grid = EnergyGridSpec.for_horizon(U0, 120.0)
+        assert grid.n_panels * grid.order > wp._NODE_BLOCK
+        basis = spectral_amplitude(PACKET, BARRIER4, grid).basis
+        assert np.array_equal(basis.I_minus, envelope_transform(PACKET.p - basis.k, PACKET.b))
+        assert np.array_equal(basis.I_plus, envelope_transform(PACKET.p + basis.k, PACKET.b))
 
 
 class TestEnergyGrid:
@@ -283,16 +289,13 @@ class TestSpectralAmplitude:
             assert fine.captured_weight == pytest.approx(0.999992, abs=3e-6)
 
     def test_grid_must_match_panel_layout(self):
+        # node j of panel p sits at grid[p * order + j], strictly inside
+        # panel p of n_panels equal panels of (0, u0)
         famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
         assert famp.layout == EnergyGridSpec(64)
-        assert len(famp.grid) == 64 * famp.layout.order
-        with pytest.raises(ValueError, match="n_panels"):
-            dataclasses.replace(famp, layout=EnergyGridSpec(63))
-
-    def test_grid_beyond_truncation_rejected(self):
-        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
-        with pytest.raises(ValueError, match="inside"):
-            dataclasses.replace(famp, grid=famp.grid + 1.0)
+        panels = famp.grid.reshape(64, famp.layout.order)
+        edges = np.linspace(0.0, U0, 65)
+        assert np.all(panels > edges[:-1, None]) and np.all(panels < edges[1:, None])
 
     def test_zero_width_is_the_free_basis(self):
         # at l = 0, X = T e^{ikl} = 1 and R = 0 exactly, so f is the
@@ -1066,14 +1069,14 @@ class TestNewtonPeak:
         return spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec.for_horizon(U0, 30.0))
 
     def test_accepted_window_synthesizes_once(self, monkeypatch, famp4):
-        calls = dict.fromkeys(("_weighted_state", "_chirp_z_sum"), 0)
+        calls = dict.fromkeys(("synthesize_amplitude", "_chirp_z_sum"), 0)
         for name in calls:
             def spy(*args, _name=name, _original=getattr(wp, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(wp, name, spy)
         arrival_time_of_max(famp4, 30.0)
-        assert calls == {"_weighted_state": 1, "_chirp_z_sum": 1}
+        assert calls == {"synthesize_amplitude": 1, "_chirp_z_sum": 1}
 
     def test_non_concave_start_raises(self, famp4):
         # at l = 4 the density peaks at t = 0.413 and is convex beyond ~0.67
