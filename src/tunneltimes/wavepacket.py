@@ -8,8 +8,9 @@ coefficient at energy eps is
     f(eps) = N A [ I(p - k) + conj(R) I(p + k) ],
     I(q) = int_{-pi b}^0 (1 - cos(2x/b)) e^{iqx} dx,
 
-with I in closed form (envelope_transform), formed once per energy node
-when the grid's basis is built.  The packet is observed at the
+with I in closed form (envelope_transform); when a grid's basis is built,
+I(p - k) and I(p + k) share one exponential e^{ik pi b} per node, except
+near the removable points of I.  The packet is observed at the
 barrier exit x = l only (any other x raises ValueError), where the state is
 N X, X = T e^{ikl}.  Per width only X and R are formed (_exit_amplitudes);
 a SpectralAmplitude keeps X alone, and T, C_l, D and R come from
@@ -220,6 +221,8 @@ class SpectralAmplitude:
     basis: _EnergyBasis
 
     def __post_init__(self):
+        if self.grid[0] <= 0.0 or self.grid[-1] > self.eps_max * (1.0 + 1e-12):
+            raise ValueError("energy grid must lie inside (0, eps_max]")
         if self.captured_weight > 1.0 + 1e-6:
             # the packet norm bounds the exact weight; quadrature error at
             # eps -> 0, largest for slow packets, can pass it
@@ -236,6 +239,14 @@ class SpectralAmplitude:
     @property
     def max_panel_width(self) -> float:
         return self.eps_max / self.layout.n_panels
+
+    @functools.cached_property
+    def _exit_state(self) -> np.ndarray:
+        """amp = w N f X at each node, so psi(l, t) = sum amp e^{-i eps t};
+        formed on first use and kept, read-only, with the record."""
+        amp = self.weights * self.values * (self.basis.N * self.X)
+        amp.flags.writeable = False
+        return amp
 
 
 class _BoundedCache:
@@ -266,6 +277,30 @@ class _BoundedCache:
 # complex values the synthesis-plan cache keeps (~2 MB).
 _RETAINED_NODES = 1 << 17
 _BASES = _BoundedCache(_RETAINED_NODES, lambda basis: len(basis.nodes))
+
+
+def _envelope_pair(packet: PacketSpec, k: np.ndarray):
+    """(I(p - k), I(p + k)) over an array k.
+
+    One exponential z = e^{ik pi b} per node serves both: with
+    E = e^{-ip pi b}, c = 2/b and d(q) = q (q^2 - c^2) / (i c^2),
+    I(p - k) = (1 - E z) / d(p - k) and I(p + k) = (1 - E conj(z)) / d(p + k).
+    The few nodes within _SERIES_THETA / (pi b) of a removable point q = 0,
+    c or -c take envelope_transform instead.
+    """
+    p, b = packet.p, packet.b
+    c, pb = 2.0 / b, math.pi * b
+    ie = 1j * cmath.exp(-1j * p * pb)
+    z = np.exp(1j * pb * k)
+    transforms = []
+    for q, zq in ((p - k, z), (p + k, np.conj(z))):
+        num = 1j - ie * zq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = num * (c * c / (q * (q - c) * (q + c)))
+        near = np.abs(np.subtract.outer(q, (0.0, c, -c))).min(axis=-1) * pb < _SERIES_THETA
+        out[near] = envelope_transform(q[near], b)
+        transforms.append(out)
+    return transforms
 
 
 # Energy nodes per block of the basis and of spectral_amplitude: their
@@ -306,8 +341,7 @@ def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _Energy
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
-        I_minus[part] = envelope_transform(packet.p - k[part], packet.b)
-        I_plus[part] = envelope_transform(packet.p + k[part], packet.b)
+        I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
     p = np.arange(grid.n_panels, dtype=float)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     basis = _EnergyBasis(nodes, weights, k, chi, g, N, N * packet.amplitude,
@@ -348,6 +382,14 @@ def spectral_amplitude(packet: PacketSpec, barrier: BarrierSpec,
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _endpoint_overlaps(packet: PacketSpec, u0: float) -> tuple[complex, complex]:
+    """(I(p - k), I(p + k)) at k = sqrt(u0), kept per (packet, u0): every
+    width and window of a sweep shares them."""
+    k = math.sqrt(u0)
+    return tuple(complex(v) for v in envelope_transform(packet.p - np.array([k, -k]), packet.b))
+
+
 def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     """h(u0), the integrand of psi(l, t) over energy at the barrier top.
 
@@ -358,10 +400,9 @@ def endpoint_amplitude(packet: PacketSpec, barrier: BarrierSpec) -> complex:
     As chi -> 0 the amplitudes tend to X = 2/(2 - ikl) and
     R = -ikl/(2 - ikl), with k = sqrt(u0).
     """
-    k = math.sqrt(barrier.u0)
-    ikl = 1j * k * barrier.l
+    ikl = 1j * math.sqrt(barrier.u0) * barrier.l
     R = -ikl / (2.0 - ikl)
-    I_minus, I_plus = envelope_transform(packet.p - np.array([k, -k]), packet.b)
+    I_minus, I_plus = _endpoint_overlaps(packet, barrier.u0)
     overlap = I_minus + R.conjugate() * I_plus
     return complex(stationary.normalization(barrier.u0, math) ** 2 * packet.amplitude
                    * overlap * 2.0 / (2.0 - ikl))
@@ -450,12 +491,12 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
 
 
 def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
-    """amp = w N f X at each node, so psi(l, t) = sum amp e^{-i eps t}; an
-    observation point x other than the barrier exit l raises ValueError."""
+    """famp's amp = w N f X at the observation point x, which must be the
+    barrier exit l: any other x raises ValueError."""
     if x != famp.barrier.l:
         raise ValueError("the packet is observed at the barrier exit "
                          f"x = l = {famp.barrier.l!r} only, got x = {x!r}")
-    return famp.weights * famp.values * (famp.basis.N * famp.X)
+    return famp._exit_state
 
 
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:

@@ -143,7 +143,8 @@ class TestEnvelopeBranches:
 
 
 class TestOverlap:
-    """The overlaps I(p - k) + conj(R) I(p + k) against mpmath.
+    """The overlaps I(p - k) + conj(R) I(p + k) against mpmath, by
+    envelope_transform and by the energy basis's one-exponential pair.
 
     The points sit on the removable points q = 0, c, -c of I(p - k) and
     I(p + k) (exactly, at p = c), on both sides of the branch switch
@@ -174,6 +175,8 @@ class TestOverlap:
         R = np.random.default_rng(5).uniform(-0.7, 0.7, (len(k), 2)) @ [1.0, 1j]
         got = envelope_transform(p - k, b) + np.conj(R) * envelope_transform(p + k, b)
         ref = np.array([mp_overlap(packet, kk, rr) for kk, rr in zip(k, R)])
+        I_minus, I_plus = wp._envelope_pair(packet, k)
+        pair = I_minus + np.conj(R) * I_plus
         # just inside the branch switch, |theta| < 0.05, the seven-term
         # series of h(theta) = (1 - e^{-i theta}) / theta is off by about its
         # first omitted term, theta^7 / 8! = 1.9e-14 at theta = 0.05, in units
@@ -181,15 +184,31 @@ class TestOverlap:
         # the switch the error at theta = 1e-3 about q = +-c would be ~2e-13
         err = np.abs(got - ref) / (pb * (1.0 + np.abs(R)))
         assert np.max(err) <= 2e-14, k[np.argmax(err)]
+        # the pair rounds the phases p pi b and k pi b apart, so toward a
+        # removable point its generic form's error grows like
+        # ulp(p pi b) / theta, to ~2e-14 of I(0) = pi b at the switch
+        err = np.abs(pair - ref) / (pb * (1.0 + np.abs(R)))
+        assert np.max(err) <= 1e-13, k[np.argmax(err)]
 
-    def test_basis_holds_the_closed_form(self):
+    def test_basis_takes_the_closed_form_near_removable_points(self):
         # the basis's overlaps, formed in blocks of _NODE_BLOCK nodes, are
-        # envelope_transform's on the whole grid, bit for bit
+        # envelope_transform's bit for bit within the series switch of
+        # q = 0, c or -c, and elsewhere differ from them by the pair's phase
+        # rounding only (up to 2.3e-14 of pi b here)
         grid = EnergyGridSpec.for_horizon(U0, 120.0)
         assert grid.n_panels * grid.order > wp._NODE_BLOCK
         basis = spectral_amplitude(PACKET, BARRIER4, grid).basis
-        assert np.array_equal(basis.I_minus, envelope_transform(PACKET.p - basis.k, PACKET.b))
-        assert np.array_equal(basis.I_plus, envelope_transform(PACKET.p + basis.k, PACKET.b))
+        c, pb = 2.0 / PACKET.b, math.pi * PACKET.b
+        for q, got in ((PACKET.p - basis.k, basis.I_minus),
+                       (PACKET.p + basis.k, basis.I_plus)):
+            ref = envelope_transform(q, PACKET.b)
+            near = np.abs(np.subtract.outer(q, [0.0, c, -c])).min(axis=-1) * pb < 0.05
+            assert np.array_equal(got[near], ref[near])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * pb
+        # p - k crosses all three points on this grid
+        assert np.sum(np.abs(PACKET.p - basis.k) * pb < 0.05) > 0
+        for s in (c, -c):
+            assert np.sum(np.abs(PACKET.p - basis.k - s) * pb < 0.05) > 0
 
 
 class TestEnergyGrid:
@@ -296,6 +315,11 @@ class TestSpectralAmplitude:
         panels = famp.grid.reshape(64, famp.layout.order)
         edges = np.linspace(0.0, U0, 65)
         assert np.all(panels > edges[:-1, None]) and np.all(panels < edges[1:, None])
+
+    def test_grid_beyond_truncation_rejected(self):
+        famp = spectral_amplitude(PACKET, BARRIER4, EnergyGridSpec(64))
+        with pytest.raises(ValueError, match="inside"):
+            dataclasses.replace(famp, grid=famp.grid + 1.0)
 
     def test_zero_width_is_the_free_basis(self):
         # at l = 0, X = T e^{ikl} = 1 and R = 0 exactly, so f is the
@@ -747,6 +771,21 @@ class TestEndpoint:
         ratio = ts[late] ** 2 * synthesize(famp, l, ts)[late] / abs(h) ** 2
         assert np.all(np.abs(ratio - 1.0) < 0.02)
 
+    def test_overlaps_formed_once_per_packet_and_u0(self, monkeypatch):
+        # I(p -+ sqrt(u0)) does not depend on the width, so a sweep forms it once
+        calls = []
+
+        def spy(q, b, _original=wp.envelope_transform):
+            calls.append(q)
+            return _original(q, b)
+
+        monkeypatch.setattr(wp, "envelope_transform", spy)
+        wp._endpoint_overlaps.cache_clear()
+        for l in (1.0, 2.0, 3.0, 1.0):
+            endpoint_amplitude(PACKET, BarrierSpec(U0, l))
+        assert len(calls) == 1
+        wp._endpoint_overlaps.cache_clear()
+
 
 # Widths where the accepted window doubles: below each one window
 # 30 * 2^a passes, above it the next is needed.
@@ -1077,6 +1116,12 @@ class TestNewtonPeak:
             monkeypatch.setattr(wp, name, spy)
         arrival_time_of_max(famp4, 30.0)
         assert calls == {"synthesize_amplitude": 1, "_chirp_z_sum": 1}
+
+    def test_weighted_state_formed_once_per_record(self, famp4):
+        # the coarse synthesis and the Newton refinement share one array
+        amp = wp._weighted_state(famp4, 4.0)
+        assert wp._weighted_state(famp4, 4.0) is amp and not amp.flags.writeable
+        assert np.array_equal(amp, famp4.weights * famp4.values * (famp4.basis.N * famp4.X))
 
     def test_non_concave_start_raises(self, famp4):
         # at l = 4 the density peaks at t = 0.413 and is convex beyond ~0.67
