@@ -245,8 +245,6 @@ def _merge_config(args) -> None:
                 setattr(args, key, config[key])
             elif key in defaults:
                 setattr(args, key, defaults[key])
-    if args.command == "times-energy" and isinstance(args.l, str):
-        args.l = float(args.l)
     missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
     if missing:
         raise ValueError(
@@ -255,22 +253,25 @@ def _merge_config(args) -> None:
 
 
 def _validate(args) -> None:
-    """Reject a numeric option that is not a finite number, naming it.
+    """Convert each numeric option to a finite number, or reject it, naming it.
 
-    Sizes (_SIZES) must also be positive, and counts whole numbers; --out,
-    which a config file may set to anything, must be a string.  Relations
-    between options, such as l-min <= l-max, are checked by the command that
-    needs them, and eps < u0 by the model.
+    Sizes (_SIZES) must also be positive, counts whole numbers, and a JSON
+    boolean is no number; spectrum's --l stays comma text, each width checked.
+    --out must be a string.  Relations between options, such as l-min <=
+    l-max, are checked by the command that needs them, and eps < u0 by the model.
     """
     if not isinstance(args.out, str):
         raise ValueError(f"--out must be a path string, got {args.out!r}")
     for name, spec in _OPTIONS.items():
         value = getattr(args, name, None)
-        if value is None or (spec["type"] is str and name != "l"):
+        if value is None or name == "out":
             continue
         flag = "--" + name.replace("_", "-")
-        items = str(value).split(",") if name == "l" else [value]
+        listed = name == "l" and args.command == "spectrum"
+        items = str(value).split(",") if listed else [value]
         for item in items:
+            if isinstance(item, bool):
+                raise ValueError(f"{flag} must be a number, got {json.dumps(item)}")
             try:
                 number = float(item)
             except (TypeError, ValueError):
@@ -282,7 +283,8 @@ def _validate(args) -> None:
             if spec["type"] is int:
                 if number != int(number):
                     raise ValueError(f"{flag} must be a whole number, got {item}")
-                setattr(args, name, int(number))
+                number = int(number)
+        setattr(args, name, str(value) if listed else number)
 
 
 def build_parser() -> argparse.ArgumentParser:

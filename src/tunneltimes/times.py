@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import stationary
 from .model import BarrierSpec, require_sub_barrier
-from .numerics import brent_root
+from .numerics import bisect_root
 
 
 class CrossCheckError(RuntimeError):
@@ -198,10 +198,10 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
 
     Scans [eps_lo, eps_hi] at CROSSING_SCAN energies, spaced as
     numpy.linspace spaces them, for the first change of sign, in which 0
-    counts as a sign of its own, and finds the root in that bracket by
-    Brent's method (numerics.brent_root) to xtol = 1e-13 and rtol = 1e-14,
-    from the scanned values at its ends: a grid point whose value is exactly
-    0 is returned as it is.
+    counts as a sign of its own, and bisects that bracket
+    (numerics.bisect_root) to xtol = 1e-13 and rtol = 1e-14, from the
+    scanned values at its ends: a grid point whose value is exactly 0 is
+    returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """
@@ -214,7 +214,7 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
     for b in grid[1:]:
         fb = phase_shift_derivative(barrier, b)
         if _sign(fb) != _sign(fa):
-            return brent_root(lambda e: phase_shift_derivative(barrier, e),
-                              a, b, fa, fb, xtol=1e-13, rtol=1e-14)
+            return bisect_root(lambda e: phase_shift_derivative(barrier, e),
+                               a, b, fa, fb, xtol=1e-13, rtol=1e-14)
         a, fa = b, fb
     return None

@@ -490,15 +490,6 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
     return (plan.offsets * conv).sum(axis=0) * plan.conj_chirp[:n_times]
 
 
-def _weighted_state(famp: SpectralAmplitude, x: float) -> np.ndarray:
-    """famp's amp = w N f X at the observation point x, which must be the
-    barrier exit l: any other x raises ValueError."""
-    if x != famp.barrier.l:
-        raise ValueError("the packet is observed at the barrier exit "
-                         f"x = l = {famp.barrier.l!r} only, got x = {x!r}")
-    return famp._exit_state
-
-
 def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
     """Complex psi(x, t) at the barrier exit x = l on the window [0, T].
 
@@ -506,7 +497,9 @@ def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray
     finite T > 0: the uniform grid the chirp z-transform sums.  Any other
     times raise ValueError, and so does any x but famp.barrier.l.
     """
-    amp = _weighted_state(famp, x)
+    if x != famp.barrier.l:
+        raise ValueError("the packet is observed at the barrier exit "
+                         f"x = l = {famp.barrier.l!r} only, got x = {x!r}")
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) >= 3 and 0.0 < times[-1] < math.inf
             and np.array_equal(times, np.linspace(0.0, times[-1], len(times)))):
@@ -514,7 +507,7 @@ def synthesize_amplitude(famp: SpectralAmplitude, x: float, times) -> np.ndarray
                          "with n >= 3 and a finite T > 0")
     t_max = float(times[-1])
     _check_resolution(famp, t_max)
-    return _chirp_z_sum(famp, amp, t_max, len(times))
+    return _chirp_z_sum(famp, famp._exit_state, t_max, len(times))
 
 
 def synthesize(famp: SpectralAmplitude, x: float, times) -> np.ndarray:
@@ -681,7 +674,7 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
             f"window [0, {t_max:g}] is too short: the endpoint density "
             f"|h(u0)|^2 / t^2 = {tail:.3e} at its end is not below the "
             f"maximum {peak:.3e}")
-    amp = _weighted_state(famp, famp.barrier.l)
+    amp = famp._exit_state
     try:
         t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
     except WindowError:

@@ -281,6 +281,7 @@ class TestOptionValidation:
         ("spectrum", "--n-k", "-5"),
         ("spectrum", "--n-k", "1"),
         ("times-energy", "--steps", "1"),
+        ("times-energy", "--l", "1,2"),
     ])
     def test_rejected_with_option_named(self, tmp_path, capsys, command,
                                         option, value):
@@ -322,6 +323,21 @@ class TestOptionValidation:
         assert "t_max = 2e+09 needs" in err and "Traceback" not in err
         assert "the free reference up to t_max = 1e+09 " in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option", ["u0", "steps"])
+    def test_config_boolean_rejected(self, tmp_path, capsys, option):
+        # JSON true is not the number 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: True}))
+        flags = dict(zip(self.BASE["times-width"][::2], self.BASE["times-width"][1::2]))
+        del flags["--" + option]
+        code = cli.main(["times-width", "--config", str(config),
+                         *[s for pair in flags.items() for s in pair],
+                         "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"--{option} must be a number, got true" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_count_must_be_whole(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -391,3 +407,27 @@ class TestConfig:
 
     def test_missing_required_option(self, tmp_path):
         assert cli.main(["times-width", "--u0", "12", "--eps", "11.8"]) == 1
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("times-width", "u0", "12"),
+        ("packet", "p", "3.6"),
+        ("spectrum", "l", 1.5),
+    ])
+    def test_config_value_converted_as_its_flag(self, tmp_path, command, option, value):
+        # a config file's number text, or a number where the flag takes a
+        # comma list, writes the file the flag writes
+        flags = dict(zip(TestOptionValidation.BASE[command][::2],
+                         TestOptionValidation.BASE[command][1::2]))
+        flags["--" + option] = str(value)
+        argv = [s for pair in flags.items() for s in pair]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "flag.csv")]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: value}))
+        argv = [s for pair in flags.items() if pair[0] != "--" + option for s in pair]
+        assert cli.main([command, "--config", str(config), *argv,
+                         "--out", str(tmp_path / "config.csv")]) == 0
+        written = sorted(tmp_path.glob("flag*.csv"))
+        assert written
+        for path in written:
+            twin = tmp_path / path.name.replace("flag", "config")
+            assert twin.read_bytes() == path.read_bytes()

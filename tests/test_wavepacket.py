@@ -929,7 +929,7 @@ class TestWindowAcceptance:
         arr, famp = scan_arrival(packet, barrier)
         wide = spectral_amplitude(packet, barrier, EnergyGridSpec.for_horizon(U0, 480.0))
         ref = arrival_time_of_max(wide, 480.0)
-        t, peak = wp._newton_peak(wide, wp._weighted_state(wide, l), arr.t_arr,
+        t, peak = wp._newton_peak(wide, wide._exit_state, arr.t_arr,
                                   arr.t_arr - 0.05, arr.t_arr + 0.05)
         assert abs(t - ref.t_arr) <= 1e-10
         assert peak == pytest.approx(ref.peak_density, rel=1e-12, abs=0.0)
@@ -1119,19 +1119,19 @@ class TestNewtonPeak:
 
     def test_weighted_state_formed_once_per_record(self, famp4):
         # the coarse synthesis and the Newton refinement share one array
-        amp = wp._weighted_state(famp4, 4.0)
-        assert wp._weighted_state(famp4, 4.0) is amp and not amp.flags.writeable
+        amp = famp4._exit_state
+        assert famp4._exit_state is amp and not amp.flags.writeable
         assert np.array_equal(amp, famp4.weights * famp4.values * (famp4.basis.N * famp4.X))
 
     def test_non_concave_start_raises(self, famp4):
         # at l = 4 the density peaks at t = 0.413 and is convex beyond ~0.67
         with pytest.raises(WindowError, match="not concave"):
-            wp._newton_peak(famp4, wp._weighted_state(famp4, 4.0), 0.8, 0.0, 30.0)
+            wp._newton_peak(famp4, famp4._exit_state, 0.8, 0.0, 30.0)
 
     def test_step_out_of_the_bracket_raises(self, famp4):
         # a bracket that excludes the root: the first step jumps to ~0.413
         with pytest.raises(WindowError, match="leaves the bracket"):
-            wp._newton_peak(famp4, wp._weighted_state(famp4, 4.0), 0.45, 0.449, 0.451)
+            wp._newton_peak(famp4, famp4._exit_state, 0.45, 0.449, 0.451)
 
     def test_iteration_cap_raises(self, monkeypatch, famp4):
         monkeypatch.setattr(wp, "_NEWTON_STEPS", 1)
