@@ -10,7 +10,9 @@ Subcommands:
 Every file starts with a commented metadata block (# key=value) holding all
 parameters and the tool version, so a figure can be rebuilt from the file
 alone.  Reruns with the same configuration are byte-identical.  Exit status:
-0 success, 1 validation error, 2 numerical non-convergence.
+0 success, 1 validation error, 2 numerical non-convergence (NumericalError).
+times-width and times-energy load no numpy: only packet and spectrum import
+wavepacket and spectral, which need it.
 """
 
 from __future__ import annotations
@@ -21,20 +23,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, spectral, stationary, times, wavepacket
+from . import __version__, stationary, times
 from .model import BarrierSpec, PacketSpec
-from .wavepacket import (
-    EnergyGridSpec,
-    SynthesisResolutionError,
-    TailMassError,
-    WindowError,
-)
-
-_NUMERICAL_ERRORS = (
-    SynthesisResolutionError, TailMassError, WindowError, times.CrossCheckError,
-)
+from .numerics import NumericalError, linspace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +73,10 @@ def _times_row(report: times.TimesReport, key: float) -> list[float]:
 def cmd_times_width(args) -> int:
     if not 0.0 <= args.l_min <= args.l_max:
         raise ValueError(f"need 0 <= l-min <= l-max, got [{args.l_min}, {args.l_max}]")
-    ls = np.linspace(args.l_min, args.l_max, args.steps)
     rows = []
-    for l in ls:
-        report = times.compute_times(BarrierSpec(args.u0, float(l)), args.eps)
-        rows.append(_times_row(report, float(l)))
+    for l in linspace(args.l_min, args.l_max, args.steps):
+        report = times.compute_times(BarrierSpec(args.u0, l), args.eps)
+        rows.append(_times_row(report, l))
     meta = _meta("times-width", u0=args.u0, eps=args.eps, l_min=args.l_min,
                  l_max=args.l_max, steps=args.steps)
     _write_csv(args.out, meta, TIMES_HEADER, rows)
@@ -100,11 +90,10 @@ def cmd_times_energy(args) -> int:
         )
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
-    eps_grid = np.linspace(args.eps_min, args.eps_max, args.steps)
     rows = []
-    for eps in eps_grid:
-        report = times.compute_times(BarrierSpec(args.u0, args.l), float(eps))
-        rows.append(_times_row(report, float(eps)))
+    for eps in linspace(args.eps_min, args.eps_max, args.steps):
+        report = times.compute_times(BarrierSpec(args.u0, args.l), eps)
+        rows.append(_times_row(report, eps))
     header = ["eps"] + TIMES_HEADER[1:]
     crossing = None
     if args.l > 0.0:
@@ -118,33 +107,34 @@ def cmd_times_energy(args) -> int:
 
 
 def cmd_packet(args) -> int:
+    from . import wavepacket
+
     if args.l_min <= 0.0 or args.l_max < args.l_min:
         raise ValueError("need 0 < l-min <= l-max")
     packet = PacketSpec(p=args.p, b=args.b)
-    ls = np.linspace(args.l_min, args.l_max, args.steps)
     t_in = wavepacket.free_arrival_time(packet, args.u0, t_max=args.t_max)
 
     arrival_rows, mean_rows = [], []
     series_dumps = []
-    for l in ls:
-        barrier = BarrierSpec(args.u0, float(l))
+    for l in linspace(args.l_min, args.l_max, args.steps):
+        barrier = BarrierSpec(args.u0, l)
         try:
             arr, famp = wavepacket.scan_arrival(
                 packet, barrier, t_max=args.t_max, coarse_dt=args.dt, t_in=t_in)
-        except WindowError as exc:
-            raise WindowError(f"l = {l:g}: {exc}") from exc
-        arrival_rows.append([float(l), arr.t_arr, arr.t_offset,
+        except wavepacket.WindowError as exc:
+            raise wavepacket.WindowError(f"l = {l:g}: {exc}") from exc
+        arrival_rows.append([l, arr.t_arr, arr.t_offset,
                              famp.captured_weight])
         try:
             mean = wavepacket.mean_crossing_time(famp, barrier.l, args.t_max,
                                                  dt=args.dt)
-        except TailMassError as exc:
-            raise TailMassError(f"l = {l:g}: {exc}") from exc
-        mean_rows.append([float(l), mean.t_mean, mean.endpoint_share])
+        except wavepacket.TailMassError as exc:
+            raise wavepacket.TailMassError(f"l = {l:g}: {exc}") from exc
+        mean_rows.append([l, mean.t_mean, mean.endpoint_share])
         if args.dump_series:
             n = int(round(args.t_max / args.dt)) + 1
-            ts = np.linspace(0.0, args.t_max, n)
-            series_dumps.append((float(l), ts, wavepacket.synthesize(famp, barrier.l, ts)))
+            ts = linspace(0.0, args.t_max, n)
+            series_dumps.append((l, ts, wavepacket.synthesize(famp, barrier.l, ts)))
 
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     meta_common = dict(u0=args.u0, p=args.p, b=args.b, l_min=args.l_min,
@@ -156,7 +146,7 @@ def cmd_packet(args) -> int:
     _write_csv(base + "_mean.csv", _meta("packet", **meta_common),
                ["l", "t_mean", "endpoint_share"], mean_rows)
     for l, ts, dens in series_dumps:
-        rows = [[float(t), float(d)] for t, d in zip(ts, dens)]
+        rows = [[t, float(d)] for t, d in zip(ts, dens)]
         _write_csv(f"{base}_series_l{_fmt(l)}.csv",
                    _meta("packet-series", l=l, **meta_common),
                    ["t", "density"], rows)
@@ -164,6 +154,8 @@ def cmd_packet(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectral
+
     l_values = [float(s) for s in args.l.split(",")]
     if any(l <= 0.0 for l in l_values):
         raise ValueError("spectrum needs a comma-separated list of widths > 0")
@@ -230,21 +222,25 @@ _REQUIRED = {
 
 
 def _merge_config(args) -> None:
-    """Fill unset options from the JSON config file, then from defaults."""
+    """Fill unset options from the JSON config file, then from defaults.
+
+    A config key names an option of the command (l_max for --l-max); any
+    other key is rejected by name, dump_series too: that is a flag only.
+    """
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+    options = [key for key in vars(args) if key in _OPTIONS]
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ValueError(f"config key(s) naming no option of {args.command}: "
+                         f"{', '.join(unknown)}")
     defaults = _DEFAULTS.get(args.command, {})
-    for key in vars(args):
-        if key in ("command", "config", "func", "dump_series"):
-            continue
+    for key in options:
         if getattr(args, key) is None:
-            if key in config:
-                setattr(args, key, config[key])
-            elif key in defaults:
-                setattr(args, key, defaults[key])
+            setattr(args, key, config.get(key, defaults.get(key)))
     missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
     if missing:
         raise ValueError(
@@ -323,7 +319,7 @@ def main(argv=None) -> int:
         _merge_config(args)
         _validate(args)
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"tunneltimes: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from . import stationary
 from .model import BarrierSpec, require_sub_barrier
-from .numerics import bisect_root
+from .numerics import NumericalError, bisect_root, linspace
 
 
-class CrossCheckError(RuntimeError):
+class CrossCheckError(NumericalError):
     """The group delay and the dwell time break Winful's identity."""
 
 
@@ -196,9 +196,9 @@ def _sign(x: float) -> float:
 def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float | None:
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
-    Scans [eps_lo, eps_hi] at CROSSING_SCAN energies, spaced as
-    numpy.linspace spaces them, for the first change of sign, in which 0
-    counts as a sign of its own, and bisects that bracket
+    Scans [eps_lo, eps_hi] at CROSSING_SCAN energies, numerics.linspace's
+    points, for the first change of sign, in which 0 counts as a sign of
+    its own, and bisects that bracket
     (numerics.bisect_root) to xtol = 1e-13 and rtol = 1e-14, from the
     scanned values at its ends: a grid point whose value is exactly 0 is
     returned as it is.
@@ -208,8 +208,7 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
     barrier = BarrierSpec(u0, l)
     if not (0.0 < eps_lo < eps_hi < u0):
         raise ValueError("need 0 < eps_lo < eps_hi < u0")
-    step = (eps_hi - eps_lo) / (CROSSING_SCAN - 1)
-    grid = [eps_lo + i * step for i in range(CROSSING_SCAN - 1)] + [eps_hi]
+    grid = linspace(eps_lo, eps_hi, CROSSING_SCAN)
     a, fa = eps_lo, phase_shift_derivative(barrier, eps_lo)
     for b in grid[1:]:
         fb = phase_shift_derivative(barrier, b)

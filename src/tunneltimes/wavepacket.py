@@ -63,13 +63,14 @@ import numpy as np
 
 from . import stationary
 from .model import BarrierSpec, PacketSpec
+from .numerics import NumericalError
 
 
-class SynthesisResolutionError(RuntimeError):
+class SynthesisResolutionError(NumericalError):
     """The energy grid does not resolve e^{-i eps t} at a time, or f(eps) near 0."""
 
 
-class WindowError(RuntimeError):
+class WindowError(NumericalError):
     """The time window does not safely contain the density maximum.
 
     extendable is False when no longer window can help.
@@ -80,7 +81,7 @@ class WindowError(RuntimeError):
         self.extendable = extendable
 
 
-class TailMassError(RuntimeError):
+class TailMassError(NumericalError):
     """The 1/t^2 tail of the endpoint term moves the mean too far with the cutoff."""
 
 

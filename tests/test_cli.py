@@ -362,34 +362,64 @@ class TestCrossCheck:
         assert not out.exists()
 
 
-# A fresh interpreter runs one command and names every scipy module loaded.
+# A fresh interpreter runs one command and names every numpy and scipy
+# module loaded.
 COLD_RUN = """
 import sys
 from tunneltimes import cli
 code = cli.main(sys.argv[1:])
-print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+loaded = [m.partition(".")[0] for m in sys.modules]
+print(code, sorted(set(loaded) & {"numpy", "scipy"}))
 """
 
 
 @pytest.mark.parametrize("argv", [
-    ["times-width", "--u0", "12", "--eps", "11.8", "--l-max", "10", "--steps", "11"],
+    ["times-width", "--u0", "12", "--eps", "11.8", "--l-max", "10", "--steps", "201"],
     ["times-energy", "--u0", "8", "--l", "6.32", "--eps-min", "4", "--eps-max", "7.99",
-     "--steps", "11"],
+     "--steps", "201"],
     ["packet", "--u0", "31.4", "--p", "3.6", "--b", "2", "--l-min", "1", "--l-max", "2",
      "--steps", "2", "--t-max", "30", "--dt", "0.05"],
     ["spectrum", "--u0", "12", "--eps", "11.8", "--l", "1,2", "--k-max", "400",
      "--n-k", "1201"],
 ], ids=lambda argv: argv[0])
-def test_cold_command_loads_no_scipy(tmp_path, argv):
-    # the package needs numpy alone at run time: a fresh process running
-    # one command ends without any scipy module loaded
+def test_cold_command_loads_only_the_libraries_it_needs(tmp_path, argv):
+    # a fresh process running one command ends without any scipy module
+    # loaded, and the stationary sweeps, computed in Python floats, without
+    # any numpy module either
+    libraries = [] if argv[0].startswith("times-") else ["numpy"]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", COLD_RUN, *argv,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert done.stdout.split() == ["0", "[]"]
+    assert done.stdout.strip().split(maxsplit=1) == ["0", repr(libraries)]
+
+
+README_RUNS = [
+    ["times-width", "--u0", "12", "--eps", "11.8", "--l-min", "0", "--l-max", "10",
+     "--steps", "201"],
+    ["times-energy", "--u0", "8", "--l", "6.32", "--eps-min", "4", "--eps-max", "7.99",
+     "--steps", "201"],
+    ["packet", "--u0", "31.4", "--p", "3.6", "--b", "2", "--l-min", "1", "--l-max", "3",
+     "--steps", "5", "--t-max", "60"],
+]
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=lambda argv: argv[0])
+def test_readme_csvs_as_from_the_numpy_grid(tmp_path, monkeypatch, argv):
+    # the sweeps take numerics.linspace's points; the README files equal,
+    # byte for byte, those written from numpy.linspace's grid
+    assert cli.main(argv + ["--out", str(tmp_path / "py")]) == 0
+    numpy_grid = lambda a, b, n: [float(x) for x in np.linspace(a, b, n)]
+    monkeypatch.setattr(cli, "linspace", numpy_grid)
+    monkeypatch.setattr(times, "linspace", numpy_grid)
+    assert cli.main(argv + ["--out", str(tmp_path / "np")]) == 0
+    written = sorted(tmp_path.glob("py*"))
+    assert len(written) == (2 if argv[0] == "packet" else 1)
+    for path in written:
+        twin = tmp_path / path.name.replace("py", "np", 1)
+        assert twin.read_bytes() == path.read_bytes(), path.name
 
 
 class TestConfig:
@@ -404,6 +434,25 @@ class TestConfig:
         assert code == 0
         _, _, rows = read_csv(tmp_path / "from_config.csv")
         assert len(rows) == 5  # flag wins over config
+
+    @pytest.mark.parametrize("command,config", [
+        ("times-width", {"stepz": 9, "l_maxx": 3}),
+        ("times-energy", {"l-max": 3}),
+        ("packet", {"dump_series": True}),
+        ("spectrum", {"steps": 5}),
+    ], ids=["typos", "dashed-key", "dump-series", "other-command-option"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, config):
+        # a key that names no option of the command, such as a typo, is not
+        # ignored in favour of the default
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(path)] + TestOptionValidation.BASE[command]
+                        + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"naming no option of {command}: {', '.join(sorted(config))}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_missing_required_option(self, tmp_path):
         assert cli.main(["times-width", "--u0", "12", "--eps", "11.8"]) == 1

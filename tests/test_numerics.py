@@ -9,7 +9,7 @@ from helpers import StencilError, richardson_derivative
 from tunneltimes import stationary, times
 from tunneltimes import wavepacket as wp
 from tunneltimes.model import BarrierSpec, PacketSpec
-from tunneltimes.numerics import bisect_root
+from tunneltimes.numerics import bisect_root, linspace
 from tunneltimes.wavepacket import EnergyGridSpec
 
 
@@ -153,3 +153,32 @@ class TestBrentRoot:
     def test_same_sign_ends_raise(self, fa, fb):
         with pytest.raises(ValueError, match="different signs"):
             bisect_root(math.tanh, 1.0, 2.0, fa, fb, 1e-13, 1e-14)
+
+
+# Sweep ends: signed zeros, and magnitudes from 1e-300 to 1e300 of either sign.
+SWEEP_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299),
+              st.sampled_from([1.0, -1.0])))
+
+
+class TestLinspace:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(a=SWEEP_ENDS, b=SWEEP_ENDS, n=st.integers(1, 500), equal=st.booleans())
+    def test_equals_numpy_bit_for_bit(self, a, b, n, equal):
+        # ends in either order or equal: every point as numpy.linspace's,
+        # signed zeros included
+        b = a if equal else b
+        expected = [float(x).hex() for x in np.linspace(a, b, n)]
+        assert [x.hex() for x in linspace(a, b, n)] == expected
+
+    @pytest.mark.parametrize("a, b, n", [
+        (-0.0, 2.0, 1), (-0.0, -2.0, 1), (-0.0, 2.0, 3), (-0.0, -0.0, 4), (0.0, -0.0, 4),
+        (5e-324, 1.5e-323, 500),  # the step underflows to 0
+    ])
+    def test_signed_zero_and_underflow_cases(self, a, b, n):
+        # n = 1 gives a + 0 (b - a), so -0 becomes +0 unless b < a
+        points = linspace(a, b, n)
+        assert all(type(x) is float for x in points)
+        assert [x.hex() for x in points] == [float(x).hex() for x in np.linspace(a, b, n)]

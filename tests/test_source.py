@@ -195,24 +195,24 @@ def test_no_branch_on_ndarray():
     assert found == []
 
 
-# Imports the module tunneltimes.<argv[2]> in a package stub, since the
-# package's __init__ gathers every module, wavepacket's numpy included;
+# Imports the module named by argv[2] from the sources under argv[1], and
 # prints the numpy modules loaded then.
 MODULE_IMPORT = """
-import importlib, sys, types
-package = types.ModuleType("tunneltimes")
-package.__path__ = [sys.argv[1]]
-sys.modules["tunneltimes"] = package
-importlib.import_module("tunneltimes." + sys.argv[2])
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+importlib.import_module(sys.argv[2])
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
 """
 
 
-@pytest.mark.parametrize("module", [name.removesuffix(".py") for name in FLOAT_MODULES])
+@pytest.mark.parametrize("module", ["tunneltimes", "tunneltimes.cli"] + [
+    "tunneltimes." + name.removesuffix(".py") for name in FLOAT_MODULES],
+    ids=lambda module: module.rpartition(".")[2])
 def test_model_loads_no_numpy(module):
-    # each float module in a fresh process, with what it imports of the package
-    package = str(Path(tunneltimes.__file__).parent)
-    done = subprocess.run([sys.executable, "-c", MODULE_IMPORT, package, module],
+    # the package, its CLI and each float module in a fresh process, with
+    # the package's own __init__ and what the module imports of the package
+    src = str(Path(tunneltimes.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", MODULE_IMPORT, src, module],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["[]"]
 
