@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 from .model import BarrierSpec, require_sub_barrier
 
-# Below this theta = chi l barrier_probability takes (sinh 2theta - 2theta)
-# from its Taylor series, since its direct form cancels there.
+# Below this theta = chi l, _q_theta sums a Taylor series: its direct form cancels.
 THIN_THETA = 0.5
 
 # Taylor coefficients of (sinh 2theta - 2theta)/theta^3 in powers of theta^2,
@@ -156,18 +155,22 @@ def barrier_probability(sol: ScatteringSolution) -> float:
         |T|^2 l + |D|^2 Q(theta) / (2 chi),
         Q(theta) = 2 e^{-2 theta} (sinh 2theta - 2theta)
                  = (1 - e^{-4 theta}) - 4 theta e^{-2 theta},
-    two nonnegative terms in which no exponential grows.  Below THIN_THETA
-    Q takes (sinh 2theta - 2theta) / theta^3 from its Taylor series; above
-    it Q >= 0.129, so the direct form loses at most ~3 bits.
+    two nonnegative terms in which no exponential grows (_q_theta).
     """
     chi, l = sol.chi, sol.barrier.l
-    theta = chi * l
+    return sol.N**2 * (abs(sol.T) ** 2 * l + abs(sol.D) ** 2 * _q_theta(chi * l) / (2.0 * chi))
+
+
+def _q_theta(theta: float) -> float:
+    """Q = 2 e^{-2 theta} (sinh 2theta - 2theta) of barrier_probability and times.group_delay.
+
+    Below THIN_THETA (sinh 2theta - 2theta)/theta^3 is its Taylor series; above it
+    Q = (1 - e^{-4 theta}) - 4 theta e^{-2 theta} >= 0.129 loses at most ~3 bits.
+    """
     if theta < THIN_THETA:
         t2 = theta * theta
         excess = 0.0
         for c in reversed(_SINH_EXCESS):
             excess = excess * t2 + c
-        q_theta = 2.0 * math.exp(-2.0 * theta) * theta * t2 * excess
-    else:
-        q_theta = -math.expm1(-4.0 * theta) - 4.0 * theta * math.exp(-2.0 * theta)
-    return sol.N**2 * (abs(sol.T) ** 2 * l + abs(sol.D) ** 2 * q_theta / (2.0 * chi))
+        return 2.0 * math.exp(-2.0 * theta) * theta * t2 * excess
+    return -math.expm1(-4.0 * theta) - 4.0 * theta * math.exp(-2.0 * theta)

@@ -1,7 +1,6 @@
 """Stationary-state tunneling time definitions and their free baselines.
 
-All quantities are dimensionless (see model).  With the transmission phase
-alpha = -k l + atan(G), G = g tanh(chi l), g = (k^2 - chi^2)/(2 k chi):
+All quantities are dimensionless (see model).  With alpha = stationary.phase_shift:
 
     group delay      tau_g  = l/(2 sqrt(eps)) + d(alpha)/d(eps)
     free group time  tau_0  = l/(2 sqrt(eps))
@@ -11,13 +10,14 @@ alpha = -k l + atan(G), G = g tanh(chi l), g = (k^2 - chi^2)/(2 k chi):
                      with the incident current 2 k N^2 (saturating variant)
                      or the transmitted current 2 k N^2 |T|^2 (growing one).
 
-The opaque-barrier asymptote of tau_g is 1/(k chi) = 1/sqrt(eps (u0 - eps)),
-independent of width.
+group_delay's closed form sums two nonnegative terms and tends, as chi l -> inf,
+to the opaque-barrier asymptote 1/(k chi) = 1/sqrt(eps (u0 - eps)), independent of width.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import stationary
@@ -48,65 +48,6 @@ class TimesReport:
     hartman_limit: float
 
 
-# Below this |theta|, tanh(theta) - theta is summed from its Taylor series;
-# above it the direct difference loses at most ~3/theta^2 = 75 ulp.
-TANH_SERIES_THETA = 0.2
-
-# Taylor coefficients of (tanh(theta) - theta)/theta^3 in powers of theta^2,
-# through theta^19: the first term left out is 7.7e-17 of the sum at the switch.
-_TANH_SERIES = (-1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0,
-                -1382.0 / 155925.0, 21844.0 / 6081075.0, -929569.0 / 638512875.0,
-                6404582.0 / 10854718875.0, -443861162.0 / 1856156927625.0)
-
-
-def _tanh_minus_theta(theta: float) -> float:
-    """tanh(theta) - theta without cancellation for small theta.
-
-    Below |theta| = TANH_SERIES_THETA its Taylor series, above it the direct
-    difference.
-    """
-    if abs(theta) < TANH_SERIES_THETA:
-        return _tanh_minus_theta_series(theta)
-    return math.tanh(theta) - theta
-
-
-def _tanh_minus_theta_series(theta: float) -> float:
-    """Taylor series of tanh(theta) - theta through theta^19."""
-    t2 = theta * theta
-    total = 0.0
-    for c in reversed(_TANH_SERIES):
-        total = total * t2 + c
-    return theta * t2 * total
-
-
-def phase_shift_derivative(barrier: BarrierSpec, eps: float) -> float:
-    """d(alpha)/d(eps), analytic and stable over the whole sub-barrier range.
-
-    Writing theta = chi l, the derivative of G = g tanh(theta) is
-
-      dG/deps = [u0^2 (tanh th - th) + th chi^2 (3k^2 + chi^2)
-                 + k^2 (k^2 - chi^2) th tanh^2 th] / (4 k^3 chi^3),
-
-    a grouping in which the three numerator terms are individually O(chi^3),
-    so nothing is lost to cancellation as eps -> u0.  Then
-    d(alpha)/d(eps) = -l/(2k) + (dG/deps)/(1 + G^2), computed with math.
-    """
-    u0, l = barrier.u0, barrier.l
-    require_sub_barrier(u0, eps)
-    k = math.sqrt(eps)
-    chi = math.sqrt(u0 - eps)
-    theta = chi * l
-    tanh = math.tanh(theta)
-    G = (k * k - chi * chi) / (2.0 * k * chi) * tanh
-    num = (
-        u0 * u0 * _tanh_minus_theta(theta)
-        + theta * chi * chi * (3.0 * k * k + chi * chi)
-        + k * k * (k * k - chi * chi) * theta * tanh * tanh
-    )
-    dG = num / (4.0 * k**3 * chi**3)
-    return -l / (2.0 * k) + dG / (1.0 + G * G)
-
-
 def free_group_time(eps: float, l: float) -> float:
     """Free flight over distance l at group velocity 2 sqrt(eps)."""
     if not eps > 0.0:
@@ -122,8 +63,35 @@ def free_phase_time(eps: float, l: float) -> float:
 
 
 def group_delay(barrier: BarrierSpec, eps: float) -> float:
-    """Group delay tau_g = l/(2 sqrt(eps)) + d(alpha)/d(eps), analytic."""
-    return free_group_time(eps, barrier.l) + phase_shift_derivative(barrier, eps)
+    """Group delay tau_g = l/(2 sqrt(eps)) + d(alpha)/d(eps), in closed form.
+
+    With theta = chi l, q = e^{-2 theta}, 1 - q = -expm1(-2 theta), Q(theta) of
+    stationary._q_theta and |denom|^2 = (1 + q)^2 + g^2 (1 - q)^2 (_barrier_kernel),
+
+        tau_g = [u0^2 Q + 4 q theta chi^2 (3k^2 + chi^2)] / (4 k^3 chi^3 |denom|^2):
+
+    two nonnegative terms, which cancel at no theta or eps.  The
+    eps-derivative of alpha = -k l + atan(G) (stationary.phase_shift) takes this form by
+    1 + G^2 = |denom|^2/(1 + q)^2, 1/cosh^2 theta = 4q/(1 + q)^2 and
+    k^2 (k^2 - chi^2) - u0^2 = -chi^2 (3k^2 + chi^2).  As theta -> inf it
+    tends to u0^2 / (4 k^3 chi^3 (1 + g^2)) = 1/(k chi), the Hartman plateau.
+    """
+    u0, l = barrier.u0, barrier.l
+    require_sub_barrier(u0, eps)
+    k = math.sqrt(eps)
+    chi = math.sqrt(u0 - eps)
+    g = (k * k - chi * chi) / (2.0 * k * chi)
+    theta = chi * l
+    q = math.exp(-2.0 * theta)
+    denom2 = (1.0 + q) ** 2 + (g * math.expm1(-2.0 * theta)) ** 2
+    num = (u0 * u0 * stationary._q_theta(theta)
+           + 4.0 * q * theta * chi * chi * (3.0 * k * k + chi * chi))
+    return num / (4.0 * k**3 * chi**3 * denom2)
+
+
+def phase_shift_derivative(barrier: BarrierSpec, eps: float) -> float:
+    """d(alpha)/d(eps) = tau_g - l/(2 sqrt(eps)), from group_delay."""
+    return group_delay(barrier, eps) - free_group_time(eps, barrier.l)
 
 
 def phase_time(barrier: BarrierSpec, eps: float) -> float:
@@ -147,7 +115,8 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     row is checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
     (H. G. Winful, PRL 91, 260401 (2003)), which ties the phase derivative to
     the barrier probability; a mismatch beyond WINFUL_TOL of
-    |tau_d_in| + |Im(R)/(2 eps)| raises CrossCheckError.  tau_d_out, the
+    |tau_d_in| + |Im(R)/(2 eps)|, floored at the least normal float for
+    subnormal widths, raises CrossCheckError.  tau_d_out, the
     probability over the transmitted current, grows like e^{2 chi l} / chi^3;
     where that quotient overflows, ValueError is raised.  That is from
     chi l ~ 357 at u0 = 8, eps = 4, and sooner as eps -> u0: from 335 at
@@ -160,7 +129,8 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     tau_d_in = prob / stationary.incident_current(sol)
     self_interference = sol.R.imag / (2.0 * eps)
     residual = abs(tau_g - (tau_d_in - self_interference))
-    if not residual <= WINFUL_TOL * (abs(tau_d_in) + abs(self_interference)):
+    scale = max(abs(tau_d_in) + abs(self_interference), sys.float_info.min)
+    if not residual <= WINFUL_TOL * scale:
         raise CrossCheckError(
             f"tau_g {tau_g!r} vs tau_d_in - Im(R)/(2 eps) "
             f"{tau_d_in - self_interference!r} differ by {residual:.3e} "

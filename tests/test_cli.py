@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -361,6 +362,15 @@ class TestCrossCheck:
         assert code == 2
         assert not out.exists()
 
+    def test_subnormal_widths_pass(self, tmp_path):
+        # the check's tolerance is floored at the least normal float: at
+        # subnormal widths, where every time is ~0, it no longer underflows
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "12", "--eps", "11.8", "--l-min", "0",
+                         "--l-max", "1e-321", "--steps", "1001", "--out", str(out)])
+        assert code == 0
+        assert len(read_csv(out)[2]) == 1001
+
 
 # A fresh interpreter runs one command and names every numpy and scipy
 # module loaded.
@@ -420,6 +430,21 @@ def test_readme_csvs_as_from_the_numpy_grid(tmp_path, monkeypatch, argv):
     for path in written:
         twin = tmp_path / path.name.replace("py", "np", 1)
         assert twin.read_bytes() == path.read_bytes(), path.name
+
+
+# sha256 of the README times-width and times-energy CSVs: a change to the
+# stationary closed forms that flips one printed digit fails here
+README_DIGESTS = {
+    "times-width": "be34fb2cfe0d7427d0698b9d94ebae884aa873f78f983a90488367b5281d959f",
+    "times-energy": "8925ab6325ac37bbfe36f6bce9863ba35c7a1ac05683f2efe9cb8213bb379086",
+}
+
+
+@pytest.mark.parametrize("argv", README_RUNS[:2], ids=lambda argv: argv[0])
+def test_readme_csv_digest(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DIGESTS[argv[0]]
 
 
 class TestConfig:

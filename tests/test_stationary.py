@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -251,6 +252,17 @@ class TestBarrierProbability:
             tau_g = times.group_delay(barrier, eps)
             scale = abs(tau_d) + abs(self_interference)
             assert abs(tau_g - (tau_d - self_interference)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("theta", [
+        1e-12, 1e-8, 1e-4, 0.05, stationary.THIN_THETA * (1.0 - 1e-9),
+        stationary.THIN_THETA * (1.0 + 1e-9), 1.0, 3.0, 10.0, 40.0, 340.0])
+    def test_q_theta_against_mpmath(self, theta):
+        # Q = 2 e^{-2 theta} (sinh 2theta - 2theta), which barrier_probability
+        # and times.group_delay share, on both sides of THIN_THETA
+        with mp.workdps(60):
+            t = mp.mpf(theta)
+            expected = float(2 * mp.exp(-2 * t) * (mp.sinh(2 * t) - 2 * t))
+        assert stationary._q_theta(theta) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_saturates_with_width(self):
         p20 = barrier_probability(solve(BarrierSpec(U0, 20.0), EPS))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -156,7 +157,6 @@ class TestOverlap:
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
     @pytest.mark.parametrize("p", ["c", 3.6])
     def test_against_mpmath(self, b, p):
-        pytest.importorskip("mpmath")
         c, pb = 2.0 / b, math.pi * b
         p = c if p == "c" else p
         packet = PacketSpec(p=p, b=b)
@@ -325,7 +325,6 @@ class TestSpectralAmplitude:
         # at l = 0, X = T e^{ikl} = 1 and R = 0 exactly, so f is the
         # plane-wave overlap N A I(p - k), here with I summed by mpmath at
         # every node
-        pytest.importorskip("mpmath")
         famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 60.0))
         assert np.all(famp.X == 1.0) and np.all(array_amplitudes(U0, 0.0, famp.grid)[1] == 0.0)
         overlap = np.array([mp_overlap(PACKET, k) for k in np.sqrt(famp.grid)])
@@ -562,8 +561,6 @@ def mp_exit_amplitudes(u0, l, eps, dps=40):
     R = -i u0 sinh theta / (2 k chi (cosh theta - i g sinh theta)),
     theta = chi l, at dps digits from the exact values of the floats.
     """
-    import mpmath as mp
-
     with mp.workdps(dps):
         u0, l, eps = mp.mpf(u0), mp.mpf(l), mp.mpf(eps)
         k, chi = mp.sqrt(eps), mp.sqrt(u0 - eps)
@@ -590,7 +587,6 @@ class TestExitAmplitudes:
     def test_against_mpmath(self, u0):
         # theta across [0, 40] on both sides of THIN_THETA, at energies
         # from 1e-9 to 1e-4 below the top
-        pytest.importorskip("mpmath")
         eps = np.array([1e-9, 1e-6, 0.01 * u0, 0.3 * u0, 0.5 * u0, 0.9 * u0,
                         u0 - 1e-3, u0 - 1e-4])
         k, chi, g = exit_terms(u0, eps)
