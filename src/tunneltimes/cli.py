@@ -7,6 +7,9 @@ Subcommands:
     packet         wave-packet arrival and mean crossing times vs width
     spectrum       directional wavenumber weights vs width
 
+Each command is declared once, in _COMMANDS: its function, its help and its
+options with their defaults.  build_parser, _merge_config and _meta read that
+table, and _validate converts flag text and config values by one path.
 Every file starts with a commented metadata block (# key=value) holding all
 parameters and the tool version, so a figure can be rebuilt from the file
 alone.  Reruns with the same configuration are byte-identical.  Exit status:
@@ -54,11 +57,11 @@ def _write_csv(path: str, meta: dict, header: list[str], rows: list[list],
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _meta(command: str, **params) -> dict:
-    meta = {"command": command}
-    meta.update(sorted(params.items()))
-    meta["version"] = __version__
-    return meta
+def _meta(command: str, args, **extra) -> dict:
+    """The metadata block: the options of args.command but --out, and extra."""
+    params = {n: getattr(args, n) for n in _COMMANDS[args.command][2] if n != "out"}
+    return {"command": command, **dict(sorted({**params, **extra}.items())),
+            "version": __version__}
 
 
 TIMES_HEADER = ["l", "tau_g", "tau_0", "t_ph", "t_free", "tau_d_in",
@@ -77,9 +80,7 @@ def cmd_times_width(args) -> int:
     for l in linspace(args.l_min, args.l_max, args.steps):
         report = times.compute_times(BarrierSpec(args.u0, l), args.eps)
         rows.append(_times_row(report, l))
-    meta = _meta("times-width", u0=args.u0, eps=args.eps, l_min=args.l_min,
-                 l_max=args.l_max, steps=args.steps)
-    _write_csv(args.out, meta, TIMES_HEADER, rows)
+    _write_csv(args.out, _meta("times-width", args), TIMES_HEADER, rows)
     return 0
 
 
@@ -99,9 +100,7 @@ def cmd_times_energy(args) -> int:
     if args.l > 0.0:
         crossing = times.delay_crossing(args.u0, args.l, args.eps_min, args.eps_max)
     footer_val = "none" if crossing is None else _fmt(crossing)
-    meta = _meta("times-energy", u0=args.u0, l=args.l, eps_min=args.eps_min,
-                 eps_max=args.eps_max, steps=args.steps)
-    _write_csv(args.out, meta, header, rows,
+    _write_csv(args.out, _meta("times-energy", args), header, rows,
                footer=[f"# crossing_eps={footer_val}"])
     return 0
 
@@ -121,15 +120,12 @@ def cmd_packet(args) -> int:
         try:
             arr, famp = wavepacket.scan_arrival(
                 packet, barrier, t_max=args.t_max, coarse_dt=args.dt, t_in=t_in)
-        except wavepacket.WindowError as exc:
-            raise wavepacket.WindowError(f"l = {l:g}: {exc}") from exc
-        arrival_rows.append([l, arr.t_arr, arr.t_offset,
-                             famp.captured_weight])
-        try:
             mean = wavepacket.mean_crossing_time(famp, barrier.l, args.t_max,
                                                  dt=args.dt)
-        except wavepacket.TailMassError as exc:
-            raise wavepacket.TailMassError(f"l = {l:g}: {exc}") from exc
+        except NumericalError as exc:
+            raise NumericalError(f"l = {l:g}: {exc}") from exc
+        arrival_rows.append([l, arr.t_arr, arr.t_offset,
+                             famp.captured_weight])
         mean_rows.append([l, mean.t_mean, mean.endpoint_share])
         if args.dump_series:
             n = int(round(args.t_max / args.dt)) + 1
@@ -137,18 +133,16 @@ def cmd_packet(args) -> int:
             series_dumps.append((l, ts, wavepacket.synthesize(famp, barrier.l, ts)))
 
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    meta_common = dict(u0=args.u0, p=args.p, b=args.b, l_min=args.l_min,
-                       l_max=args.l_max, steps=args.steps, t_max=args.t_max,
-                       dt=args.dt, t_in=t_in)
-    _write_csv(base + "_arrival.csv", _meta("packet", **meta_common),
+    meta = _meta("packet", args, t_in=t_in)
+    _write_csv(base + "_arrival.csv", meta,
                ["l", "t_arr", "t_arr_minus_tin", "captured_weight"],
                arrival_rows)
-    _write_csv(base + "_mean.csv", _meta("packet", **meta_common),
+    _write_csv(base + "_mean.csv", meta,
                ["l", "t_mean", "endpoint_share"], mean_rows)
     for l, ts, dens in series_dumps:
         rows = [[t, float(d)] for t, d in zip(ts, dens)]
         _write_csv(f"{base}_series_l{_fmt(l)}.csv",
-                   _meta("packet-series", l=l, **meta_common),
+                   _meta("packet-series", args, l=l, t_in=t_in),
                    ["t", "density"], rows)
     return 0
 
@@ -168,80 +162,71 @@ def cmd_spectrum(args) -> int:
         flags = "k_max_too_small" if spec.k_max_too_small else ""
         rows.append([l, spec.w_plus, spec.w_minus, spec.ratio,
                      spec.parseval_rel_err, flags])
-    meta = _meta("spectrum", u0=args.u0, eps=args.eps, l=args.l,
-                 k_max=args.k_max, n_k=args.n_k)
-    _write_csv(args.out, meta,
+    _write_csv(args.out, _meta("spectrum", args),
                ["l", "W_plus", "W_minus", "ratio", "parseval_rel_err", "flags"],
                rows)
     return 0
 
 
 _OPTIONS = {
-    "u0": dict(type=float, help="barrier height (recoil units)"),
-    "eps": dict(type=float, help="stationary energy (recoil units)"),
-    "l": dict(type=str, help="barrier width (comma list for spectrum)"),
-    "l_min": dict(type=float, help="smallest width in the sweep"),
-    "l_max": dict(type=float, help="largest width in the sweep"),
-    "eps_min": dict(type=float, help="smallest energy in the sweep"),
-    "eps_max": dict(type=float, help="largest energy in the sweep"),
-    "steps": dict(type=int, help="number of sweep points"),
-    "p": dict(type=float, help="packet mean momentum"),
-    "b": dict(type=float, help="packet half-width parameter"),
-    "t_max": dict(type=float, help="initial time window length"),
-    "dt": dict(type=float, help="coarse time step"),
-    "k_max": dict(type=float, help="wavenumber window half-width"),
-    "n_k": dict(type=int, help="wavenumber samples per half-axis"),
-    "out": dict(type=str, help="output CSV path (base path for packet)"),
+    "u0": "barrier height (recoil units)",
+    "eps": "stationary energy (recoil units)",
+    "l": "barrier width (comma list for spectrum)",
+    "l_min": "smallest width in the sweep",
+    "l_max": "largest width in the sweep",
+    "eps_min": "smallest energy in the sweep",
+    "eps_max": "largest energy in the sweep",
+    "steps": "number of sweep points",
+    "p": "packet mean momentum",
+    "b": "packet half-width parameter",
+    "t_max": "initial time window length",
+    "dt": "coarse time step",
+    "k_max": "wavenumber window half-width",
+    "n_k": "wavenumber samples per half-axis",
+    "out": "output CSV path (base path for packet)",
 }
 
 # Options that size a sweep, a step or a window: they must be positive.
 _SIZES = ("steps", "n_k", "t_max", "dt", "k_max")
+# Options that count: they must be whole numbers.
+_COUNTS = ("steps", "n_k")
 
-
-def _add_common(sub, *names):
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, dest=name, default=None, **_OPTIONS[name])
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON file with defaults; explicit flags win")
-
-
-_DEFAULTS = {
-    "times-width": {"steps": 201, "l_min": 0.0},
-    "times-energy": {"steps": 201},
-    "packet": {"steps": 12, "t_max": 30.0, "dt": 0.05, "b": 2.0},
-    "spectrum": {"k_max": 80.0, "n_k": 4001},
-}
-
-_REQUIRED = {
-    "times-width": ["u0", "eps", "l_max", "out"],
-    "times-energy": ["u0", "l", "eps_min", "eps_max", "out"],
-    "packet": ["u0", "p", "l_min", "l_max", "out"],
-    "spectrum": ["u0", "eps", "l", "out"],
+# Each command: its function, its help, and its options in --help order with
+# their defaults; None marks an option without one, which must be given.
+_COMMANDS = {
+    "times-width": (cmd_times_width, "times vs barrier width", dict(
+        u0=None, eps=None, l_min=0.0, l_max=None, steps=201, out=None)),
+    "times-energy": (cmd_times_energy, "times vs energy, with crossing", dict(
+        u0=None, l=None, eps_min=None, eps_max=None, steps=201, out=None)),
+    "packet": (cmd_packet, "wave-packet arrival and mean times", dict(
+        u0=None, p=None, b=2.0, l_min=None, l_max=None, steps=12, t_max=30.0,
+        dt=0.05, out=None)),
+    "spectrum": (cmd_spectrum, "directional wavenumber weights", dict(
+        u0=None, eps=None, l=None, k_max=80.0, n_k=4001, out=None)),
 }
 
 
 def _merge_config(args) -> None:
-    """Fill unset options from the JSON config file, then from defaults.
+    """Fill unset options from the JSON config file, then from _COMMANDS.
 
     A config key names an option of the command (l_max for --l-max); any
     other key is rejected by name, dump_series too: that is a flag only.
+    Values are taken as they are, flag text or JSON; _validate converts both.
     """
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-    options = [key for key in vars(args) if key in _OPTIONS]
+    options = _COMMANDS[args.command][2]
     unknown = sorted(set(config) - set(options))
     if unknown:
         raise ValueError(f"config key(s) naming no option of {args.command}: "
                          f"{', '.join(unknown)}")
-    defaults = _DEFAULTS.get(args.command, {})
-    for key in options:
+    for key, default in options.items():
         if getattr(args, key) is None:
-            setattr(args, key, config.get(key, defaults.get(key)))
-    missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
+            setattr(args, key, config.get(key, default))
+    missing = [k for k in options if getattr(args, k) is None]
     if missing:
         raise ValueError(
             f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}"
@@ -251,17 +236,19 @@ def _merge_config(args) -> None:
 def _validate(args) -> None:
     """Convert each numeric option to a finite number, or reject it, naming it.
 
-    Sizes (_SIZES) must also be positive, counts whole numbers, and a JSON
-    boolean is no number; spectrum's --l stays comma text, each width checked.
-    --out must be a string.  Relations between options, such as l-min <=
-    l-max, are checked by the command that needs them, and eps < u0 by the model.
+    The one conversion of every value, flag text and config value alike, so
+    --steps 3.0 and {"steps": 3.0} both give 3.  Sizes (_SIZES) must also be
+    positive, counts (_COUNTS) whole numbers, and a JSON boolean is no number;
+    spectrum's --l stays comma text, each width checked.  --out must be a
+    string.  Relations between options, such as l-min <= l-max, are checked by
+    the command that needs them, and eps < u0 by the model.
     """
     if not isinstance(args.out, str):
         raise ValueError(f"--out must be a path string, got {args.out!r}")
-    for name, spec in _OPTIONS.items():
-        value = getattr(args, name, None)
-        if value is None or name == "out":
+    for name in _COMMANDS[args.command][2]:
+        if name == "out":
             continue
+        value = getattr(args, name)
         flag = "--" + name.replace("_", "-")
         listed = name == "l" and args.command == "spectrum"
         items = str(value).split(",") if listed else [value]
@@ -276,7 +263,7 @@ def _validate(args) -> None:
                 raise ValueError(f"{flag} must be finite, got {item}")
             if name in _SIZES and not number > 0.0:
                 raise ValueError(f"{flag} must be positive, got {item}")
-            if spec["type"] is int:
+            if name in _COUNTS:
                 if number != int(number):
                     raise ValueError(f"{flag} must be a whole number, got {item}")
                 number = int(number)
@@ -284,28 +271,19 @@ def _validate(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry; its options take text, unconverted."""
     parser = _Parser(prog="tunneltimes",
                      description="Tunneling-time datasets for a rectangular barrier")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("times-width", help="times vs barrier width")
-    _add_common(p, "u0", "eps", "l_min", "l_max", "steps", "out")
-    p.set_defaults(func=cmd_times_width)
-
-    p = sub.add_parser("times-energy", help="times vs energy, with crossing")
-    _add_common(p, "u0", "l", "eps_min", "eps_max", "steps", "out")
-    p.set_defaults(func=cmd_times_energy)
-
-    p = sub.add_parser("packet", help="wave-packet arrival and mean times")
-    _add_common(p, "u0", "p", "b", "l_min", "l_max", "steps", "t_max", "dt", "out")
-    p.add_argument("--dump-series", action="store_true",
-                   help="write a density time series per width")
-    p.set_defaults(func=cmd_packet)
-
-    p = sub.add_parser("spectrum", help="directional wavenumber weights")
-    _add_common(p, "u0", "eps", "l", "k_max", "n_k", "out")
-    p.set_defaults(func=cmd_spectrum)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in options:
+            p.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name])
+        p.add_argument("--config", help="JSON file with defaults; explicit flags win")
+        if command == "packet":
+            p.add_argument("--dump-series", action="store_true",
+                           help="write a density time series per width")
     return parser
 
 
@@ -318,7 +296,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         _validate(args)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except NumericalError as exc:
         print(f"tunneltimes: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -122,17 +122,21 @@ def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
 
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:
-    """Branch-continuous transmission phase.
+    """Branch-continuous transmission phase alpha = -k l + _barrier_phase.
 
-    alpha = -k l + atan(g tanh(chi l)) with g = (k^2 - chi^2)/(2 k chi); this
-    equals arg T modulo 2 pi, is continuous in both l and eps, and vanishes
-    at l = 0.
+    It equals arg T modulo 2 pi, is continuous in both l and eps, and
+    vanishes at l = 0.
     """
+    return _barrier_phase(barrier, eps) - math.sqrt(eps) * barrier.l
+
+
+def _barrier_phase(barrier: BarrierSpec, eps: float) -> float:
+    """atan(g tanh(chi l)), g = (k^2 - chi^2)/(2 k chi): alpha beyond -k l."""
     require_sub_barrier(barrier.u0, eps)
     k = math.sqrt(eps)
     chi = math.sqrt(barrier.u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    return -k * barrier.l + math.atan(g * math.tanh(chi * barrier.l))
+    return math.atan(g * math.tanh(chi * barrier.l))
 
 
 def incident_current(sol: ScatteringSolution) -> float:

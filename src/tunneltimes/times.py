@@ -4,7 +4,7 @@ All quantities are dimensionless (see model).  With alpha = stationary.phase_shi
 
     group delay      tau_g  = l/(2 sqrt(eps)) + d(alpha)/d(eps)
     free group time  tau_0  = l/(2 sqrt(eps))
-    phase time       t_ph   = alpha/eps + l/sqrt(eps)
+    phase time       t_ph   = alpha/eps + l/sqrt(eps) = atan(g tanh(chi l))/eps
     free phase time  t_free = l/sqrt(eps)
     dwell time       tau_d  = (barrier probability) / (reference current),
                      with the incident current 2 k N^2 (saturating variant)
@@ -95,8 +95,12 @@ def phase_shift_derivative(barrier: BarrierSpec, eps: float) -> float:
 
 
 def phase_time(barrier: BarrierSpec, eps: float) -> float:
-    """Phase time t_ph = alpha/eps + l/sqrt(eps) of a fixed wavefront."""
-    return stationary.phase_shift(barrier, eps) / eps + free_phase_time(eps, barrier.l)
+    """Phase time t_ph = atan(g tanh(chi l))/eps, with plateau atan(g)/eps.
+
+    alpha/eps + l/sqrt(eps) without the l/k that adds and subtracts; + 0.0
+    keeps t_ph = +0 at l = 0, where g < 0 gives -0.
+    """
+    return stationary._barrier_phase(barrier, eps) / eps + 0.0
 
 
 def hartman_limit(u0: float, eps: float) -> float:

@@ -199,7 +199,8 @@ class TestPacket:
                          "--l-min", "9.785", "--l-max", "9.785", "--steps", "1",
                          "--out", str(tmp_path / "pkt")])
         assert code == 2
-        assert "captured weight 1.00001" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "l = 9.785:" in err and "captured weight 1.00001" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_above_barrier_momentum_rejected(self, tmp_path):
@@ -325,6 +326,15 @@ class TestOptionValidation:
         assert "the free reference up to t_max = 1e+09 " in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_numeric_flag_rejected(self, tmp_path, capsys):
+        # flag text takes the one conversion that config values take
+        code = cli.main(["times-width", *self.BASE["times-width"], "--u0", "abc",
+                         "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--u0 must be a number, got 'abc'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("option", ["u0", "steps"])
     def test_config_boolean_rejected(self, tmp_path, capsys, option):
         # JSON true is not the number 1
@@ -413,10 +423,12 @@ README_RUNS = [
      "--steps", "201"],
     ["packet", "--u0", "31.4", "--p", "3.6", "--b", "2", "--l-min", "1", "--l-max", "3",
      "--steps", "5", "--t-max", "60"],
+    ["spectrum", "--u0", "12", "--eps", "11.8", "--l", "0.5,1,2,4,8", "--k-max", "400",
+     "--n-k", "12001"],
 ]
 
 
-@pytest.mark.parametrize("argv", README_RUNS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", README_RUNS[:3], ids=lambda argv: argv[0])
 def test_readme_csvs_as_from_the_numpy_grid(tmp_path, monkeypatch, argv):
     # the sweeps take numerics.linspace's points; the README files equal,
     # byte for byte, those written from numpy.linspace's grid
@@ -432,19 +444,27 @@ def test_readme_csvs_as_from_the_numpy_grid(tmp_path, monkeypatch, argv):
         assert twin.read_bytes() == path.read_bytes(), path.name
 
 
-# sha256 of the README times-width and times-energy CSVs: a change to the
-# stationary closed forms that flips one printed digit fails here
+# sha256 of each file the README commands write: a change to a closed form
+# that flips one printed digit, or to a metadata block, fails here
 README_DIGESTS = {
-    "times-width": "be34fb2cfe0d7427d0698b9d94ebae884aa873f78f983a90488367b5281d959f",
-    "times-energy": "8925ab6325ac37bbfe36f6bce9863ba35c7a1ac05683f2efe9cb8213bb379086",
+    "times-width": {
+        "out.csv": "be34fb2cfe0d7427d0698b9d94ebae884aa873f78f983a90488367b5281d959f"},
+    "times-energy": {
+        "out.csv": "8925ab6325ac37bbfe36f6bce9863ba35c7a1ac05683f2efe9cb8213bb379086"},
+    "packet": {
+        "out_arrival.csv": "97cb834198168146e0eeee743499cf2df480ac396cac704059295286fce5d9e8",
+        "out_mean.csv": "8fed4a0c76cab8da6efbfc119906e00614f6090dabcac10eb32c1b14639c9e89"},
+    "spectrum": {
+        "out.csv": "8e6e573a0d468d5a7ae4850c42a824890fd41b1ece9ad4b0d2cd6ba2bb305567"},
 }
 
 
-@pytest.mark.parametrize("argv", README_RUNS[:2], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", README_RUNS, ids=lambda argv: argv[0])
 def test_readme_csv_digest(tmp_path, argv):
-    out = tmp_path / "out.csv"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DIGESTS[argv[0]]
+    assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == README_DIGESTS[argv[0]]
 
 
 class TestConfig:
@@ -486,10 +506,11 @@ class TestConfig:
         ("times-width", "u0", "12"),
         ("packet", "p", "3.6"),
         ("spectrum", "l", 1.5),
+        ("times-width", "steps", 3.0),
     ])
     def test_config_value_converted_as_its_flag(self, tmp_path, command, option, value):
-        # a config file's number text, or a number where the flag takes a
-        # comma list, writes the file the flag writes
+        # a config file's number text, a number where the flag takes a comma
+        # list, or a whole float for a count writes the file the flag writes
         flags = dict(zip(TestOptionValidation.BASE[command][::2],
                          TestOptionValidation.BASE[command][1::2]))
         flags["--" + option] = str(value)

@@ -494,6 +494,22 @@ class TestHighPrecision:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(point=readme_domain())
+    # alpha/eps + l/sqrt(eps), which adds and subtracts l/k, lost 2.6e-10 of
+    # t_ph at this point
+    @example(point=(5.025854483990585, 1142653.3143693043, 5.025854476784152))
+    def test_phase_time_to_the_last_digits(self, point):
+        # relative to |t_ph| (1 + u0/|2 eps - u0|), whose second factor is
+        # the conditioning of g = (k^2 - chi^2)/(2 k chi) near eps = u0/2
+        u0, l, eps = point
+        assume(2.0 * eps != u0)
+        with mp.workdps(60):
+            k, chi = mp.sqrt(eps), mp.sqrt(mp.mpf(u0) - eps)
+            t_ph = float(mp.atan((k**2 - chi**2) / (2 * k * chi) * mp.tanh(chi * l)) / eps)
+        scale = abs(t_ph) * (1.0 + u0 / abs(2.0 * eps - u0))
+        assert abs(phase_time(BarrierSpec(u0, l), eps) - t_ph) <= 4e-15 * scale
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point=readme_domain())
     # on the plateau, where tau_0 >> tau_g, the sum l/(2k) + d(alpha)/d(eps)
     # loses 1.75e-13 of tau_g at this point
     @example(point=(1.1554179610848738, 55438392.77330454, 1.1554179610622153))
