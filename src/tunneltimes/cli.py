@@ -64,13 +64,9 @@ def _meta(command: str, args, **extra) -> dict:
             "version": __version__}
 
 
+# The times columns: the swept value, then the TimesReport fields so named.
 TIMES_HEADER = ["l", "tau_g", "tau_0", "t_ph", "t_free", "tau_d_in",
                 "tau_d_out", "hartman_limit"]
-
-
-def _times_row(report: times.TimesReport, key: float) -> list[float]:
-    return [key, report.tau_g, report.tau_0, report.t_ph, report.t_free,
-            report.tau_d_in, report.tau_d_out, report.hartman_limit]
 
 
 def cmd_times_width(args) -> int:
@@ -79,7 +75,7 @@ def cmd_times_width(args) -> int:
     rows = []
     for l in linspace(args.l_min, args.l_max, args.steps):
         report = times.compute_times(BarrierSpec(args.u0, l), args.eps)
-        rows.append(_times_row(report, l))
+        rows.append([l] + [getattr(report, name) for name in TIMES_HEADER[1:]])
     _write_csv(args.out, _meta("times-width", args), TIMES_HEADER, rows)
     return 0
 
@@ -94,7 +90,7 @@ def cmd_times_energy(args) -> int:
     rows = []
     for eps in linspace(args.eps_min, args.eps_max, args.steps):
         report = times.compute_times(BarrierSpec(args.u0, args.l), eps)
-        rows.append(_times_row(report, eps))
+        rows.append([eps] + [getattr(report, name) for name in TIMES_HEADER[1:]])
     header = ["eps"] + TIMES_HEADER[1:]
     crossing = None
     if args.l > 0.0:

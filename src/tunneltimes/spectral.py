@@ -56,6 +56,9 @@ def interior_window_transform(C_l, D, chi: float, l: float, k):
 # heap instead of being mapped and unmapped on every call.
 _BLOCK = 4096
 
+# Largest n_k barrier_k_spectrum takes; its arrays then peak at ~50 MB.
+MAX_K_NODES = 2**20
+
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     w = np.ones(n)
@@ -74,10 +77,13 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
     the density array the result holds.  The 1/k^2 transform tail beyond
     k_max is estimated from the window boundary values; if it holds more
     than 1% of the windowed mass the result is flagged so the caller can
-    enlarge k_max.
+    enlarge k_max.  An n_k above MAX_K_NODES raises ValueError first.
     """
     if sol.barrier.l <= 0.0:
         raise ValueError("the spectrum needs a barrier of positive width")
+    if n_k > MAX_K_NODES:
+        raise ValueError(f"n_k = {n_k:,} wavenumbers per half-axis is more than "
+                         f"the {MAX_K_NODES:,} allowed")
     if n_k % 2 == 0:
         n_k += 1
     if n_k < 3:

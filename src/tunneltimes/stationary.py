@@ -48,22 +48,28 @@ _SINH_EXCESS = tuple(2.0 ** (2 * n + 1) / math.factorial(2 * n + 1)
 
 
 def amplitudes(u0: float, l: float, eps: float):
-    """Transmission/reflection/interior amplitudes (T, R, C_l, D) for eps < u0.
+    """(T, R, C_l, D) for 0 < eps < u0, the tail of _state; C_l = C e^{chi l}."""
+    return _state(u0, l, eps)[3:]
 
-    C_l = C e^{chi l} is the scaled growing-wave coefficient.  The float
-    energy gives Python complex numbers, computed with math and cmath.
-    denom and R come from _barrier_kernel, in the forms above, at every theta.
+
+def _state(u0: float, l: float, eps: float):
+    """(k, chi, g, T, R, C_l, D) of one energy, in math and cmath, by the forms above.
+
+    Checks 0 < eps < u0, once; raises ValueError where k l overflows.
     """
     require_sub_barrier(u0, eps)
     k = math.sqrt(eps)
     chi = math.sqrt(u0 - eps)
+    if math.isinf(k * l):
+        raise ValueError(f"k l overflows at l = {l}, eps = {eps}: the phase "
+                         "e^(-ikl) of T is undefined")
     g = (k * k - chi * chi) / (2.0 * k * chi)
     decay, denom, R = _barrier_kernel(u0, l, k, chi, g, math)
     ik_chi = 1j * k / chi
     T = 2.0 * cmath.exp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
     D = (1.0 - ik_chi) / denom
-    return T, R, C_l, D
+    return k, chi, g, T, R, C_l, D
 
 
 def _barrier_kernel(u0: float, l: float, k, chi, g, lib):
@@ -122,11 +128,8 @@ def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
 
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:
-    """Branch-continuous transmission phase alpha = -k l + _barrier_phase.
-
-    It equals arg T modulo 2 pi, is continuous in both l and eps, and
-    vanishes at l = 0.
-    """
+    """Transmission phase alpha = -k l + _barrier_phase: arg T modulo 2 pi,
+    continuous in both l and eps, and 0 at l = 0."""
     return _barrier_phase(barrier, eps) - math.sqrt(eps) * barrier.l
 
 
@@ -137,16 +140,6 @@ def _barrier_phase(barrier: BarrierSpec, eps: float) -> float:
     chi = math.sqrt(barrier.u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
     return math.atan(g * math.tanh(chi * barrier.l))
-
-
-def incident_current(sol: ScatteringSolution) -> float:
-    """Current of the incident part alone, j_in = 2 k N^2."""
-    return 2.0 * sol.k * sol.N**2
-
-
-def transmitted_current(sol: ScatteringSolution) -> float:
-    """Current of the transmitted part, equal to the full current 2 k N^2 |T|^2."""
-    return 2.0 * sol.k * sol.N**2 * abs(sol.T) ** 2
 
 
 def barrier_probability(sol: ScatteringSolution) -> float:
@@ -162,7 +155,12 @@ def barrier_probability(sol: ScatteringSolution) -> float:
     two nonnegative terms in which no exponential grows (_q_theta).
     """
     chi, l = sol.chi, sol.barrier.l
-    return sol.N**2 * (abs(sol.T) ** 2 * l + abs(sol.D) ** 2 * _q_theta(chi * l) / (2.0 * chi))
+    return _probability(sol.N**2, sol.T, sol.D, chi, l, _q_theta(chi * l))
+
+
+def _probability(N2: float, T: complex, D: complex, chi: float, l: float, Q: float) -> float:
+    """N^2 (|T|^2 l + |D|^2 Q / (2 chi)), the closed form of barrier_probability."""
+    return N2 * (abs(T) ** 2 * l + abs(D) ** 2 * Q / (2.0 * chi))
 
 
 def _q_theta(theta: float) -> float:

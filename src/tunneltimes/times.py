@@ -76,16 +76,19 @@ def group_delay(barrier: BarrierSpec, eps: float) -> float:
     k^2 (k^2 - chi^2) - u0^2 = -chi^2 (3k^2 + chi^2).  As theta -> inf it
     tends to u0^2 / (4 k^3 chi^3 (1 + g^2)) = 1/(k chi), the Hartman plateau.
     """
-    u0, l = barrier.u0, barrier.l
-    require_sub_barrier(u0, eps)
+    require_sub_barrier(barrier.u0, eps)
     k = math.sqrt(eps)
-    chi = math.sqrt(u0 - eps)
+    chi = math.sqrt(barrier.u0 - eps)
     g = (k * k - chi * chi) / (2.0 * k * chi)
-    theta = chi * l
+    theta = chi * barrier.l
+    return _group_delay(barrier.u0, k, chi, g, theta, stationary._q_theta(theta))
+
+
+def _group_delay(u0: float, k: float, chi: float, g: float, theta: float, Q: float) -> float:
+    """The closed form of group_delay on its k, chi, g, theta and Q(theta)."""
     q = math.exp(-2.0 * theta)
     denom2 = (1.0 + q) ** 2 + (g * math.expm1(-2.0 * theta)) ** 2
-    num = (u0 * u0 * stationary._q_theta(theta)
-           + 4.0 * q * theta * chi * chi * (3.0 * k * k + chi * chi))
+    num = u0 * u0 * Q + 4.0 * q * theta * chi * chi * (3.0 * k * k + chi * chi)
     return num / (4.0 * k**3 * chi**3 * denom2)
 
 
@@ -114,48 +117,46 @@ def hartman_limit(u0: float, eps: float) -> float:
 def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     """Evaluate every time definition at one sub-barrier energy.
 
-    One stationary state serves the row: both dwell times divide its one
-    barrier probability by its incident and its transmitted current.  The
-    row is checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
-    (H. G. Winful, PRL 91, 260401 (2003)), which ties the phase derivative to
-    the barrier probability; a mismatch beyond WINFUL_TOL of
+    One sub-barrier state (stationary._state), N^2, theta and Q(theta) serve
+    the row, each time by its own function's expressions; no
+    ScatteringSolution is built.  Both dwell times divide the one barrier
+    probability by the incident and the transmitted current.  The row is
+    checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
+    (H. G. Winful, PRL 91, 260401 (2003)): a mismatch beyond WINFUL_TOL of
     |tau_d_in| + |Im(R)/(2 eps)|, floored at the least normal float for
-    subnormal widths, raises CrossCheckError.  tau_d_out, the
-    probability over the transmitted current, grows like e^{2 chi l} / chi^3;
-    where that quotient overflows, ValueError is raised.  That is from
-    chi l ~ 357 at u0 = 8, eps = 4, and sooner as eps -> u0: from 335 at
-    u0 = 0.1, eps = 0.1 (1 - 1e-12), where |T|^2 is still a normal float.
+    subnormal widths, raises CrossCheckError.  tau_d_out grows like
+    e^{2 chi l} / chi^3; where it overflows, ValueError is raised: from
+    chi l ~ 357 at u0 = 8, eps = 4, and from 335 at u0 = 0.1,
+    eps = 0.1 (1 - 1e-12), where |T|^2 is still a normal float.
     At l = 0 every time is +0.
     """
-    sol = stationary.solve(barrier, eps)
-    prob = stationary.barrier_probability(sol)
-    tau_g = group_delay(barrier, eps)
-    tau_d_in = prob / stationary.incident_current(sol)
-    self_interference = sol.R.imag / (2.0 * eps)
+    u0, l = barrier.u0, barrier.l
+    k, chi, g, T, R, _, D = stationary._state(u0, l, eps)
+    N2 = stationary.normalization(eps, math) ** 2
+    theta = chi * l
+    Q = stationary._q_theta(theta)
+    prob = stationary._probability(N2, T, D, chi, l, Q)
+    tau_g = _group_delay(u0, k, chi, g, theta, Q)
+    tau_d_in = prob / (2.0 * k * N2)
+    self_interference = R.imag / (2.0 * eps)
     residual = abs(tau_g - (tau_d_in - self_interference))
     scale = max(abs(tau_d_in) + abs(self_interference), sys.float_info.min)
     if not residual <= WINFUL_TOL * scale:
         raise CrossCheckError(
             f"tau_g {tau_g!r} vs tau_d_in - Im(R)/(2 eps) "
             f"{tau_d_in - self_interference!r} differ by {residual:.3e} "
-            f"at eps={eps}, l={barrier.l}")
-    j_out = stationary.transmitted_current(sol)
+            f"at eps={eps}, l={l}")
+    j_out = 2.0 * k * N2 * abs(T) ** 2
     if not (j_out > 0.0 and math.isfinite(prob / j_out)):
         raise ValueError(
-            f"tau_d_out is not finite at l = {barrier.l}, eps = {eps}: the barrier "
+            f"tau_d_out is not finite at l = {l}, eps = {eps}: the barrier "
             f"probability {prob:.6g} over the transmitted current {j_out:.6g} "
-            f"overflows at chi l = {sol.chi * barrier.l:.6g}")
+            f"overflows at chi l = {theta:.6g}")
     return TimesReport(
-        eps=eps,
-        l=barrier.l,
-        tau_g=tau_g,
-        tau_0=free_group_time(eps, barrier.l),
-        t_ph=phase_time(barrier, eps),
-        t_free=free_phase_time(eps, barrier.l),
-        tau_d_in=tau_d_in,
-        tau_d_out=prob / j_out,
-        hartman_limit=hartman_limit(barrier.u0, eps),
-    )
+        eps=eps, l=l, tau_g=tau_g, tau_0=l / (2.0 * k),
+        t_ph=math.atan(g * math.tanh(theta)) / eps + 0.0, t_free=l / k,
+        tau_d_in=tau_d_in, tau_d_out=prob / j_out,
+        hartman_limit=1.0 / math.sqrt(eps * (u0 - eps)))
 
 
 # Energies at which delay_crossing samples d(alpha)/d(eps) for a sign change.
@@ -171,11 +172,10 @@ def delay_crossing(u0: float, l: float, eps_lo: float, eps_hi: float) -> float |
     """Energy where tau_g(eps) = tau_0(eps), i.e. d(alpha)/d(eps) = 0.
 
     Scans [eps_lo, eps_hi] at CROSSING_SCAN energies, numerics.linspace's
-    points, for the first change of sign, in which 0 counts as a sign of
-    its own, and bisects that bracket
-    (numerics.bisect_root) to xtol = 1e-13 and rtol = 1e-14, from the
-    scanned values at its ends: a grid point whose value is exactly 0 is
-    returned as it is.
+    points, for the first change of sign, in which 0 counts as a sign of its
+    own, and bisects that bracket (numerics.bisect_root) to xtol = 1e-13 and
+    rtol = 1e-14, from the scanned values at its ends: a grid point whose
+    value is exactly 0 is returned as it is.
     Returns None when no crossing lies in the range.  For opaque barriers the
     root sits near u0 - 4/l^2, approaching the barrier top as l grows.
     """

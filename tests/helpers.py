@@ -113,6 +113,16 @@ def wavefunction_at(sol, x):
     return psi if psi.ndim else complex(psi)
 
 
+def incident_current(sol):
+    """Current of the incident part alone, j_in = 2 k N^2."""
+    return 2.0 * sol.k * sol.N**2
+
+
+def transmitted_current(sol):
+    """Current of the transmitted part, equal to the full current 2 k N^2 |T|^2."""
+    return 2.0 * sol.k * sol.N**2 * abs(sol.T) ** 2
+
+
 def current(sol, x):
     """Probability current j = 2 Im(psi* dpsi/dx) of the full solution.
 

@@ -99,6 +99,16 @@ class TestTimesWidth:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_phase_exits_one(self, tmp_path, capsys):
+        # k l = sqrt(11.8) 1e308 overflows: the phase e^{-ikl} of T is undefined
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "12", "--eps", "11.8", "--l-min", "1e308",
+                         "--l-max", "1e308", "--steps", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "k l overflows at l = 1e+308, eps = 11.8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTimesEnergy:
     def test_crossing_footer_and_monotone_free_time(self, tmp_path):
@@ -247,6 +257,28 @@ class TestSpectrum:
         _, _, rows = read_csv(out)
         assert rows[0][5] == "k_max_too_small"
 
+    def test_overflowing_phase_exits_one(self, tmp_path, capsys):
+        code = cli.main(["spectrum", "--u0", "12", "--eps", "11.8", "--l", "1e308",
+                         "--out", str(tmp_path / "spec.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "k l overflows at l = 1e+308, eps = 11.8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oversize_k_grid_rejected(self, tmp_path, capsys, monkeypatch):
+        # 1e9 wavenumbers per half-axis would take ~40 GB; the grid is
+        # refused before any array is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+        monkeypatch.setattr(np, "empty", refuse)
+        code = cli.main(["spectrum", "--u0", "12", "--eps", "11.8", "--l", "1",
+                         "--n-k", "1e9", "--out", str(tmp_path / "spec.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "n_k = 1,000,000,000 wavenumbers per half-axis is more than the 1,048,576 allowed" \
+            in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nan_width_rejected(self, tmp_path):
         code = cli.main(["spectrum", "--u0", "12", "--eps", "11.8",
                          "--l", "1,nan", "--out", str(tmp_path / "spec.csv")])
@@ -363,9 +395,9 @@ class TestOptionValidation:
 
 class TestCrossCheck:
     def test_winful_mismatch_exits_two(self, tmp_path, monkeypatch):
-        inner = stationary.barrier_probability
-        monkeypatch.setattr(stationary, "barrier_probability",
-                            lambda sol: inner(sol) * (1.0 + 1e-8))
+        inner = stationary._probability
+        monkeypatch.setattr(stationary, "_probability",
+                            lambda *args: inner(*args) * (1.0 + 1e-8))
         out = tmp_path / "width.csv"
         code = cli.main(["times-width", "--u0", "12", "--eps", "11.8",
                          "--l-max", "2", "--steps", "3", "--out", str(out)])

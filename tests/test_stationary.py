@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import current, transfer_matrix_solution, wavefunction_at
+from helpers import (
+    current,
+    incident_current,
+    transfer_matrix_solution,
+    transmitted_current,
+    wavefunction_at,
+)
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.stationary import (
     amplitudes,
     barrier_probability,
-    incident_current,
     phase_shift,
     solve,
-    transmitted_current,
 )
 
 U0 = 12.0

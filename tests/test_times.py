@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from helpers import finite_difference_group_delay, wavefunction_at
+from helpers import (
+    finite_difference_group_delay,
+    incident_current,
+    transmitted_current,
+    wavefunction_at,
+)
 from tunneltimes import stationary, times
 from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
@@ -34,13 +39,26 @@ CHI = math.sqrt(U0 - EPS)
 def dwell_time_incident(barrier, eps):
     """Barrier probability over the incident current, from its own state."""
     sol = stationary.solve(barrier, eps)
-    return stationary.barrier_probability(sol) / stationary.incident_current(sol)
+    return stationary.barrier_probability(sol) / incident_current(sol)
 
 
 def dwell_time_transmitted(barrier, eps):
     """Barrier probability over the transmitted current, from its own state."""
     sol = stationary.solve(barrier, eps)
-    return stationary.barrier_probability(sol) / stationary.transmitted_current(sol)
+    return stationary.barrier_probability(sol) / transmitted_current(sol)
+
+
+@st.composite
+def readme_domain(draw):
+    """(u0, l, eps) with u0 in [0.5, 200], eps/u0 in [1e-9, 1 - 1e-9], spread
+    in log towards both ends, and theta = chi l from 1e-12 to 340."""
+    u0 = draw(st.floats(0.5, 200.0))
+    frac = draw(st.one_of(st.floats(1e-9, 1.0 - 1e-9),
+                          st.floats(-9.0, -1.0).map(lambda x: 10.0**x),
+                          st.floats(-9.0, -1.0).map(lambda x: 1.0 - 10.0**x)))
+    theta = 10.0 ** draw(st.floats(-12.0, math.log10(340.0)))
+    eps = u0 * frac
+    return u0, theta / math.sqrt(u0 - eps), eps
 
 
 class TestGroupDelay:
@@ -149,7 +167,7 @@ class TestDwellTimes:
         sol = stationary.solve(barrier, EPS)
         prob, _ = quad(lambda x: abs(wavefunction_at(sol, x)) ** 2,
                        0.0, l, epsabs=1e-14, limit=200)
-        expected = prob / stationary.incident_current(sol)
+        expected = prob / incident_current(sol)
         assert dwell_time_incident(barrier, EPS) == pytest.approx(expected, abs=1e-9)
 
     def test_incident_variant_saturates(self):
@@ -230,9 +248,15 @@ class TestOneStatePerRow:
     GRID = [(e, l) for e in (0.05 * U0, 0.5 * U0, EPS, U0 * (1.0 - 1e-9))
             for l in (0.0, 0.1, 1.0, 10.0, 40.0)]
 
-    @pytest.mark.parametrize("eps,l", GRID)
-    def test_fields_equal_standalone_definitions(self, eps, l):
-        barrier = BarrierSpec(U0, l)
+    @staticmethod
+    def assert_fields_equal_standalone_definitions(u0, l, eps):
+        # the fused row against each time's own function, bit for bit; where
+        # the standalone tau_d_out is not finite, the row names it
+        barrier = BarrierSpec(u0, l)
+        if not math.isfinite(dwell_time_transmitted(barrier, eps)):
+            with pytest.raises(ValueError, match="tau_d_out is not finite"):
+                compute_times(barrier, eps)
+            return
         report = compute_times(barrier, eps)
         assert report.tau_g == group_delay(barrier, eps)
         assert report.tau_0 == free_group_time(eps, l)
@@ -240,7 +264,18 @@ class TestOneStatePerRow:
         assert report.t_free == free_phase_time(eps, l)
         assert report.tau_d_in == dwell_time_incident(barrier, eps)
         assert report.tau_d_out == dwell_time_transmitted(barrier, eps)
-        assert report.hartman_limit == hartman_limit(U0, eps)
+        assert report.hartman_limit == hartman_limit(u0, eps)
+
+    @pytest.mark.parametrize("eps,l", GRID)
+    def test_fields_equal_standalone_definitions(self, eps, l):
+        self.assert_fields_equal_standalone_definitions(U0, l, eps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point=readme_domain())
+    @example(point=(0.1, 340.0 / math.sqrt(1e-13), 0.1 * (1.0 - 1e-12)))
+    def test_fields_equal_standalone_definitions_over_the_domain(self, point):
+        u0, l, eps = point
+        self.assert_fields_equal_standalone_definitions(u0, l, eps)
 
     def test_winful_identity_on_report(self):
         # tau_g = tau_d_in - Im(R)/(2 eps) (Winful, PRL 91, 260401 (2003))
@@ -260,14 +295,16 @@ class TestOneStatePerRow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compute_times(barrier, eps)
-        inner = stationary.barrier_probability
-        monkeypatch.setattr(stationary, "barrier_probability",
-                            lambda sol: inner(sol) * (1.0 + 1e-8))
+        inner = stationary._probability
+        monkeypatch.setattr(stationary, "_probability",
+                            lambda *args: inner(*args) * (1.0 + 1e-8))
         with pytest.raises(times.CrossCheckError, match="Im\\(R\\)"):
             compute_times(barrier, eps)
 
     def test_one_solve_per_row(self, monkeypatch):
-        calls = {"solve": 0, "barrier_probability": 0}
+        # one sub-barrier state and one Q(theta) per row, and no
+        # ScatteringSolution: solve and barrier_probability are not called
+        calls = {"_state": 0, "_q_theta": 0, "solve": 0, "barrier_probability": 0}
 
         def counted(name):
             inner = getattr(stationary, name)
@@ -280,9 +317,9 @@ class TestOneStatePerRow:
         for name in calls:
             monkeypatch.setattr(stationary, name, counted(name))
         for l in (0.0, 0.1, 3.0, 40.0):
-            calls.update(solve=0, barrier_probability=0)
+            calls.update(dict.fromkeys(calls, 0))
             compute_times(BarrierSpec(U0, l), EPS)
-            assert calls == {"solve": 1, "barrier_probability": 1}
+            assert calls == {"_state": 1, "_q_theta": 1, "solve": 0, "barrier_probability": 0}
 
     def test_float_in_float_out(self):
         barrier = BarrierSpec(U0, 3.0)
@@ -386,26 +423,13 @@ def high_precision_reference(u0, l, eps):
                 float(tau_g))
 
 
-@st.composite
-def readme_domain(draw):
-    """(u0, l, eps) with u0 in [0.5, 200], eps/u0 in [1e-9, 1 - 1e-9], spread
-    in log towards both ends, and theta = chi l from 1e-12 to 340."""
-    u0 = draw(st.floats(0.5, 200.0))
-    frac = draw(st.one_of(st.floats(1e-9, 1.0 - 1e-9),
-                          st.floats(-9.0, -1.0).map(lambda x: 10.0**x),
-                          st.floats(-9.0, -1.0).map(lambda x: 1.0 - 10.0**x)))
-    theta = 10.0 ** draw(st.floats(-12.0, math.log10(340.0)))
-    eps = u0 * frac
-    return u0, theta / math.sqrt(u0 - eps), eps
-
-
 def assert_matches_reference(u0, l, eps):
     # tau_d_in and tau_g as compute_times forms them: its row also needs a
     # finite tau_d_out, the probability over the transmitted current, which
     # overflows from theta ~ 335 when eps is near the top
     barrier = BarrierSpec(u0, l)
     sol = stationary.solve(barrier, eps)
-    tau_d_in = stationary.barrier_probability(sol) / stationary.incident_current(sol)
+    tau_d_in = stationary.barrier_probability(sol) / incident_current(sol)
     tau_g = group_delay(barrier, eps)
     T_exit, R, tau_d_in_ref, tau_g_ref = high_precision_reference(u0, l, eps)
     # T e^{ikl}: the phase kl of T itself carries the rounding of the product
