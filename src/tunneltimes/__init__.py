@@ -15,16 +15,7 @@ __version__ = "0.1.0"
 
 from .model import BarrierSpec, PacketSpec, packet_amplitude
 from .stationary import ScatteringSolution, solve, phase_shift
-from .times import (
-    TimesReport,
-    compute_times,
-    delay_crossing,
-    free_group_time,
-    free_phase_time,
-    group_delay,
-    hartman_limit,
-    phase_time,
-)
+from .times import TimesReport, compute_times, delay_crossing, group_delay
 
 __all__ = [
     "__version__",
@@ -34,12 +25,8 @@ __all__ = [
     "TimesReport",
     "compute_times",
     "delay_crossing",
-    "free_group_time",
-    "free_phase_time",
     "group_delay",
-    "hartman_limit",
     "packet_amplitude",
     "phase_shift",
-    "phase_time",
     "solve",
 ]

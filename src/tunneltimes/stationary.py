@@ -25,9 +25,10 @@ energy via N = (4 pi k)^(-1/2), i.e. plane-wave delta(k - k') normalization
 divided by d(eps)/dk = 2k.
 
 This module evaluates one float energy at a time, in math and cmath, and
-imports no numpy.  _barrier_kernel and normalization take their library
-from the caller, so wavepacket runs the same forms through numpy on its
-energy nodes.
+imports no numpy.  _wavenumbers, the one place k, chi and g are formed,
+_barrier_kernel and normalization take their library from the caller, so
+wavepacket runs the same forms through numpy on its energy nodes.  A width
+at which k l or chi l overflows is refused by name.
 """
 
 from __future__ import annotations
@@ -55,21 +56,35 @@ def amplitudes(u0: float, l: float, eps: float):
 def _state(u0: float, l: float, eps: float):
     """(k, chi, g, T, R, C_l, D) of one energy, in math and cmath, by the forms above.
 
-    Checks 0 < eps < u0, once; raises ValueError where k l overflows.
+    Checks 0 < eps < u0, once; raises ValueError where k l or chi l overflows.
     """
     require_sub_barrier(u0, eps)
-    k = math.sqrt(eps)
-    chi = math.sqrt(u0 - eps)
+    k, chi, g = _wavenumbers(u0, eps, math)
     if math.isinf(k * l):
         raise ValueError(f"k l overflows at l = {l}, eps = {eps}: the phase "
                          "e^(-ikl) of T is undefined")
-    g = (k * k - chi * chi) / (2.0 * k * chi)
+    if math.isinf(chi * l):
+        raise _theta_overflow(l, eps)
     decay, denom, R = _barrier_kernel(u0, l, k, chi, g, math)
     ik_chi = 1j * k / chi
     T = 2.0 * cmath.exp(-1j * k * l) * decay / denom
     C_l = decay * (1.0 + ik_chi) / denom
     D = (1.0 - ik_chi) / denom
     return k, chi, g, T, R, C_l, D
+
+
+def _wavenumbers(u0: float, eps, lib):
+    """(k, chi, g) by the forms above; lib supplies sqrt: math for one float
+    energy, numpy for wavepacket's energy nodes."""
+    k = lib.sqrt(eps)
+    chi = lib.sqrt(u0 - eps)
+    return k, chi, (k * k - chi * chi) / (2.0 * k * chi)
+
+
+def _theta_overflow(l: float, eps: float) -> ValueError:
+    """The error where theta = chi l overflows, at which _q_theta is inf * 0."""
+    return ValueError(f"chi l overflows at l = {l}, eps = {eps}: Q(chi l) of "
+                      "tau_g and the barrier probability is undefined")
 
 
 def _barrier_kernel(u0: float, l: float, k, chi, g, lib):
@@ -128,18 +143,11 @@ def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
 
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:
-    """Transmission phase alpha = -k l + _barrier_phase: arg T modulo 2 pi,
+    """Transmission phase alpha = atan(g tanh(chi l)) - k l: arg T modulo 2 pi,
     continuous in both l and eps, and 0 at l = 0."""
-    return _barrier_phase(barrier, eps) - math.sqrt(eps) * barrier.l
-
-
-def _barrier_phase(barrier: BarrierSpec, eps: float) -> float:
-    """atan(g tanh(chi l)), g = (k^2 - chi^2)/(2 k chi): alpha beyond -k l."""
     require_sub_barrier(barrier.u0, eps)
-    k = math.sqrt(eps)
-    chi = math.sqrt(barrier.u0 - eps)
-    g = (k * k - chi * chi) / (2.0 * k * chi)
-    return math.atan(g * math.tanh(chi * barrier.l))
+    k, chi, g = _wavenumbers(barrier.u0, eps, math)
+    return math.atan(g * math.tanh(chi * barrier.l)) - k * barrier.l
 
 
 def barrier_probability(sol: ScatteringSolution) -> float:

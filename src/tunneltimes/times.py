@@ -1,6 +1,7 @@
 """Stationary-state tunneling time definitions and their free baselines.
 
-All quantities are dimensionless (see model).  With alpha = stationary.phase_shift:
+All quantities are dimensionless (see model).  With alpha = stationary.phase_shift,
+compute_times writes each time into one TimesReport row:
 
     group delay      tau_g  = l/(2 sqrt(eps)) + d(alpha)/d(eps)
     free group time  tau_0  = l/(2 sqrt(eps))
@@ -10,8 +11,9 @@ All quantities are dimensionless (see model).  With alpha = stationary.phase_shi
                      with the incident current 2 k N^2 (saturating variant)
                      or the transmitted current 2 k N^2 |T|^2 (growing one).
 
-group_delay's closed form sums two nonnegative terms and tends, as chi l -> inf,
-to the opaque-barrier asymptote 1/(k chi) = 1/sqrt(eps (u0 - eps)), independent of width.
+group_delay's closed form sums two nonnegative terms; as chi l -> inf it tends to
+hartman_limit = 1/(k chi) = 1/sqrt(eps (u0 - eps)), independent of width.
+delay_crossing evaluates it alone, through phase_shift_derivative.
 """
 
 from __future__ import annotations
@@ -48,20 +50,6 @@ class TimesReport:
     hartman_limit: float
 
 
-def free_group_time(eps: float, l: float) -> float:
-    """Free flight over distance l at group velocity 2 sqrt(eps)."""
-    if not eps > 0.0:
-        raise ValueError("energy must be positive")
-    return l / (2.0 * math.sqrt(eps))
-
-
-def free_phase_time(eps: float, l: float) -> float:
-    """Wavefront transit over distance l at phase velocity sqrt(eps)."""
-    if not eps > 0.0:
-        raise ValueError("energy must be positive")
-    return l / math.sqrt(eps)
-
-
 def group_delay(barrier: BarrierSpec, eps: float) -> float:
     """Group delay tau_g = l/(2 sqrt(eps)) + d(alpha)/d(eps), in closed form.
 
@@ -77,10 +65,10 @@ def group_delay(barrier: BarrierSpec, eps: float) -> float:
     tends to u0^2 / (4 k^3 chi^3 (1 + g^2)) = 1/(k chi), the Hartman plateau.
     """
     require_sub_barrier(barrier.u0, eps)
-    k = math.sqrt(eps)
-    chi = math.sqrt(barrier.u0 - eps)
-    g = (k * k - chi * chi) / (2.0 * k * chi)
+    k, chi, g = stationary._wavenumbers(barrier.u0, eps, math)
     theta = chi * barrier.l
+    if math.isinf(theta):
+        raise stationary._theta_overflow(barrier.l, eps)
     return _group_delay(barrier.u0, k, chi, g, theta, stationary._q_theta(theta))
 
 
@@ -94,31 +82,14 @@ def _group_delay(u0: float, k: float, chi: float, g: float, theta: float, Q: flo
 
 def phase_shift_derivative(barrier: BarrierSpec, eps: float) -> float:
     """d(alpha)/d(eps) = tau_g - l/(2 sqrt(eps)), from group_delay."""
-    return group_delay(barrier, eps) - free_group_time(eps, barrier.l)
-
-
-def phase_time(barrier: BarrierSpec, eps: float) -> float:
-    """Phase time t_ph = atan(g tanh(chi l))/eps, with plateau atan(g)/eps.
-
-    alpha/eps + l/sqrt(eps) without the l/k that adds and subtracts; + 0.0
-    keeps t_ph = +0 at l = 0, where g < 0 gives -0.
-    """
-    return stationary._barrier_phase(barrier, eps) / eps + 0.0
-
-
-def hartman_limit(u0: float, eps: float) -> float:
-    """Opaque-barrier group delay asymptote 1/sqrt(eps (u0 - eps))."""
-    if eps == u0:
-        raise ValueError("asymptote diverges as eps -> u0")
-    require_sub_barrier(u0, eps)
-    return 1.0 / math.sqrt(eps * (u0 - eps))
+    return group_delay(barrier, eps) - barrier.l / (2.0 * math.sqrt(eps))
 
 
 def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
     """Evaluate every time definition at one sub-barrier energy.
 
     One sub-barrier state (stationary._state), N^2, theta and Q(theta) serve
-    the row, each time by its own function's expressions; no
+    the row, by the forms of the module docstring and group_delay; no
     ScatteringSolution is built.  Both dwell times divide the one barrier
     probability by the incident and the transmitted current.  The row is
     checked against Winful's identity tau_g = tau_d_in - Im(R)/(2 eps)
@@ -152,6 +123,7 @@ def compute_times(barrier: BarrierSpec, eps: float) -> TimesReport:
             f"tau_d_out is not finite at l = {l}, eps = {eps}: the barrier "
             f"probability {prob:.6g} over the transmitted current {j_out:.6g} "
             f"overflows at chi l = {theta:.6g}")
+    # + 0.0 keeps t_ph = +0 at l = 0, where g < 0 gives -0
     return TimesReport(
         eps=eps, l=l, tau_g=tau_g, tau_0=l / (2.0 * k),
         t_ph=math.atan(g * math.tanh(theta)) / eps + 0.0, t_free=l / k,

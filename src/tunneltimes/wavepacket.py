@@ -337,14 +337,13 @@ def _build_basis(packet: PacketSpec, u0: float, grid: EnergyGridSpec) -> _Energy
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
-    k, chi = np.sqrt(nodes), np.sqrt(u0 - nodes)
+    k, chi, g = stationary._wavenumbers(u0, nodes, np)
     N = stationary.normalization(nodes, np)
     I_minus, I_plus = (np.empty(nodes.shape, dtype=complex) for _ in range(2))
     for lo in range(0, len(nodes), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)
         I_minus[part], I_plus[part] = _envelope_pair(packet, k[part])
     p = np.arange(grid.n_panels, dtype=float)
-    g = (k * k - chi * chi) / (2.0 * k * chi)
     basis = _EnergyBasis(nodes, weights, k, chi, g, N, N * packet.amplitude,
                          I_minus, I_plus, np.stack([np.ones_like(p), p, p * p]))
     for array in basis:

@@ -55,7 +55,7 @@ def test_criterion_1_flux_conservation():
 
 
 def test_criterion_2_hartman_plateau_literal():
-    asymptote = times.hartman_limit(U0, EPS)
+    asymptote = times.compute_times(BarrierSpec(U0, 10.0), EPS).hartman_limit
     k, chi = math.sqrt(EPS), math.sqrt(U0 - EPS)
     d = k**2 - chi**2
 
@@ -78,10 +78,9 @@ def test_criterion_2_hartman_plateau_literal():
 
 
 def test_criterion_3_thin_barrier_slowdown():
-    slower = all(
-        times.group_delay(BarrierSpec(U0, float(l)), EPS)
-        > times.free_group_time(EPS, float(l))
-        for l in np.linspace(0.005, 0.1, 20))
+    rows = [times.compute_times(BarrierSpec(U0, float(l)), EPS)
+            for l in np.linspace(0.005, 0.1, 20)]
+    slower = all(row.tau_g > row.tau_0 for row in rows)
     l = 0.005
     expansion = l * (2.0 * EPS + U0) / (4.0 * EPS**1.5)
     tg = times.group_delay(BarrierSpec(U0, l), EPS)
@@ -91,9 +90,10 @@ def test_criterion_3_thin_barrier_slowdown():
 
 
 def test_criterion_4_phase_time_saturation():
-    t30 = times.phase_time(BarrierSpec(U0, 30.0), EPS)
+    t30 = times.compute_times(BarrierSpec(U0, 30.0), EPS).t_ph
     ok = abs(t30 - 0.11119) < 1e-4
-    zeros = [abs(times.phase_time(BarrierSpec(U0, l), U0 / 2.0)) for l in (0.5, 5.0, 50.0)]
+    zeros = [abs(times.compute_times(BarrierSpec(U0, l), U0 / 2.0).t_ph)
+             for l in (0.5, 5.0, 50.0)]
     ok = ok and max(zeros) < 1e-12
     report(4, "phase time saturates; vanishes at half height", ok,
            f"t_ph(30) = {t30:.6f}, max |t_ph(u0/2)| = {max(zeros):.2e}")

@@ -109,6 +109,17 @@ class TestTimesWidth:
         assert "k l overflows at l = 1e+308, eps = 11.8" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_decay_exits_one(self, tmp_path, capsys):
+        # chi l = sqrt(11) 1e308 overflows while k l = 1e308 does not; the
+        # row was a NaN tau_g that failed the Winful check (exit 2)
+        out = tmp_path / "width.csv"
+        code = cli.main(["times-width", "--u0", "12", "--eps", "1", "--l-min", "1e308",
+                         "--l-max", "1e308", "--steps", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "chi l overflows at l = 1e+308, eps = 1.0" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTimesEnergy:
     def test_crossing_footer_and_monotone_free_time(self, tmp_path):
@@ -263,6 +274,15 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert code == 1
         assert "k l overflows at l = 1e+308, eps = 11.8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_decay_exits_one(self, tmp_path, capsys):
+        # chi l overflows while k l does not: the row was NaN, with exit 0
+        code = cli.main(["spectrum", "--u0", "12", "--eps", "1", "--l", "1e308",
+                         "--out", str(tmp_path / "spec.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "chi l overflows at l = 1e+308, eps = 1.0" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_oversize_k_grid_rejected(self, tmp_path, capsys, monkeypatch):

@@ -195,6 +195,25 @@ def test_no_branch_on_ndarray():
     assert found == []
 
 
+def wavenumber_differences(path):
+    """'module:function' of each top-level function of path that forms
+    k^2 - chi^2, as k * k - chi * chi or k ** 2 - chi ** 2."""
+    forms = {"k * k - chi * chi", "k ** 2 - chi ** 2"}
+    return [f"{path.name}:{node.name}" for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+            and ast.unparse(sub) in forms]
+
+
+def test_g_is_formed_once():
+    # g = (k^2 - chi^2)/(2 k chi) loses digits near eps = u0/2, and its
+    # numerator is written in one function, which the float and the packet
+    # paths both call: a change of its form is one edit
+    found = [name for path in SOURCES for name in wavenumber_differences(path)]
+    assert found == ["stationary.py:_wavenumbers"]
+
+
 # Imports the module named by argv[2] from the sources under argv[1], and
 # prints the numpy modules loaded then.
 MODULE_IMPORT = """

@@ -72,9 +72,10 @@ class TestSolve:
         lambda: solve(BarrierSpec(U0, 1.0), math.nan),
         lambda: phase_shift(BarrierSpec(U0, 1.0), math.nan),
         lambda: times.phase_shift_derivative(BarrierSpec(U0, 1.0), math.nan),
-        lambda: times.hartman_limit(U0, math.nan),
+        lambda: times.compute_times(BarrierSpec(U0, 1.0), math.nan),
+        lambda: times.group_delay(BarrierSpec(U0, 1.0), math.nan),
     ], ids=["amplitudes", "solve", "phase_shift",
-            "phase_shift_derivative", "hartman_limit"])
+            "phase_shift_derivative", "compute_times", "group_delay"])
     def test_rejects_nan_energy(self, call):
         with pytest.raises(ValueError):
             call()

@@ -23,12 +23,8 @@ from tunneltimes.model import BarrierSpec
 from tunneltimes.times import (
     compute_times,
     delay_crossing,
-    free_group_time,
-    free_phase_time,
     group_delay,
-    hartman_limit,
     phase_shift_derivative,
-    phase_time,
 )
 
 U0 = 12.0
@@ -84,8 +80,9 @@ class TestGroupDelay:
             assert abs(group_delay(BarrierSpec(U0, l), EPS) - reference) <= 1e-12
 
     def test_reaches_opaque_asymptote(self):
-        assert group_delay(BarrierSpec(U0, 25.0), EPS) == pytest.approx(
-            hartman_limit(U0, EPS), abs=1e-6)
+        barrier = BarrierSpec(U0, 25.0)
+        assert group_delay(barrier, EPS) == pytest.approx(
+            compute_times(barrier, EPS).hartman_limit, abs=1e-6)
 
     def test_thin_barrier_expansion(self):
         l = 0.005
@@ -95,7 +92,7 @@ class TestGroupDelay:
     def test_slower_than_free_for_thin_barriers(self):
         for l in np.linspace(0.005, 0.1, 12):
             barrier = BarrierSpec(U0, float(l))
-            assert group_delay(barrier, EPS) > free_group_time(EPS, float(l))
+            assert group_delay(barrier, EPS) > compute_times(barrier, EPS).tau_0
 
     def test_cross_check_agreement_over_standard_grid(self):
         # the analytic derivative against a Richardson difference of the phase
@@ -112,40 +109,54 @@ class TestGroupDelay:
             assert math.isfinite(value)
 
 
+def row(u0, l, eps):
+    """compute_times at (u0, l, eps)."""
+    return compute_times(BarrierSpec(u0, l), eps)
+
+
+def row_or_named_refusal(barrier, eps):
+    """compute_times' row, or None where the standalone tau_d_out is not
+    finite and the row refuses by that name."""
+    if math.isfinite(dwell_time_transmitted(barrier, eps)):
+        return compute_times(barrier, eps)
+    with pytest.raises(ValueError, match="tau_d_out is not finite"):
+        compute_times(barrier, eps)
+    return None
+
+
 class TestFreeTimes:
     def test_group(self):
-        assert free_group_time(4.0, 8.0) == 2.0
-        assert free_group_time(EPS, 10.0) == pytest.approx(1.455557, abs=1e-6)
-        assert free_group_time(EPS, 0.0) == 0.0
+        assert row(U0, 8.0, 4.0).tau_0 == 2.0
+        assert row(U0, 10.0, EPS).tau_0 == pytest.approx(1.455557, abs=1e-6)
+        assert row(U0, 0.0, EPS).tau_0 == 0.0
 
     def test_phase(self):
-        assert free_phase_time(4.0, 8.0) == 4.0
+        assert row(U0, 8.0, 4.0).t_free == 4.0
 
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError):
-            free_group_time(0.0, 1.0)
+            row(U0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            free_phase_time(-2.0, 1.0)
+            row(U0, 1.0, -2.0)
 
 
 class TestPhaseTime:
     def test_exact_zero_at_half_height(self):
         for l in (0.5, 5.0, 50.0):
-            assert abs(phase_time(BarrierSpec(U0, l), 6.0)) < 1e-12
+            assert abs(row(U0, l, 6.0).t_ph) < 1e-12
 
     def test_zero_width(self):
-        assert phase_time(BarrierSpec(U0, 0.0), EPS) == 0.0
+        assert row(U0, 0.0, EPS).t_ph == 0.0
 
     def test_opaque_value(self):
         # t_ph -> atan((k^2-chi^2)/(2 k chi))/eps; frozen oracle value
-        assert phase_time(BarrierSpec(U0, 30.0), EPS) == pytest.approx(
-            0.111175829219, abs=1e-10)
+        assert row(U0, 30.0, EPS).t_ph == pytest.approx(0.111175829219, abs=1e-10)
 
     def test_saturation_under_doubling(self):
         L = 12.5 / CHI  # chi L >= 12
-        for f in (phase_time, group_delay):
-            a = f(BarrierSpec(U0, L), EPS)
-            b = f(BarrierSpec(U0, 2.0 * L), EPS)
+        for name in ("t_ph", "tau_g"):
+            a = getattr(row(U0, L, EPS), name)
+            b = getattr(row(U0, 2.0 * L, EPS), name)
             assert abs(b - a) < 1e-6
 
 
@@ -196,18 +207,19 @@ class TestDwellTimes:
 
 class TestHartmanLimit:
     def test_values(self):
-        assert hartman_limit(U0, EPS) == pytest.approx(0.650944554904, abs=1e-11)
-        assert hartman_limit(2.0, 1.0) == 1.0
+        assert row(U0, 1.0, EPS).hartman_limit == pytest.approx(0.650944554904, abs=1e-11)
+        assert row(2.0, 1.0, 1.0).hartman_limit == 1.0
 
     def test_symmetry(self):
-        assert hartman_limit(U0, 3.1) == pytest.approx(
-            hartman_limit(U0, U0 - 3.1), rel=1e-12, abs=0.0)
+        assert row(U0, 1.0, 3.1).hartman_limit == pytest.approx(
+            row(U0, 1.0, U0 - 3.1).hartman_limit, rel=1e-12, abs=0.0)
 
     def test_divergence_reported(self):
-        with pytest.raises(ValueError, match="diverges"):
-            hartman_limit(U0, U0)
+        # the asymptote diverges at eps = u0, which the row refuses
+        with pytest.raises(ValueError, match=r"not inside \(0, u0"):
+            row(U0, 1.0, U0)
         with pytest.raises(ValueError):
-            hartman_limit(U0, 12.5)
+            row(U0, 1.0, 12.5)
 
 
 class TestReport:
@@ -250,21 +262,16 @@ class TestOneStatePerRow:
 
     @staticmethod
     def assert_fields_equal_standalone_definitions(u0, l, eps):
-        # the fused row against each time's own function, bit for bit; where
-        # the standalone tau_d_out is not finite, the row names it
+        # the fused row's tau_g and dwell times against their own functions,
+        # bit for bit; where the standalone tau_d_out is not finite, the row
+        # names it
         barrier = BarrierSpec(u0, l)
-        if not math.isfinite(dwell_time_transmitted(barrier, eps)):
-            with pytest.raises(ValueError, match="tau_d_out is not finite"):
-                compute_times(barrier, eps)
+        report = row_or_named_refusal(barrier, eps)
+        if report is None:
             return
-        report = compute_times(barrier, eps)
         assert report.tau_g == group_delay(barrier, eps)
-        assert report.tau_0 == free_group_time(eps, l)
-        assert report.t_ph == phase_time(barrier, eps)
-        assert report.t_free == free_phase_time(eps, l)
         assert report.tau_d_in == dwell_time_incident(barrier, eps)
         assert report.tau_d_out == dwell_time_transmitted(barrier, eps)
-        assert report.hartman_limit == hartman_limit(u0, eps)
 
     @pytest.mark.parametrize("eps,l", GRID)
     def test_fields_equal_standalone_definitions(self, eps, l):
@@ -389,6 +396,12 @@ class TestDelayCrossing:
         root = delay_crossing(u0, l, eps_lo, eps_hi)
         assert abs(root - expected) <= 2 * (1e-13 + 1e-14 * abs(expected))
 
+    def test_overflowing_chi_l_is_named(self):
+        # chi l = sqrt(11.5) 1e308 overflows while k l = sqrt(0.5) 1e308 does
+        # not: Q(chi l) would be inf * 0, a NaN no bracket can hold
+        with pytest.raises(ValueError, match=r"^chi l overflows at l = 1e\+308, eps = 0.5: "):
+            delay_crossing(12.0, 1e308, 0.5, 11.0)
+
     def test_readme_crossing_as_the_csv_prints_it(self):
         # the README times-energy footer: # crossing_eps=7.93466392856
         assert f"{delay_crossing(8.0, 6.32, 4.0, 7.99):.12g}" == "7.93466392856"
@@ -512,7 +525,7 @@ class TestHighPrecision:
         barrier = BarrierSpec(u0, l)
         tau_g = high_precision_reference(u0, l, eps)[3]
         assert abs(group_delay(barrier, eps) - tau_g) <= 4e-15 * abs(tau_g)
-        tau_0 = free_group_time(eps, l)
+        tau_0 = compute_times(barrier, eps).tau_0
         dalpha = phase_shift_derivative(barrier, eps)
         assert abs(tau_0 + dalpha - tau_g) <= 2e-14 * max(abs(tau_g), tau_0)
 
@@ -523,14 +536,17 @@ class TestHighPrecision:
     @example(point=(5.025854483990585, 1142653.3143693043, 5.025854476784152))
     def test_phase_time_to_the_last_digits(self, point):
         # relative to |t_ph| (1 + u0/|2 eps - u0|), whose second factor is
-        # the conditioning of g = (k^2 - chi^2)/(2 k chi) near eps = u0/2
+        # the conditioning of g = (k^2 - chi^2)/(2 k chi) near eps = u0/2;
+        # from chi l ~ 335 near the top the row refuses its tau_d_out instead
         u0, l, eps = point
         assume(2.0 * eps != u0)
         with mp.workdps(60):
             k, chi = mp.sqrt(eps), mp.sqrt(mp.mpf(u0) - eps)
             t_ph = float(mp.atan((k**2 - chi**2) / (2 * k * chi) * mp.tanh(chi * l)) / eps)
         scale = abs(t_ph) * (1.0 + u0 / abs(2.0 * eps - u0))
-        assert abs(phase_time(BarrierSpec(u0, l), eps) - t_ph) <= 4e-15 * scale
+        report = row_or_named_refusal(BarrierSpec(u0, l), eps)
+        if report is not None:
+            assert abs(report.t_ph - t_ph) <= 4e-15 * scale
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(point=readme_domain())
