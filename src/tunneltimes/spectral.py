@@ -77,7 +77,8 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
     the density array the result holds.  The 1/k^2 transform tail beyond
     k_max is estimated from the window boundary values; if it holds more
     than 1% of the windowed mass the result is flagged so the caller can
-    enlarge k_max.  An n_k above MAX_K_NODES raises ValueError first.
+    enlarge k_max.  An n_k above MAX_K_NODES raises ValueError first, and
+    so does a width at which the right-moving weight W_+ rounds to 0.
     """
     if sol.barrier.l <= 0.0:
         raise ValueError("the spectrum needs a barrier of positive width")
@@ -111,6 +112,9 @@ def barrier_k_spectrum(sol: ScatteringSolution, k_max: float,
     # milliseconds when its threads are descheduled
     w_plus = float(np.add.reduce(w * dens_full[mid:]))
     w_minus = float(np.add.reduce(w * dens_full[mid::-1]))
+    if w_plus == 0.0:
+        raise ValueError(f"W_+ = 0 at l = {l}, eps = {sol.eps}: the interior transform "
+                         "rounds to 0 at this width, so the ratio W_-/W_+ is undefined")
 
     window_mass = w_plus + w_minus
     # asymptotics: |phi|^2 ~ (|psi(0)|^2 + |psi(l)|^2)/k^2 averaged over

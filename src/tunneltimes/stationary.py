@@ -60,11 +60,7 @@ def _state(u0: float, l: float, eps: float):
     """
     require_sub_barrier(u0, eps)
     k, chi, g = _wavenumbers(u0, eps, math)
-    if math.isinf(k * l):
-        raise ValueError(f"k l overflows at l = {l}, eps = {eps}: the phase "
-                         "e^(-ikl) of T is undefined")
-    if math.isinf(chi * l):
-        raise _theta_overflow(l, eps)
+    _check_width(k, chi, l, eps)
     decay, denom, R = _barrier_kernel(u0, l, k, chi, g, math)
     ik_chi = 1j * k / chi
     T = 2.0 * cmath.exp(-1j * k * l) * decay / denom
@@ -79,6 +75,15 @@ def _wavenumbers(u0: float, eps, lib):
     k = lib.sqrt(eps)
     chi = lib.sqrt(u0 - eps)
     return k, chi, (k * k - chi * chi) / (2.0 * k * chi)
+
+
+def _check_width(k: float, chi: float, l: float, eps: float) -> None:
+    """ValueError, by name, where k l or chi l overflows."""
+    if math.isinf(k * l):
+        raise ValueError(f"k l overflows at l = {l}, eps = {eps}: the phase "
+                         "e^(-ikl) of T is undefined")
+    if math.isinf(chi * l):
+        raise _theta_overflow(l, eps)
 
 
 def _theta_overflow(l: float, eps: float) -> ValueError:
@@ -144,9 +149,11 @@ def solve(barrier: BarrierSpec, eps: float) -> ScatteringSolution:
 
 def phase_shift(barrier: BarrierSpec, eps: float) -> float:
     """Transmission phase alpha = atan(g tanh(chi l)) - k l: arg T modulo 2 pi,
-    continuous in both l and eps, and 0 at l = 0."""
+    continuous in both l and eps, and 0 at l = 0.  A width at which k l or
+    chi l overflows raises the ValueError of _state."""
     require_sub_barrier(barrier.u0, eps)
     k, chi, g = _wavenumbers(barrier.u0, eps, math)
+    _check_width(k, chi, barrier.l, eps)
     return math.atan(g * math.tanh(chi * barrier.l)) - k * barrier.l
 
 

@@ -35,15 +35,20 @@ in windows [0, t_max 2^a] that double until one contains the whole pulse.
 At the barrier exit the cut energy integral leaves the endpoint term
 (i/t) h(u0) e^{-i u0 t}, a slowly decaying artifact of the truncation,
 which the end-of-window test removes before it compares the density left
-at the end with the maximum.
+at the end with the maximum.  A window before the last is not synthesized
+when sums over the nodes at three times prove that it fails: B =
+(sum |a_j|)^2 bounds every density, so an end density above EDGE_FRACTION
+B, with a margin for rounding, cuts the pulse, and a density at the first
+sample above D(0) rules out the maximum at t = 0, which no window mends.
 
 A width sweep repeats what does not depend on l, so that is built once: the
 energy basis (nodes, weights, the width-free factors k, chi and g of X and
 R, N A, the two overlaps and the panel powers) per (packet, u0, grid
-layout), and the chirp-z plan (chirp, kernel FFT and offsets) per (u0,
-layout, window end T, sample count M).  Each is kept in a
-least-recently-used cache of at most _RETAINED_NODES nodes or complex
-values, in read-only arrays that every SpectralAmplitude on them shares.
+layout), and the chirp-z plan (chirp, kernel FFT, offsets and the phases
+at the first and last samples) per (u0, layout, window end T, sample count
+M).  Each is kept in a least-recently-used cache of at most
+_RETAINED_NODES nodes or twice as many complex values, in read-only arrays
+that every SpectralAmplitude on them shares.
 
 The free packet is the zero-width barrier BarrierSpec(eps_max, 0): there
 X = 1 and R = 0, so its states are the plane waves N e^{ikx}, and its
@@ -274,8 +279,9 @@ class _BoundedCache:
         return value
 
 
-# Energy nodes the basis cache keeps (91 bytes each, ~12 MB in all), and
-# complex values the synthesis-plan cache keeps (~2 MB).
+# Energy nodes the basis cache keeps (91 bytes each, ~12 MB in all); the
+# synthesis-plan cache keeps twice as many complex values (~4 MB), since a
+# plan holds the end phases of every node besides the chirp and offsets.
 _RETAINED_NODES = 1 << 17
 _BASES = _BoundedCache(_RETAINED_NODES, lambda basis: len(basis.nodes))
 
@@ -435,11 +441,13 @@ def _fft_size(n: int) -> int:
 
 
 class _ChirpPlan(NamedTuple):
-    """The part of a chirp z-sum fixed by the grid and the time samples."""
+    """The part of a chirp z-sum fixed by the grid and the time samples, and
+    the phases at two of the samples for _fails_unsampled."""
 
     conj_chirp: np.ndarray  # w^{n^2/2}, n < max(P, M)
     kernel: np.ndarray      # FFT of the Bluestein kernel
     offsets: np.ndarray     # e^{-i e_j t_m}, (order, M)
+    ends: np.ndarray        # e^{-i eps t} at every node for t = t_1, t_{M-1}, (2, N)
 
 
 def _chirp_plan(famp: SpectralAmplitude, t_max: float, n_times: int) -> _ChirpPlan:
@@ -452,15 +460,22 @@ def _chirp_plan(famp: SpectralAmplitude, t_max: float, n_times: int) -> _ChirpPl
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_times] = chirp[:n_times]
     kernel[size - n_panels + 1:] = chirp[n_panels - 1:0:-1]
+    times = np.linspace(0.0, t_max, n_times)
     plan = _ChirpPlan(np.conj(chirp), np.fft.fft(kernel),
-                      np.exp(-1j * np.outer(famp.grid[:order],
-                                            np.linspace(0.0, t_max, n_times))))
+                      np.exp(-1j * np.outer(famp.grid[:order], times)),
+                      np.exp(-1j * np.outer(times[[1, -1]], famp.grid)))
     for array in plan:
         array.flags.writeable = False
     return plan
 
 
-_PLANS = _BoundedCache(_RETAINED_NODES, lambda plan: sum(a.size for a in plan))
+_PLANS = _BoundedCache(2 * _RETAINED_NODES, lambda plan: sum(a.size for a in plan))
+
+
+def _plan(famp: SpectralAmplitude, t_max: float, n_times: int) -> _ChirpPlan:
+    """The _ChirpPlan of famp's grid on linspace(0, t_max, n_times), from _PLANS."""
+    return _PLANS.get((famp.eps_max, famp.layout, t_max, n_times),
+                      lambda: _chirp_plan(famp, t_max, n_times))
 
 
 def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
@@ -476,17 +491,22 @@ def _chirp_z_sum(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
     and each inner sum is one Bluestein convolution, via
     pm = (p^2 + m^2 - (m - p)^2) / 2, of length >= P + M - 1 for P panels
     and M times.  The order convolutions run as one batched FFT pair over
-    the rows of the (order, P) matrix of pre-chirped panel sums.  The chirp,
+    the rows of the (order, P) matrix of pre-chirped panel sums, written
+    zero-padded into one C-ordered (order, FFT length) array that the pair
+    transforms in place: each row the FFT reads is contiguous, and no
+    padded copy or second array of that size is made.  The chirp,
     the kernel's FFT and the offsets form a _ChirpPlan, kept per (u0, layout,
-    t_max, n_times) in a cache of at most _RETAINED_NODES complex values, so
+    t_max, n_times) in a cache of at most 2 _RETAINED_NODES complex values, so
     a call forms only the panel FFT pair and the contraction.
     """
-    plan = _PLANS.get((famp.eps_max, famp.layout, t_max, n_times),
-                      lambda: _chirp_plan(famp, t_max, n_times))
-    n_panels = famp.layout.n_panels
-    panels = amp.reshape(n_panels, famp.layout.order).T * plan.conj_chirp[:n_panels]
-    conv = np.fft.ifft(np.fft.fft(panels, len(plan.kernel), axis=1) * plan.kernel,
-                       axis=1)[:, :n_times]
+    plan = _plan(famp, t_max, n_times)
+    n_panels, order = famp.layout.n_panels, famp.layout.order
+    panels = np.zeros((order, len(plan.kernel)), dtype=complex)
+    np.multiply(amp.reshape(n_panels, order).T, plan.conj_chirp[:n_panels],
+                out=panels[:, :n_panels])
+    spectrum = np.fft.fft(panels, axis=1, out=panels)
+    spectrum *= plan.kernel
+    conv = np.fft.ifft(spectrum, axis=1, out=spectrum)[:, :n_times]
     return (plan.offsets * conv).sum(axis=0) * plan.conj_chirp[:n_times]
 
 
@@ -604,6 +624,24 @@ def _check_window(t_max: float, coarse_dt: float) -> None:
 EDGE_FRACTION = 0.01
 
 
+def _sample_count(t_max: float, coarse_dt: float) -> int:
+    """Samples of the coarse synthesis of the window [0, t_max]."""
+    return max(int(round(t_max / coarse_dt)), 16) + 1
+
+
+def _end_density(famp: SpectralAmplitude, t_max: float, psi_end: complex,
+                 raw: float) -> tuple[float, str]:
+    """(density, its name) left at the window end T: the smaller of the raw
+    density there and the density of psi(T) less the endpoint term
+    (i/T) h(u0) e^{-i u0 T}."""
+    term = (1j / t_max * endpoint_amplitude(famp.packet, famp.barrier)
+            * cmath.exp(-1j * famp.eps_max * t_max))
+    remainder = abs(psi_end - term) ** 2
+    if remainder < raw:
+        return remainder, "end density less the endpoint term"
+    return raw, "end density"
+
+
 def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
                         coarse_dt: float = 0.05,
                         t_in: float | None = None) -> ArrivalTime:
@@ -645,7 +683,7 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     t_max or coarse_dt that is not finite and positive raises ValueError.
     """
     _check_window(t_max, coarse_dt)
-    n = max(int(round(t_max / coarse_dt)), 16) + 1
+    n = _sample_count(t_max, coarse_dt)
     ts = np.linspace(0.0, t_max, n)
     psi = synthesize_amplitude(famp, famp.barrier.l, ts)
     d = np.abs(psi) ** 2
@@ -658,17 +696,12 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     if i == 0 or i == n - 1:
         raise WindowError(f"density maximum at the window edge (t = {ts[i]:.4g})",
                           extendable=i > 0)
-    endpoint = endpoint_amplitude(famp.packet, famp.barrier)
-    term = 1j / t_max * endpoint * cmath.exp(-1j * famp.eps_max * t_max)
-    remainder = abs(psi[-1] - term) ** 2
-    end, which = d[-1], "end density"
-    if remainder < end:
-        end, which = remainder, "end density less the endpoint term"
+    end, which = _end_density(famp, t_max, psi[-1], d[-1])
     if end > EDGE_FRACTION * peak:
         raise WindowError(
             f"window [0, {t_max:g}] cuts the pulse: {which} {end:.3e} "
             f"is above {EDGE_FRACTION:.0%} of the maximum {peak:.3e}")
-    tail = abs(endpoint) ** 2 / t_max**2
+    tail = abs(endpoint_amplitude(famp.packet, famp.barrier)) ** 2 / t_max**2
     if not tail < peak:
         raise WindowError(
             f"window [0, {t_max:g}] is too short: the endpoint density "
@@ -683,6 +716,63 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
         i = int(np.argmax(fine[1:-1])) + 1
         t_star, v_star = _newton_peak(famp, amp, float(ts[i]), ts[i - 1], ts[i + 1])
     return ArrivalTime(t_arr=t_star, peak_density=v_star, t_in=t_in)
+
+
+# Rounding allowance of a density, as a fraction of B per radian of the
+# largest phase of the chirp z-sum and per term of its convolution.
+_ROUNDING = 2.0**-46
+
+
+def _density_bound(famp: SpectralAmplitude, amp: np.ndarray, t_max: float,
+                   n_times: int) -> tuple[float, float]:
+    """(B, slack) for the synthesis of [0, t_max] on n_times samples.
+
+    B = (sum |a_j|)^2 bounds every density: |psi(t)| <= sum |a_j|.  slack
+    bounds the rounding between a sampled density and the sum over the
+    nodes at its time with the plan's phases e^{-i eps t} (_ChirpPlan.ends).
+    Each e^{ix} carries the rounding of x, so a chirp z-sample moves by up
+    to ~2^-53 of sum |a_j| per radian of the largest chirp phase
+    W dt max(P, M)^2 / 2 and per term of its convolution of length ~P + M;
+    the direct phases eps t <= u0 T stay below twice that phase.  Measured
+    over windows of up to 30,558 panels P and 60,001 samples M (dt 0.001 to
+    20), the two sums differed by at most 0.06 of 2^-53 (phase + P + M)
+    sum |a_j|, so a density by less than a fifth of 2^-53 (phase + P + M) B:
+    slack = 2^-46 (phase + P + M) B is over 500 times that.
+    """
+    n_panels = famp.layout.n_panels
+    phase = 0.5 * famp.max_panel_width * (t_max / (n_times - 1)) * max(n_panels, n_times) ** 2
+    bound = float(np.abs(amp).sum()) ** 2
+    return bound, _ROUNDING * (phase + n_panels + n_times) * bound
+
+
+def _fails_unsampled(famp: SpectralAmplitude, t_max: float, coarse_dt: float) -> bool:
+    """Whether arrival_time_of_max(famp, t_max, coarse_dt) is certain to
+    raise an extendable WindowError, decided from sums over the nodes at
+    t = 0 and at the first and last sample times, whose phases the plan
+    keeps.
+
+    With B and slack from _density_bound, an end density (_end_density of
+    the sum at T) above EDGE_FRACTION (B + slack) + slack, that is above
+    EDGE_FRACTION B (1 + delta) with delta = (1 + EDGE_FRACTION) slack /
+    (EDGE_FRACTION B), ~3e-9 at the window 30 and ~4e-8 at 480 (u0 = 31.4,
+    dt = 0.05), exceeds EDGE_FRACTION of any sampled maximum: the window
+    has its maximum at an edge or cuts the pulse.  The maximum at t = 0,
+    which no longer window moves, is excluded when the density at the
+    first sample time T / (M - 1) exceeds the density at 0 by more than
+    2 slack.  A grid that cannot resolve T raises as the synthesis would.
+    """
+    _check_resolution(famp, t_max)
+    amp = famp._exit_state
+    n = _sample_count(t_max, coarse_dt)
+    # einsum, not @: a threaded BLAS stalls for milliseconds when its
+    # threads are descheduled
+    psi_first, psi_end = np.einsum("tn,n->t", _plan(famp, t_max, n).ends, amp)
+    bound, slack = _density_bound(famp, amp, t_max, n)
+    end, _ = _end_density(famp, t_max, psi_end, abs(psi_end) ** 2)
+    if not end > EDGE_FRACTION * (bound + slack) + slack:
+        return False
+    # at t = 0 every phase e^{-i eps t} is 1
+    return abs(psi_first) ** 2 - abs(amp.sum()) ** 2 > 2.0 * slack
 
 
 # Doublings of the window that scan_arrival and free_arrival_time try
@@ -728,6 +818,11 @@ def scan_arrival(packet: PacketSpec, barrier: BarrierSpec, t_max: float = 30.0,
     and from the window at hand if its maximum sits at t = 0, which no
     window moves.  Raises ValueError unless t_max and coarse_dt are finite
     and positive.
+
+    A window proven to fail is not synthesized (_doubling_scan), with the
+    same rows and messages: at p = 3.6, b = 2 the window 30 from l ~ 8.53
+    and 60 from l ~ 11.08, so a packet-opaque pass (seed 1) runs 7
+    syntheses instead of 12.
     """
     return _doubling_scan(
         packet, barrier, lambda horizon: EnergyGridSpec.for_horizon(barrier.u0, horizon),
@@ -739,7 +834,14 @@ def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
     """(ArrivalTime, SpectralAmplitude) of the first window t_max 2^a that
     passes, each window on the energy grid grid_for(t_max 2^a).  A grid that
     grid_for refuses ends the scan: with ValueError at t_max, and with the
-    last window's WindowError, which names the refusal, after it."""
+    last window's WindowError, which names the refusal, after it.
+
+    A window is not synthesized when _fails_unsampled proves that it fails
+    and would be extended, provided its message cannot be reported: it is
+    not the last window, and grid_for accepts the next one.  The scan then
+    goes on as after that window's WindowError, so its outcome is the one
+    of synthesizing every window, bit for bit.
+    """
     _check_window(t_max, coarse_dt)
     last_error = None
     for attempt in range(MAX_DOUBLINGS + 1):
@@ -752,18 +854,29 @@ def _doubling_scan(packet: PacketSpec, barrier: BarrierSpec, grid_for,
             raise WindowError(f"no valid window up to t = {horizon / 2:g}: {last_error}; "
                               f"the window {horizon:g} is not tried: {exc}") from None
         famp = spectral_amplitude(packet, barrier, grid)
-        try:
-            return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
-        except WindowError as exc:
-            if not exc.extendable:
-                raise
-            # keep the message only: the traceback would hold this window's
-            # grid alive while the next, larger one is built
-            last_error = str(exc)
+        if not (attempt < MAX_DOUBLINGS and _grid_accepted(grid_for, 2 * horizon)
+                and _fails_unsampled(famp, horizon, coarse_dt)):
+            try:
+                return arrival_time_of_max(famp, horizon, coarse_dt, t_in=t_in), famp
+            except WindowError as exc:
+                if not exc.extendable:
+                    raise
+                # keep the message only: the traceback would hold this
+                # window's grid alive while the next, larger one is built
+                last_error = str(exc)
         del famp
     raise WindowError(
         f"no valid window up to t = {t_max * 2**MAX_DOUBLINGS:g}: {last_error}"
     )
+
+
+def _grid_accepted(grid_for, horizon: float) -> bool:
+    """Whether grid_for(horizon) gives a grid rather than ValueError."""
+    try:
+        grid_for(horizon)
+    except ValueError:
+        return False
+    return True
 
 
 # Largest move of t_mean, as a fraction of it, that a doubling of the cutoff

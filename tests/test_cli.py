@@ -285,6 +285,15 @@ class TestSpectrum:
         assert "chi l overflows at l = 1e+308, eps = 1.0" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_vanishing_weight_exits_one(self, tmp_path, capsys):
+        # W_+ rounds to 0 at l = 1e-300: the ratio was a ZeroDivisionError
+        code = cli.main(["spectrum", "--u0", "12", "--eps", "11.8", "--l", "1e-300",
+                         "--out", str(tmp_path / "spec.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "W_+ = 0 at l = 1e-300, eps = 11.8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversize_k_grid_rejected(self, tmp_path, capsys, monkeypatch):
         # 1e9 wavenumbers per half-axis would take ~40 GB; the grid is
         # refused before any array is allocated

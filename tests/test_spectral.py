@@ -74,6 +74,13 @@ class TestDirectionalSpectrum:
         with pytest.raises(ValueError):
             barrier_k_spectrum(stationary.solve(BarrierSpec(U0, 0.0), EPS), 10.0)
 
+    def test_weight_rounding_to_zero_is_named(self):
+        # from l ~ 1e-20 both weights round to 0 (the interior transform
+        # cancels), and the ratio W_-/W_+ divided by zero
+        sol = stationary.solve(BarrierSpec(U0, 1e-300), EPS)
+        with pytest.raises(ValueError, match=r"^W_\+ = 0 at l = 1e-300, eps = "):
+            barrier_k_spectrum(sol, k_max=80.0, n_k=4001)
+
     def test_vanishing_window_limit(self):
         sol = stationary.solve(BarrierSpec(U0, 1e-3), EPS)
         spec = barrier_k_spectrum(sol, k_max=80.0, n_k=4001)

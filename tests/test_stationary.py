@@ -192,6 +192,17 @@ class TestPhaseShift:
         assert value == pytest.approx(math.atan(g), abs=1e-10)
         assert math.atan(g) == pytest.approx(1.31187478479, abs=1e-9)
 
+    @pytest.mark.parametrize("eps,message", [
+        # k l = sqrt(11.8) 1e308 overflows; so does chi l = sqrt(11) 1e308,
+        # while k l = 1e308 does not
+        (11.8, r"^k l overflows at l = 1e\+308, eps = 11.8: "),
+        (1.0, r"^chi l overflows at l = 1e\+308, eps = 1.0: ")])
+    def test_overflowing_width_is_named(self, eps, message):
+        # alpha was -inf, or atan(g) - 1e308, where amplitudes refuses the width
+        for call in (phase_shift, lambda barrier, e: amplitudes(barrier.u0, barrier.l, e)):
+            with pytest.raises(ValueError, match=message):
+                call(BarrierSpec(12.0, 1e308), eps)
+
     def test_agrees_with_arg_t_mod_2pi(self):
         for eps, l in standard_grid():
             T, _, _, _ = amplitudes(U0, l, eps)

@@ -711,6 +711,25 @@ class TestBasisCache:
 
 
 class TestSynthesisPlan:
+    def test_sweep_to_the_window_240_keeps_its_plans(self, monkeypatch):
+        # the plans of the windows 30 to 240, each with the end phases of
+        # its nodes, fit in the plan cache together: a second sweep past
+        # l = 13.07 builds none
+        fresh_caches(monkeypatch)
+        built = []
+        original = wp._chirp_plan
+
+        def spy(famp, t_max, n_times):
+            built.append(t_max)
+            return original(famp, t_max, n_times)
+
+        monkeypatch.setattr(wp, "_chirp_plan", spy)
+        for _ in range(2):
+            built.clear()
+            for l in (8.3, 10.0, 12.2, 13.5):
+                scan_arrival(PACKET, BarrierSpec(U0, l))
+        assert built == []
+
     def test_plan_is_keyed_by_the_time_samples(self, monkeypatch):
         # the same M on the windows [0, 10] and [0, 12.5]: two plans, each
         # used twice, and each synthesis matches the direct sum
@@ -792,8 +811,9 @@ RAW_TEST_THRESHOLDS = (7.966, 9.151, 10.360, 11.765)
 STRATUM_WIDTHS = (8.25, 8.85, 10.0, 11.0, 12.2)
 
 
-def windows_tried(monkeypatch):
-    """Record the window of every arrival_time_of_max call made by scan_arrival."""
+def windows_synthesized(monkeypatch):
+    """Record the window of every arrival_time_of_max call made by scan_arrival:
+    the windows synthesized."""
     tried = []
     original = wp.arrival_time_of_max
 
@@ -805,6 +825,25 @@ def windows_tried(monkeypatch):
     return tried
 
 
+def windows_built(monkeypatch):
+    """Record the energy grid of every spectral_amplitude call: one per window
+    tried, synthesized or proven to fail without it."""
+    built = []
+    original = wp.spectral_amplitude
+
+    def spy(packet, barrier, grid):
+        built.append(grid)
+        return original(packet, barrier, grid)
+
+    monkeypatch.setattr(wp, "spectral_amplitude", spy)
+    return built
+
+
+def horizon_grids(u0, windows):
+    """The half-period grids of the windows."""
+    return [EnergyGridSpec.for_horizon(u0, w) for w in windows]
+
+
 def outcome(arr, famp):
     return arr.t_arr, arr.peak_density, famp.captured_weight, len(famp.grid)
 
@@ -814,38 +853,66 @@ def plain_windows(l):
     return [30.0 * 2**a for a in range(1 + sum(l > x for x in DOUBLING_THRESHOLDS))]
 
 
+SWEEP_PACKETS = (PACKET, PacketSpec(p=2.0, b=5.0), PacketSpec(p=5.0, b=1.0))
+SWEEP_WIDTHS = sorted(
+    {round(x + s, 3) for x in DOUBLING_THRESHOLDS + RAW_TEST_THRESHOLDS
+     for s in (-0.002, 0.002)}
+    | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)})
+
+
 class TestPredictedWindow:
     """scan_arrival against plain doubling (helpers.doubling_scan_arrival).
 
     The windows it tries are those plain doubling tries; there is no longer
-    a predicted jump, and the name is kept for the test ids.
+    a predicted jump, and the name is kept for the test ids.  A window that
+    must fail is built but not synthesized (_fails_unsampled).
     """
 
-    @pytest.mark.parametrize("l", sorted(
-        {round(x + s, 3) for x in RAW_TEST_THRESHOLDS for s in (-0.002, 0.002)}
-        | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)}))
+    @pytest.mark.parametrize("l", SWEEP_WIDTHS)
     def test_equals_plain_doubling(self, l):
         # the integer widths are those of the arrival_sweep fixture
         barrier = BarrierSpec(U0, l)
         assert outcome(*scan_arrival(PACKET, barrier)) == outcome(
             *doubling_scan_arrival(PACKET, barrier))
 
+    @pytest.mark.parametrize("l", SWEEP_WIDTHS)
+    @pytest.mark.parametrize("packet", SWEEP_PACKETS[1:], ids=["p2", "p5"])
+    def test_other_packets_equal_plain_doubling(self, packet, l):
+        barrier = BarrierSpec(U0, l)
+        assert outcome(*scan_arrival(packet, barrier)) == outcome(
+            *doubling_scan_arrival(packet, barrier))
+
     @pytest.mark.parametrize("l", STRATUM_WIDTHS)
     def test_builds_first_and_accepted_window_only(self, monkeypatch, l):
         # plain doubling: every window up to the one that passes, each on
         # the grid of its own horizon, and none beyond it
-        tried = windows_tried(monkeypatch)
+        built = windows_built(monkeypatch)
         _, famp = scan_arrival(PACKET, BarrierSpec(U0, l))
-        assert tried == plain_windows(l)
-        assert famp.layout == EnergyGridSpec.for_horizon(U0, tried[-1])
+        assert built == horizon_grids(U0, plain_windows(l))
+        assert famp.layout == built[-1]
+
+    @pytest.mark.parametrize("l,synthesized", [
+        (8.25, [30.0]), (8.85, [60.0]), (10.0, [60.0]),
+        # the end density at t = 60 is 0.0094 of the bound B, below 1 %
+        (11.0, [60.0, 120.0]),
+        (12.2, [120.0]), (12.25, [120.0])])
+    def test_synthesizes_the_windows_not_proven_to_fail(self, monkeypatch, l, synthesized):
+        # below l ~ 8.53 the window 30 fails but its end density stays
+        # below 1 % of B: 8.25 passes at 30 and is synthesized there
+        tried = windows_synthesized(monkeypatch)
+        scan_arrival(PACKET, BarrierSpec(U0, l))
+        assert tried == synthesized
 
     def test_edge_maximum_doubles(self, monkeypatch):
         # the density still rises at t = 0.1, 0.2 and 0.4; 0.8 cuts the pulse
-        # and 1.6 passes
+        # and 1.6 passes.  Each failing window ends above 1 % of B, so only
+        # 1.6 is synthesized
         barrier = BarrierSpec(U0, 1.0)
-        tried = windows_tried(monkeypatch)
+        built = windows_built(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
         got = scan_arrival(PACKET, barrier, t_max=0.1)
-        assert tried == [0.1, 0.2, 0.4, 0.8, 1.6]
+        assert built == horizon_grids(U0, [0.1, 0.2, 0.4, 0.8, 1.6])
+        assert tried == [1.6]
         monkeypatch.undo()
         assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier, t_max=0.1))
 
@@ -865,13 +932,54 @@ class TestPredictedWindow:
             scan_arrival(PacketSpec(p=3.58, b=2.0), BarrierSpec(U0, 5.5))
         assert grids == [EnergyGridSpec.for_horizon(U0, 30.0)]
 
+    def test_start_maximum_is_never_skipped(self, monkeypatch):
+        # with the bound B = 0 every window's end density proves a failure;
+        # the density at the first sample, below D(0) here, still keeps the
+        # window 30 from being skipped, and it raises the maximum at t = 0
+        # after one synthesis
+        monkeypatch.setattr(wp, "_density_bound", lambda *args: (0.0, 0.0))
+        built = windows_built(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
+        with pytest.raises(WindowError, match=r"\(t = 0\)$"):
+            scan_arrival(PacketSpec(p=3.58, b=2.0), BarrierSpec(U0, 5.5))
+        assert built == horizon_grids(U0, [30.0]) and tried == [30.0]
+
+    def test_skip_needs_no_nested_samples(self, monkeypatch):
+        # at dt = 0.07 the samples of the window 30 are not among those of
+        # 60 (round(60 / 0.07) = 857, not 2 round(30 / 0.07) = 858): each
+        # window's proof reads its own panel sums, so the scan still
+        # synthesizes the window 120 only
+        barrier = BarrierSpec(U0, 12.25)
+        tried = windows_synthesized(monkeypatch)
+        got = scan_arrival(PACKET, barrier, coarse_dt=0.07)
+        assert tried == [120.0]
+        monkeypatch.undo()
+        assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier, coarse_dt=0.07))
+
+    @pytest.mark.parametrize("l", STRATUM_WIDTHS + (13.5,))
+    @pytest.mark.parametrize("packet", SWEEP_PACKETS, ids=["p3.6", "p2", "p5"])
+    def test_proven_windows_fail_and_extend(self, packet, l):
+        # every window _fails_unsampled rejects fails arrival_time_of_max
+        # with an extendable WindowError (which ones it rejects in a scan:
+        # test_synthesizes_the_windows_not_proven_to_fail)
+        for window in (30.0, 60.0, 120.0):
+            famp = spectral_amplitude(packet, BarrierSpec(U0, l),
+                                      EnergyGridSpec.for_horizon(U0, window))
+            if wp._fails_unsampled(famp, window, 0.05):
+                with pytest.raises(WindowError) as failure:
+                    arrival_time_of_max(famp, window)
+                assert failure.value.extendable
+
     def test_failed_prediction_keeps_doubling(self, monkeypatch):
         # just above the last threshold the remainder at t = 60 is still
-        # above 1 % of the peak, so the scan doubles once more
+        # above 1 % of the peak, so the scan doubles once more; the window
+        # 30 is proven to fail without its synthesis, 60 is not
         barrier = BarrierSpec(U0, DOUBLING_THRESHOLDS[-1] + 0.002)
-        tried = windows_tried(monkeypatch)
+        built = windows_built(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
         got = scan_arrival(PACKET, barrier)
-        assert tried == [30.0, 60.0, 120.0]
+        assert built == horizon_grids(U0, [30.0, 60.0, 120.0])
+        assert tried == [60.0, 120.0]
         monkeypatch.undo()
         assert outcome(*got) == outcome(*doubling_scan_arrival(PACKET, barrier))
 
@@ -885,13 +993,6 @@ class TestPredictedWindow:
         with pytest.raises(WindowError, match="cuts the pulse") as got:
             scan_arrival(PACKET, barrier)
         assert str(got.value) == str(expected.value)
-
-
-SWEEP_PACKETS = (PACKET, PacketSpec(p=2.0, b=5.0), PacketSpec(p=5.0, b=1.0))
-SWEEP_WIDTHS = sorted(
-    {round(x + s, 3) for x in DOUBLING_THRESHOLDS + RAW_TEST_THRESHOLDS
-     for s in (-0.002, 0.002)}
-    | set(STRATUM_WIDTHS) | {float(l) for l in range(1, 13)})
 
 
 def end_ratios(famp, t_max):
@@ -1013,7 +1114,7 @@ class TestGridConvergence:
 
     @staticmethod
     def on_both_grids(monkeypatch, packet, l):
-        tried = windows_tried(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
         barrier = BarrierSpec(U0, l)
         arr, famp = scan_arrival(packet, barrier)
         monkeypatch.undo()
@@ -1056,15 +1157,19 @@ class TestNewtonPeak:
 
     def test_free_arrival_doubles_its_window(self, monkeypatch):
         # at u0 = 2.62, p = 0.79, b = 0.97 the window 30 cuts the free pulse
-        # and 60 passes, on the quarter-period grid of 60 (horizon 120)
+        # and 60 passes, on the quarter-period grid of 60 (horizon 120); each
+        # window has the half-period grid of twice its horizon
         packet, u0 = self.SLOW_FREE
         free = BarrierSpec(u0, 0.0)
         with pytest.raises(WindowError, match="cuts the pulse"):
             arrival_time_of_max(spectral_amplitude(
                 packet, free, EnergyGridSpec.for_horizon(u0, 60.0)), 30.0)
-        tried = windows_tried(monkeypatch)
+        built = windows_built(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
         t_in = free_arrival_time(packet, u0, t_max=30.0)
-        assert tried == [30.0, 60.0]
+        # the windows 30 and 60 are built; 30 is proven to fail unsampled
+        assert built == horizon_grids(u0, [60.0, 120.0])
+        assert tried == [60.0]
         monkeypatch.undo()
         assert t_in == free_arrival_time(packet, u0, t_max=60.0)
         # the Newton root is the direct sum's on the same grid; how far that
@@ -1143,7 +1248,7 @@ class TestNewtonPeak:
     def test_short_pulse_is_sampled_again(self, monkeypatch, packet, barrier, message):
         # Newton fails from the coarse step 0.05 and converges from 0.05 / 8
         # to the direct sum's root, in the first window
-        tried = windows_tried(monkeypatch)
+        tried = windows_synthesized(monkeypatch)
         if barrier.l == 0.0:
             t_arr = free_arrival_time(packet, barrier.u0)
             famp = spectral_amplitude(packet, barrier,
@@ -1185,7 +1290,7 @@ class TestPacketDomain:
         packet = PacketSpec(p=speed * math.sqrt(u0), b=math.exp(log_b))
         try:
             with pytest.MonkeyPatch.context() as patch:
-                tried = windows_tried(patch)
+                tried = windows_synthesized(patch)
                 t_in = free_arrival_time(packet, u0)
             free = spectral_amplitude(packet, BarrierSpec(u0, 0.0),
                                       EnergyGridSpec.for_horizon(u0, 2.0 * tried[-1]))
