@@ -107,7 +107,16 @@ def cmd_packet(args) -> int:
     if args.l_min <= 0.0 or args.l_max < args.l_min:
         raise ValueError("need 0 < l-min <= l-max")
     packet = PacketSpec(p=args.p, b=args.b)
-    t_in = wavepacket.free_arrival_time(packet, args.u0, t_max=args.t_max)
+    try:
+        t_in = wavepacket.free_arrival_time(packet, args.u0, t_max=args.t_max)
+    except wavepacket.WindowError as exc:
+        # the free density at x = 0 rises from ~0 at t = 0, the edge of the
+        # packet's support, so its maximum sits at t = 0 only in a window
+        # too short to resolve that rise: bad input, not a numerical failure
+        if exc.extendable:
+            raise NumericalError(f"free reference t_in: {exc}") from exc
+        raise ValueError(f"free reference t_in: {exc}: --t-max {args.t_max:g} is too "
+                         "short to resolve the free packet's rise") from exc
 
     arrival_rows, mean_rows = [], []
     series_dumps = []

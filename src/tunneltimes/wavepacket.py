@@ -624,9 +624,20 @@ def _check_window(t_max: float, coarse_dt: float) -> None:
 EDGE_FRACTION = 0.01
 
 
-def _sample_count(t_max: float, coarse_dt: float) -> int:
-    """Samples of the coarse synthesis of the window [0, t_max]."""
-    return max(int(round(t_max / coarse_dt)), 16) + 1
+# Most time samples one synthesis takes; its chirp-z sum then holds ~0.4 GB
+# (about 400 bytes per sample).
+MAX_TIME_SAMPLES = 2**20
+
+
+def _sample_count(t_max: float, step: float, least: int = 16,
+                  name: str = "coarse_dt") -> int:
+    """Samples of the synthesis of the window [0, t_max] every ~step, at
+    least least + 1; ValueError, naming the step, above MAX_TIME_SAMPLES."""
+    steps = t_max / step
+    if steps > MAX_TIME_SAMPLES:
+        raise ValueError(f"{name} = {step:g} asks for {steps:.4g} samples of the "
+                         f"window [0, {t_max:g}], more than the {MAX_TIME_SAMPLES:,} allowed")
+    return max(int(round(steps)), least) + 1
 
 
 def _end_density(famp: SpectralAmplitude, t_max: float, psi_end: complex,
@@ -636,7 +647,9 @@ def _end_density(famp: SpectralAmplitude, t_max: float, psi_end: complex,
     (i/T) h(u0) e^{-i u0 T}."""
     term = (1j / t_max * endpoint_amplitude(famp.packet, famp.barrier)
             * cmath.exp(-1j * famp.eps_max * t_max))
-    remainder = abs(psi_end - term) ** 2
+    gap = abs(psi_end - term)
+    # a window T ~ 1e-300 makes the term huge, and its square would overflow
+    remainder = gap ** 2 if gap < 1e154 else math.inf
     if remainder < raw:
         return remainder, "end density less the endpoint term"
     return raw, "end density"
@@ -680,7 +693,8 @@ def arrival_time_of_max(famp: SpectralAmplitude, t_max: float,
     a _NEWTON_RETRY times finer step, since a pulse a few coarse steps long
     can leave the coarse start outside Newton's basin; failing there too
     raises WindowError.  peak_density is D at the root.  A
-    t_max or coarse_dt that is not finite and positive raises ValueError.
+    t_max or coarse_dt that is not finite and positive raises ValueError, and
+    so does a coarse_dt that asks for more than MAX_TIME_SAMPLES samples.
     """
     _check_window(t_max, coarse_dt)
     n = _sample_count(t_max, coarse_dt)
@@ -910,10 +924,11 @@ def mean_crossing_time(famp: SpectralAmplitude, x: float, t_cut: float,
     than MEAN_DRIFT_TOL of itself, S ln 2 > MEAN_DRIFT_TOL t_mean, raises
     TailMassError: the mean then measures the cutoff more than the pulse.
     The packet is observed at the exit only, so any other x raises
-    ValueError, as does a t_cut or dt that is not finite and positive.
+    ValueError, as does a t_cut or dt that is not finite and positive or a
+    dt that asks for more than MAX_TIME_SAMPLES samples.
     """
     _check_window(t_cut, dt)
-    n = max(int(round(t_cut / dt)), 64) + 1
+    n = _sample_count(t_cut, dt, least=64, name="dt")
     ts = np.linspace(0.0, t_cut, n)
     d = synthesize(famp, x, ts)
     den = float(np.trapezoid(d, ts))

@@ -113,6 +113,39 @@ def wavefunction_at(sol, x):
     return psi if psi.ndim else complex(psi)
 
 
+def interior_window_transform(C_l, D, chi: float, l: float, k):
+    """(phi(k), phi(-k)), phi(k) = int_0^l (C_l e^{chi (x - l)} + D e^{-chi x}) e^{-ikx} dx.
+
+    The reference form of spectral.barrier_k_spectrum's transform: closed
+    form in the scaled coefficient C_l = C e^{chi l}, so +chi*l is never
+    exponentiated and opaque barriers evaluate without overflow.  Both signs
+    of k share one e^{-ikl}: e^{+ikl} is its conjugate.
+    """
+    k = np.asarray(k, dtype=float)
+    e = math.exp(-chi * l)
+    phase = np.exp(-1j * k * l)
+    ik = 1j * k
+    return tuple((C_l * p - e * C_l) / (chi - s) + (D - D * e * p) / (chi + s)
+                 for p, s in ((phase, ik), (np.conj(phase), -ik)))
+
+
+def mp_window_density(sol, k, dps=40):
+    """Oracle for |N phi(k)|^2 of the barrier-region transform at one k, by mpmath.
+
+    phi(k) = C_l (p - e) / (chi - ik) + D (1 - e p) / (chi + ik) with
+    p = e^{-ikl} and e = e^{-chi l}, at dps digits; C_l, D, N, chi, l and k
+    are the exact values of their floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        C_l, D, N = mp.mpc(sol.C_l), mp.mpc(sol.D), mp.mpf(sol.N)
+        chi, l, k = mp.mpf(sol.chi), mp.mpf(sol.barrier.l), mp.mpf(k)
+        e, p = mp.exp(-chi * l), mp.exp(-1j * k * l)
+        phi = C_l * (p - e) / (chi - 1j * k) + D * (1 - e * p) / (chi + 1j * k)
+        return float(abs(N * phi) ** 2)
+
+
 def incident_current(sol):
     """Current of the incident part alone, j_in = 2 k N^2."""
     return 2.0 * sol.k * sol.N**2

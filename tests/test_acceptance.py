@@ -22,6 +22,7 @@ from helpers import (
     finite_difference_group_delay,
     find_plateau,
     initial_wavefunction,
+    interior_window_transform,
     transfer_matrix_solution,
     wavefunction_at,
 )
@@ -182,7 +183,7 @@ def test_criterion_9_directional_spectrum(arrival_sweep):
     chi = math.sqrt(U0 - EPS)
     k = np.linspace(0.0, 60.0, 3001)
     c_l = 0.5 * math.exp(chi * 2.0)  # C = D = 1/2: the real field cosh(chi x)
-    phi_p, phi_m = spectral.interior_window_transform(c_l, 0.5, chi, 2.0, k)
+    phi_p, phi_m = interior_window_transform(c_l, 0.5, chi, 2.0, k)
     wp_ = np.trapezoid(np.abs(phi_p) ** 2, k)
     wm_ = np.trapezoid(np.abs(phi_m) ** 2, k)
     symmetric = abs(wp_ - wm_) <= 1e-12 * wp_
@@ -233,7 +234,7 @@ def test_criterion_10_numerics_cross_validation(arrival_sweep):
         im, _ = quad(lambda x: (wavefunction_at(sol, x)
                                 * np.exp(-1j * k * x)).imag, 0.0, 3.0,
                      epsabs=1e-13, limit=300)
-        direct, _ = spectral.interior_window_transform(
+        direct, _ = interior_window_transform(
             sol.C_l, sol.D, sol.chi, 3.0, float(k))
         spec_worst = max(spec_worst, abs(sol.N * direct - (re + 1j * im)))
 

@@ -214,6 +214,43 @@ class TestPacket:
         assert code == 2
         assert "(t = 0)" in capsys.readouterr().err
 
+    def test_tiny_window_names_the_free_reference(self, tmp_path, capsys):
+        # every window up to 16e-300 holds D(0) at every sample: the free
+        # density's rise is not resolved, which is bad input; the end density
+        # at T = 1e-300 no longer overflows with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",
+                             "--l-min", "1", "--l-max", "1", "--steps", "1",
+                             "--t-max", "1e-300", "--out", str(tmp_path / "pkt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("invalid configuration: free reference t_in: density maximum at the "
+                "window edge (t = 0): --t-max 1e-300 is too short") in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_free_window_exits_two_named(self, tmp_path, capsys):
+        # the free pulse reaches the far edge of every window up to 0.016
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",
+                         "--l-min", "1", "--l-max", "1", "--steps", "1",
+                         "--t-max", "1e-3", "--out", str(tmp_path / "pkt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure: free reference t_in: no valid window up to t = 0.016" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oversampled_window_exits_one(self, tmp_path, capsys):
+        code = cli.main(["packet", "--u0", "31.4", "--p", "3.6", "--b", "2",
+                         "--l-min", "1", "--l-max", "1", "--steps", "1",
+                         "--dt", "1e-300", "--out", str(tmp_path / "pkt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("invalid configuration: coarse_dt = 1e-300 asks for 3e+301 samples "
+                "of the window [0, 30], more than the 1,048,576 allowed") in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_weight_above_the_norm_exits_two(self, tmp_path, capsys):
         # quadrature error, not bad input: a finer grid converges below 1
         code = cli.main(["packet", "--u0", "24.399", "--p", "1.088", "--b", "1.971",

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import wavefunction_at
+from helpers import interior_window_transform, mp_window_density, wavefunction_at
 from tunneltimes import stationary
 from tunneltimes.model import BarrierSpec
-from tunneltimes.spectral import barrier_k_spectrum, interior_window_transform
+from tunneltimes.spectral import _BLOCK, MAX_K_NODES, _phase_table, barrier_k_spectrum
 
 U0 = 12.0
 EPS = 11.8
@@ -75,8 +76,8 @@ class TestDirectionalSpectrum:
             barrier_k_spectrum(stationary.solve(BarrierSpec(U0, 0.0), EPS), 10.0)
 
     def test_weight_rounding_to_zero_is_named(self):
-        # from l ~ 1e-20 both weights round to 0 (the interior transform
-        # cancels), and the ratio W_-/W_+ divided by zero
+        # below l ~ 1e-162 both weights, ~1.85 l^2 here, underflow to 0, and
+        # the ratio W_-/W_+ divided by zero
         sol = stationary.solve(BarrierSpec(U0, 1e-300), EPS)
         with pytest.raises(ValueError, match=r"^W_\+ = 0 at l = 1e-300, eps = "):
             barrier_k_spectrum(sol, k_max=80.0, n_k=4001)
@@ -112,12 +113,36 @@ def one_sided_transform(C_l, D, chi, l, k):
     return grow + decay
 
 
+def one_sided_density(sol, k, phase):
+    """Reference: |N phi(k)|^2 in the u/v form for either sign of k, with the given e^{-ikl}.
+
+    |N (C_l u (chi + ik) + D v (chi - ik))|^2 / (chi^2 + k^2)^2 with
+    u = p - e = (p - 1) + (1 - e) and v = 1 - e p = (1 - e) p - (p - 1),
+    over whole arrays.
+    """
+    chi, one_minus_e = sol.chi, -math.expm1(-sol.chi * sol.barrier.l)
+    z = chi + 1j * k
+    u = (phase - 1.0) + one_minus_e
+    v = phase * one_minus_e - (phase - 1.0)
+    a = u * z * (sol.N * sol.C_l) + v * np.conj(z) * (sol.N * sol.D)
+    return (a.real ** 2 + a.imag ** 2) / (k * k + chi * chi) ** 2
+
+
+def table_phases(n_k, k_max, l):
+    """e^{-ikl} on np.linspace(0, k_max, n_k): the whole product of the phase
+    table, and its own exponential at k_max."""
+    hi, lo = _phase_table(n_k, k_max / (n_k - 1), l)
+    phase = np.einsum("i,j->ij", hi, lo).ravel()[:n_k]
+    phase[-1] = np.exp(-1j * (k_max * l))
+    return phase
+
+
 def whole_array_spectrum(sol, k_max, n_k):
     """Reference: the spectrum from whole-grid arrays, as one expression each."""
     kp = np.linspace(0.0, k_max, n_k)
-    chi, l = sol.chi, sol.barrier.l
-    dens_p = np.abs(sol.N * one_sided_transform(sol.C_l, sol.D, chi, l, kp)) ** 2
-    dens_m = np.abs(sol.N * one_sided_transform(sol.C_l, sol.D, chi, l, -kp)) ** 2
+    phase = table_phases(n_k, k_max, sol.barrier.l)
+    dens_p = one_sided_density(sol, kp, phase)
+    dens_m = one_sided_density(sol, -kp, np.conj(phase))
     w = np.ones(n_k)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -136,6 +161,87 @@ class TestPairedTransform:
         phi_p, phi_m = interior_window_transform(sol.C_l, sol.D, CHI, l, k)
         assert np.array_equal(phi_p, one_sided_transform(sol.C_l, sol.D, CHI, l, k))
         assert np.array_equal(phi_m, one_sided_transform(sol.C_l, sol.D, CHI, l, -k))
+
+    @pytest.mark.parametrize("l", [0.5, 8.0, 40.0])
+    def test_kernel_halves_equal_one_sided_evaluation(self, l):
+        # the -k half, built from conj(N C_l) and conj(N D) on the +k half's
+        # u (chi + ik) and v (chi - ik), changes no bit of a one-sided
+        # evaluation at -k with phase conj(p)
+        sol = stationary.solve(BarrierSpec(U0, l), EPS)
+        spec = barrier_k_spectrum(sol, k_max=400.0, n_k=12001)
+        k = np.linspace(0.0, 400.0, 12001)
+        phase = table_phases(12001, 400.0, l)
+        assert np.array_equal(spec.density[12000:], one_sided_density(sol, k, phase))
+        assert np.array_equal(spec.density[12000::-1],
+                              one_sided_density(sol, -k, np.conj(phase)))
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("n_k", [3, 4097, 12001, MAX_K_NODES + 1])
+    def test_about_two_sqrt_n_exponentials(self, n_k):
+        hi, lo = _phase_table(n_k, 400.0 / (n_k - 1), 3.0)
+        assert len(hi) == -(-n_k // len(lo))
+        assert math.sqrt(n_k) <= len(lo) <= 2.0 * math.sqrt(n_k)
+        assert _BLOCK % len(lo) == 0
+        assert len(hi) + len(lo) <= 2.5 * math.sqrt(n_k) + 1
+
+    @pytest.mark.parametrize("l", [1e-3, 0.5, 8.0, 40.0])
+    def test_matches_one_exponential_per_node(self, l):
+        # both round k l; the table's product adds a few ulp of 1
+        k = np.linspace(0.0, 400.0, 12001)
+        phase = table_phases(12001, 400.0, l)
+        bound = 3.0 * np.spacing(k * l) + 4.0 * np.finfo(float).eps
+        assert np.all(np.abs(phase - np.exp(-1j * k * l)) <= bound)
+
+
+class TestDensityOracle:
+    @pytest.mark.parametrize("l", [1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0])
+    def test_no_worse_than_the_complex_division_form(self, l):
+        # the first 100 nodes of each sign, where the density is largest,
+        # against 40 digits; errors relative to the largest density
+        sol = stationary.solve(BarrierSpec(U0, l), EPS)
+        spec = barrier_k_spectrum(sol, k_max=400.0, n_k=12001)
+        k = spec.k[12000:12100]
+        exact_p = np.array([mp_window_density(sol, float(x)) for x in k])
+        exact_m = np.array([mp_window_density(sol, -float(x)) for x in k])
+        phi_p, phi_m = interior_window_transform(sol.C_l, sol.D, sol.chi, l, k)
+        old = max(np.max(np.abs(np.abs(sol.N * phi_p) ** 2 - exact_p)),
+                  np.max(np.abs(np.abs(sol.N * phi_m) ** 2 - exact_m)))
+        new = max(np.max(np.abs(spec.density[12000:12100] - exact_p)),
+                  np.max(np.abs(spec.density[12000:11900:-1] - exact_m)))
+        scale = np.max(spec.density)
+        assert new <= max(old, 2e-15 * scale)
+
+    @pytest.mark.parametrize("l", [1e-9, 1e-15, 1e-20])
+    def test_thin_widths_keep_their_digits(self, l):
+        # u = (p - 1) + (1 - e) keeps the chi l of its real part where e
+        # rounds to 1; as p - e it lost it, and from l ~ 1e-15 W_- exceeded
+        # W_+.  As l -> 0, phi(k) -> l psi(0) for every k, so the ratio -> 1.
+        # 60 digits: the oracle's p - e cancels ~20 of them at l = 1e-20
+        sol = stationary.solve(BarrierSpec(U0, l), EPS)
+        spec = barrier_k_spectrum(sol, k_max=400.0, n_k=12001)
+        nodes = range(0, 12001, 600)
+        exact = [mp_window_density(sol, float(sign * spec.k[12000 + i]), dps=60)
+                 for sign in (1, -1) for i in nodes]
+        got = [spec.density[12000 + sign * i] for sign in (1, -1) for i in nodes]
+        assert np.max(np.abs(np.subtract(got, exact))) <= 2e-15 * np.max(spec.density)
+        assert spec.ratio == pytest.approx(1.0, abs=1e-6)
+
+
+class TestWorkMemory:
+    def test_no_grid_or_block_temporaries(self):
+        # four complex and two real block buffers, 320 KiB, on top of the two
+        # result arrays; a whole-grid complex temporary alone would add 188 KiB
+        sol = stationary.solve(BarrierSpec(U0, 3.0), EPS)
+        barrier_k_spectrum(sol, k_max=400.0, n_k=12001)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            barrier_k_spectrum(sol, k_max=400.0, n_k=12001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * 8 * (2 * 12001 - 1) < 512 * 1024
 
 
 class TestBlockedSpectrum:

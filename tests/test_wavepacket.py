@@ -1108,6 +1108,30 @@ class TestWindowArguments:
         with pytest.raises(ValueError, match=name):
             free_arrival_time(PACKET, U0, **kwargs)
 
+    def test_oversampled_window_names_the_step(self, famp4):
+        # 3e+301 samples would reach numpy's bare "Maximum allowed size
+        # exceeded"; the bound refuses them before anything is allocated
+        with pytest.raises(ValueError, match=r"^coarse_dt = 1e-300 asks for 3e\+301 samples "
+                           r"of the window \[0, 30\], more than the 1,048,576 allowed"):
+            arrival_time_of_max(famp4, 30.0, coarse_dt=1e-300)
+        with pytest.raises(ValueError, match=r"^coarse_dt = 1e-300 asks for"):
+            scan_arrival(PACKET, BARRIER4, t_max=30.0, coarse_dt=1e-300)
+        with pytest.raises(ValueError, match=r"^dt = 1e-05 asks for 3e\+06 samples"):
+            mean_crossing_time(famp4, BARRIER4.l, 30.0, dt=1e-5)
+
+    @pytest.mark.parametrize("t_max", [1e-300, 1e-160])
+    def test_tiny_window_end_density_does_not_overflow(self, t_max):
+        # the endpoint term (i/T) h(u0) e^{-i u0 T} is ~1e300 at T = 1e-300,
+        # and its square overflowed with a RuntimeWarning; the window fails at
+        # t = 0 as before
+        famp = spectral_amplitude(PACKET, FREE, EnergyGridSpec.for_horizon(U0, 2.0))
+        psi_end = complex(synthesize_amplitude(famp, 0.0, np.linspace(0.0, t_max, 17))[-1])
+        end, which = wp._end_density(famp, t_max, psi_end, abs(psi_end) ** 2)
+        assert which == "end density" and end == abs(psi_end) ** 2
+        with pytest.raises(WindowError, match=r"\(t = 0\)") as info:
+            arrival_time_of_max(famp, t_max)
+        assert not info.value.extendable
+
 
 class TestGridConvergence:
     """The accepted half-period grid against the same window on 4x the panels."""
